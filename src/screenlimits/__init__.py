@@ -69,7 +69,7 @@ from .lifetime import (
     lambda_at,
     unreliability_series,
 )
-from .scenarios import Scenario, RunManifest, execute, load_scenario, run_scenario
+from .scenarios import Scenario, execute, load_scenario, run_scenario
 from .simulate import (
     MODE_BINOMIAL,
     MODE_COMPOSITE,
@@ -92,6 +92,7 @@ from .system import (
     SystemRisk,
     critical_population,
     phase_scan,
+    system_probability,
     system_risk,
 )
 from .tails import (

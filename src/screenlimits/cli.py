@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .datasets import figure_panels
 from .errors import BudgetError, DomainError, SchemaError
 from .golden import all_pass, golden_report, render_table, rows_for_output
-from .scenarios import Scenario, load_scenario, run_scenario
-from .tableio import file_sha256, render_csv, write_json, write_text
+from .scenarios import SCENARIO_KINDS, load_scenario, run_scenario
+from .tableio import render_csv, render_json, write_artifact
 
 __all__ = ["main", "build_parser"]
 
-_GOLDEN_COLUMNS = ["name", "value", "expected", "tol_abs", "tol_rel", "status", "note"]
+# CLI options that override the scenario parameter of the same name
+_OVERRIDES = ("runs", "seed", "workers", "criterion_level")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,17 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scenario_commands = {
-        "tail": "tail",
-        "system": "system",
-        "phase-scan": "phase",
-        "lifetime": "lifetime",
-        "cohort": "cohort",
-        "bayes": "bayes",
-        "effdim": "effdim",
-        "simulate": "simulate",
-    }
-    for command, kind in scenario_commands.items():
+    for kind in SCENARIO_KINDS:
+        command = "phase-scan" if kind == "phase" else kind
         cmd = sub.add_parser(command, help=f"run a {kind} scenario from a JSON config")
         cmd.add_argument("--config", required=True, help="scenario JSON file")
         cmd.add_argument("--out", default=None, help="output file (stdout if omitted)")
@@ -89,17 +82,10 @@ def _scenario_command(args: argparse.Namespace) -> int:
             f"config has kind {scenario.kind!r} but subcommand expects {args.kind!r}"
         )
     params = dict(scenario.parameters)
-    if args.kind == "simulate":
-        if args.runs is not None:
-            params["runs"] = args.runs
-        if args.seed is not None:
-            params["seed"] = args.seed
-        if args.workers is not None:
-            params["workers"] = args.workers
-    if args.kind == "lifetime" and args.criterion_level is not None:
-        params["criterion_level"] = args.criterion_level
-    scenario = Scenario(name=scenario.name, kind=scenario.kind, parameters=params)
-    text, _ = run_scenario(scenario, args.out, args.format)
+    for key in _OVERRIDES:
+        if getattr(args, key, None) is not None:
+            params[key] = getattr(args, key)
+    text, _ = run_scenario(replace(scenario, parameters=params), args.out, args.format)
     if args.out is None:
         sys.stdout.write(text)
     return 0
@@ -115,48 +101,19 @@ def _figures_command(args: argparse.Namespace) -> int:
 
 def _golden_command(args: argparse.Namespace) -> int:
     checks = golden_report(tol_scale=args.tol_scale)
-    ok = all_pass(checks)
     if args.out is None:
         print(render_table(checks))
-        return 0 if ok else 1
-
-    from pathlib import Path
-
-    rows = [[row[col] for col in _GOLDEN_COLUMNS] for row in rows_for_output(checks)]
-    out = Path(args.out)
-    if out.parent:
-        out.parent.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        import json
-
-        text = json.dumps(
-            {"tol_scale": args.tol_scale, "columns": _GOLDEN_COLUMNS, "rows": rows},
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
     else:
-        text = render_csv(
-            ["frozen reference-value registry", f"tol_scale = {args.tol_scale!r}"],
-            _GOLDEN_COLUMNS,
-            rows,
-        )
-    write_text(out, text)
-
-    from . import __version__
-
-    write_json(
-        out.with_name(out.name + ".manifest.json"),
-        {
-            "scenario": "golden",
-            "kind": "golden",
-            "parameters": {"tol_scale": args.tol_scale},
-            "seed": None,
-            "artifact_version": __version__,
-            "output": out.name,
-            "sha256": file_sha256(out),
-        },
-    )
-    return 0 if ok else 1
+        table = rows_for_output(checks)
+        columns = list(table[0])
+        rows = [list(row.values()) for row in table]
+        if args.format == "json":
+            text = render_json({"tol_scale": args.tol_scale, "columns": columns, "rows": rows})
+        else:
+            comments = ["frozen reference-value registry", f"tol_scale = {args.tol_scale!r}"]
+            text = render_csv(comments, columns, rows)
+        write_artifact(args.out, text, "golden", "golden", {"tol_scale": args.tol_scale}, None)
+    return 0 if all_pass(checks) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

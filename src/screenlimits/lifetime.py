@@ -10,9 +10,10 @@ alerts n * q(t) first reaches a criterion level (default 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, expm1, log, log1p, sqrt
+from math import exp, log, sqrt
 
 from .errors import AlreadyUnreliableError, BracketError, DomainError
+from .system import system_probability
 from .tails import poisson_tail
 
 __all__ = [
@@ -195,6 +196,6 @@ def unreliability_series(
     for t in times:
         lam = lambda_at(model, t)
         q = poisson_tail(lam, m)
-        prob = 1.0 if q >= 1.0 else -expm1(n * log1p(-q))
+        prob, _ = system_probability(q, n)
         rows.append(GrowthPoint(t=t, lam=lam, q=q, expected=n * q, prob=prob))
     return rows

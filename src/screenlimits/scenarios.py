@@ -1,10 +1,14 @@
 """Config-driven scenario execution with validated schemas and manifests.
 
 A scenario is a JSON document naming a computation kind plus its parameter
-map. Parameter maps are validated strictly: unknown keys, missing keys, and
-wrong JSON types are schema errors; numeric range violations surface from
-the compute modules as domain errors. The split matters because the CLI
-maps the two classes to different exit codes.
+map. Each kind is one entry of a declarative table: the parameters it
+requires, the ones it accepts optionally (each with a type spec), and the
+compute function that turns the typed parameters into rows of
+``{column: value}``. Parameter maps are validated strictly: unknown keys,
+missing keys, wrong JSON types and non-finite numbers are schema errors;
+numeric range violations surface from the compute modules as domain errors.
+The split matters because the CLI maps the two classes to different exit
+codes.
 
 Every file written gets a sibling ``<name>.manifest.json`` recording the
 resolved parameters, seed, package version, and the sha256 of the output
@@ -15,7 +19,8 @@ identical inputs is byte-identical, manifest included.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .bayes import BayesContext, bayes_critical_population, classify_regime, ppv
@@ -25,34 +30,36 @@ from .cohorts import (
     cohort_system_risk,
     dominance_decomposition,
 )
-from .effdim import SpatialCorrelation, TemporalCorrelation, adjusted_limits, k_eff_spatial, k_eff_temporal
+from .effdim import (
+    HEURISTIC_NOTE,
+    SpatialCorrelation,
+    TemporalCorrelation,
+    adjusted_limits,
+    k_eff_spatial,
+    k_eff_temporal,
+)
 from .errors import SchemaError
 from .lifetime import GrowthModel, critical_time_analytic, critical_time_corrected
-from .simulate import LatentCorrelation, SimPlan, simulate_correlated, simulate_per_person, simulate_system
+from .simulate import (
+    LatentCorrelation,
+    SimPlan,
+    simulate_correlated,
+    simulate_per_person,
+    simulate_system,
+)
 from .system import ScreeningConfig, phase_scan, system_risk
-from .tableio import file_sha256, format_cell, render_csv, write_json, write_text
+from .tableio import format_cell, render_csv, render_json, write_artifact
 from .tails import log_poisson_tail, poisson_tail, tail_estimate, threshold_for_ratio
 
 __all__ = [
     "SCENARIO_KINDS",
     "Scenario",
     "ScenarioResult",
-    "RunManifest",
     "load_scenario",
     "execute",
+    "render_result",
     "run_scenario",
 ]
-
-SCENARIO_KINDS = (
-    "tail",
-    "system",
-    "phase",
-    "lifetime",
-    "cohort",
-    "bayes",
-    "effdim",
-    "simulate",
-)
 
 _FORMATS = ("csv", "json")
 
@@ -68,68 +75,59 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Computed rows plus everything the writers and manifest need."""
+    """Computed rows plus everything the writers and manifest need.
+
+    Every row maps the same columns, in order, to their values; `parameters`
+    is the resolved-parameter record written to the output and manifest.
+    """
 
     comments: list[str]
-    header: list[str]
-    rows: list[tuple]
+    rows: list[dict]
     summary: dict
-    resolved: dict
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written alongside every scenario output file."""
-
-    scenario: str
-    kind: str
     parameters: dict
-    seed: int | None
-    artifact_version: str
-    output_name: str
-    sha256: str
 
 
-def _check_keys(params: dict, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+def _parse(value, spec, key: str):
+    """Check one value against its type spec and return it typed.
+
+    A spec is float, int or str; a one-element list [item spec] for a
+    nonempty list; or a dict {key: spec} for an object whose keys are all
+    required. Numbers must be finite: NaN, Infinity and literals that
+    overflow a double are rejected here, before any computation.
+    """
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise SchemaError(f"parameter {key!r} must be an object, got {value!r}")
+        return _fields(value, spec, {})
+    if isinstance(spec, list):
+        if not isinstance(value, list) or not value:
+            raise SchemaError(f"parameter {key!r} must be a nonempty list, got {value!r}")
+        return [_parse(item, spec[0], key) for item in value]
+    if spec is str:
+        if not isinstance(value, str):
+            raise SchemaError(f"parameter {key!r} must be a string, got {value!r}")
+        return value
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # abs(v) <= max is False for NaN and infinities, and compares huge ints exactly
+    if not numeric or not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"parameter {key!r} must be a finite number, got {value!r}")
+    if spec is int:
+        if value != int(value):
+            raise SchemaError(f"parameter {key!r} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
+def _fields(params: dict, required: dict, optional: dict) -> dict:
+    """Check keys against the required and optional specs; parse each value."""
     unknown = sorted(set(params) - set(required) - set(optional))
     if unknown:
         raise SchemaError(f"unknown parameter(s): {', '.join(unknown)}")
     missing = sorted(set(required) - set(params))
     if missing:
         raise SchemaError(f"missing parameter(s): {', '.join(missing)}")
-
-
-def _number(params: dict, key: str) -> float:
-    v = params[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"parameter {key!r} must be a number, got {v!r}")
-    return float(v)
-
-
-def _integer(params: dict, key: str) -> int:
-    v = params[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
-        raise SchemaError(f"parameter {key!r} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _text(params: dict, key: str) -> str:
-    v = params[key]
-    if not isinstance(v, str):
-        raise SchemaError(f"parameter {key!r} must be a string, got {v!r}")
-    return v
-
-
-def _number_list(params: dict, key: str) -> list[float]:
-    v = params[key]
-    if not isinstance(v, list) or not v:
-        raise SchemaError(f"parameter {key!r} must be a nonempty list of numbers")
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(f"parameter {key!r} must contain only numbers, got {item!r}")
-        out.append(float(item))
-    return out
+    specs = {**required, **optional}
+    return {key: _parse(value, specs[key], key) for key, value in params.items()}
 
 
 def _exactly_one(params: dict, keys: tuple[str, ...]) -> str:
@@ -139,400 +137,218 @@ def _exactly_one(params: dict, keys: tuple[str, ...]) -> str:
     return present[0]
 
 
-def _run_tail(params: dict) -> ScenarioResult:
-    _check_keys(params, required=("lambda",), optional=("m", "c"))
-    which = _exactly_one(params, ("m", "c"))
-    lam = _number(params, "lambda")
-    if which == "c":
-        m = threshold_for_ratio(lam, _number(params, "c"))
-    else:
-        m = _integer(params, "m")
-    resolved = {"lambda": lam, "m": m}
-    header = ["lam", "m", "c", "exact", "chernoff_upper", "robbins_lower", "log_exact", "exponent"]
-    if m > lam:
-        est = tail_estimate(lam, m)
-        row = (lam, m, m / lam, est.exact, est.chernoff_upper, est.robbins_lower, est.log_exact, est.exponent)
-    else:
-        # below the mean there is no large-deviation sandwich to report
-        q = poisson_tail(lam, m)
-        row = (lam, m, m / lam, q, "", "", log_poisson_tail(lam, m), "")
-    return ScenarioResult(
-        comments=["upper-tail probability with sandwich bounds"],
-        header=header,
-        rows=[row],
-        summary={},
-        resolved=resolved,
-    )
+# Each compute takes the parsed parameters and returns (comments, rows,
+# summary). The parameters it leaves behind are the resolved record: tail
+# and system replace a ratio c by the threshold m it resolves to, lifetime
+# and simulate fill in their documented defaults.
 
 
-def _run_system(params: dict) -> ScenarioResult:
-    _check_keys(params, required=("k", "p", "n"), optional=("m", "c"))
-    which = _exactly_one(params, ("m", "c"))
-    config = ScreeningConfig(
-        k=_integer(params, "k"),
-        p=_number(params, "p"),
-        n=_integer(params, "n"),
-        m=_integer(params, "m") if which == "m" else None,
-        c=_number(params, "c") if which == "c" else None,
-    )
-    risk = system_risk(config)
-    resolved = {"k": config.k, "p": config.p, "n": config.n, "m": config.threshold}
-    row = (
-        config.k,
-        config.p,
-        config.n,
-        config.threshold,
-        config.lam,
-        risk.per_person_q,
-        risk.expected_false_alerts,
-        risk.prob_at_least_one,
-        risk.lower_bound,
-        risk.upper_bound,
-        risk.log_complement,
-    )
-    return ScenarioResult(
-        comments=["system-level false-alert probability with bounds"],
-        header=["k", "p", "n", "m", "lam", "q", "expected", "prob", "lower", "upper", "log_complement"],
-        rows=[row],
-        summary={},
-        resolved=resolved,
-    )
-
-
-def _run_phase(params: dict) -> ScenarioResult:
-    _check_keys(params, required=("lambdas", "c", "alpha"))
-    lambdas = _number_list(params, "lambdas")
-    c = _number(params, "c")
-    alpha = _number(params, "alpha")
-    points = phase_scan(lambdas, c, alpha)
-    resolved = {"lambdas": lambdas, "c": c, "alpha": alpha}
-    rows = [(pt.lam, pt.n, pt.m, pt.q, pt.prob, pt.lower, pt.upper) for pt in points]
-    return ScenarioResult(
-        comments=[f"population phase scan at alpha={format_cell(alpha)}, c={format_cell(c)}"],
-        header=["lam", "n", "m", "q", "prob", "lower", "upper"],
-        rows=rows,
-        summary={},
-        resolved=resolved,
-    )
-
-
-def _run_lifetime(params: dict) -> ScenarioResult:
-    _check_keys(
-        params,
-        required=("k0", "gamma", "p", "m"),
-        optional=("n", "criterion_level"),
-    )
-    model = GrowthModel(
-        k0=_number(params, "k0"),
-        gamma=_number(params, "gamma"),
-        p=_number(params, "p"),
-    )
-    m = _integer(params, "m")
-    level = _number(params, "criterion_level") if "criterion_level" in params else 1.0
-    t_analytic = critical_time_analytic(model, m)
-    resolved = {"k0": model.k0, "gamma": model.gamma, "p": model.p, "m": m, "criterion_level": level}
-    if "n" in params:
-        n = _integer(params, "n")
-        resolved["n"] = n
-        rep = critical_time_corrected(model, m, n, criterion_level=level)
-        row = (
-            model.k0,
-            model.gamma,
-            model.p,
-            m,
-            n,
-            level,
-            rep.t_star_analytic,
-            rep.t_star_corrected,
-            rep.lambda_at_failure,
-            rep.correction_magnitude,
-            rep.closed_form_lambda,
-        )
-    else:
-        # analytic-only request: population-corrected cells stay empty
-        row = (model.k0, model.gamma, model.p, m, "", level, t_analytic, "", "", "", "")
-    return ScenarioResult(
-        comments=["system lifetime under geometric attribute growth"],
-        header=[
-            "k0",
-            "gamma",
-            "p",
-            "m",
-            "n",
-            "criterion_level",
-            "t_star_analytic",
-            "t_star_corrected",
-            "lambda_at_failure",
-            "correction_magnitude",
-            "closed_form_lambda",
-        ],
-        rows=[row],
-        summary={},
-        resolved=resolved,
-    )
-
-
-def _run_cohort(params: dict) -> ScenarioResult:
-    _check_keys(params, required=("groups", "k", "m"))
-    raw_groups = params["groups"]
-    if not isinstance(raw_groups, list) or not raw_groups:
-        raise SchemaError("parameter 'groups' must be a nonempty list of group objects")
-    groups = []
-    for entry in raw_groups:
-        if not isinstance(entry, dict):
-            raise SchemaError(f"each group must be an object, got {entry!r}")
-        _check_keys(entry, required=("label", "n", "p"))
-        groups.append(
-            CohortGroup(label=_text(entry, "label"), size=_integer(entry, "n"), p=_number(entry, "p"))
-        )
-    k = _integer(params, "k")
-    m = _integer(params, "m")
-    profile = CohortProfile(groups=tuple(groups))
-    risk = cohort_system_risk(profile, k=k, m=m)
-    dom = dominance_decomposition(profile, k=k, m=m)
-    resolved = {
-        "groups": [{"label": g.label, "n": g.size, "p": g.p} for g in groups],
-        "k": k,
+def _tail(p: dict):
+    if _exactly_one(p, ("m", "c")) == "c":
+        p["m"] = threshold_for_ratio(p["lambda"], p.pop("c"))
+    lam, m = p["lambda"], p["m"]
+    # below the mean there is no large-deviation sandwich to report
+    est = tail_estimate(lam, m) if m > lam else None
+    exact = est.exact if est is not None else poisson_tail(lam, m)
+    log_exact = est.log_exact if est is not None else log_poisson_tail(lam, m)
+    row = {
+        "lam": lam,
         "m": m,
+        "c": m / lam,
+        "exact": exact,
+        "chernoff_upper": getattr(est, "chernoff_upper", ""),
+        "robbins_lower": getattr(est, "robbins_lower", ""),
+        "log_exact": log_exact,
+        "exponent": getattr(est, "exponent", ""),
     }
-    rows = [(g.label, g.size, g.lam, g.q, g.mass, g.share) for g in risk.groups]
+    return ["upper-tail probability with sandwich bounds"], [row], {}
+
+
+def _system(p: dict):
+    _exactly_one(p, ("m", "c"))
+    config = ScreeningConfig(k=p["k"], p=p["p"], n=p["n"], m=p.get("m"), c=p.pop("c", None))
+    risk = system_risk(config)
+    p["m"] = config.threshold
+    row = {
+        "k": config.k,
+        "p": config.p,
+        "n": config.n,
+        "m": config.threshold,
+        "lam": config.lam,
+        "q": risk.per_person_q,
+        "expected": risk.expected_false_alerts,
+        "prob": risk.prob_at_least_one,
+        "lower": risk.lower_bound,
+        "upper": risk.upper_bound,
+        "log_complement": risk.log_complement,
+    }
+    return ["system-level false-alert probability with bounds"], [row], {}
+
+
+def _phase(p: dict):
+    points = phase_scan(p["lambdas"], p["c"], p["alpha"])
+    comment = f"population phase scan at alpha={format_cell(p['alpha'])}, c={format_cell(p['c'])}"
+    return [comment], [asdict(pt) for pt in points], {}
+
+
+def _lifetime(p: dict):
+    model = GrowthModel(k0=p["k0"], gamma=p["gamma"], p=p["p"])
+    m = p["m"]
+    level = p.setdefault("criterion_level", 1.0)
+    t_analytic = critical_time_analytic(model, m)
+    report = critical_time_corrected(model, m, p["n"], criterion_level=level) if "n" in p else None
+    row = {
+        "k0": model.k0,
+        "gamma": model.gamma,
+        "p": model.p,
+        "m": m,
+        "n": p.get("n", ""),
+        "criterion_level": level,
+        "t_star_analytic": t_analytic,
+    }
+    # an analytic-only request (no n) leaves the population-corrected cells empty
+    for column in (
+        "t_star_corrected",
+        "lambda_at_failure",
+        "correction_magnitude",
+        "closed_form_lambda",
+    ):
+        row[column] = getattr(report, column, "")
+    return ["system lifetime under geometric attribute growth"], [row], {}
+
+
+def _cohort(p: dict):
+    profile = CohortProfile(
+        groups=tuple(CohortGroup(label=g["label"], size=g["n"], p=g["p"]) for g in p["groups"])
+    )
+    risk = cohort_system_risk(profile, k=p["k"], m=p["m"])
+    dom = dominance_decomposition(profile, k=p["k"], m=p["m"])
+    rows = [
+        {"label": g.label, "n": g.size, "lam": g.lam, "q": g.q, "mass": g.mass, "share": g.share}
+        for g in risk.groups
+    ]
     summary = {
         "exact": risk.exact,
         "poisson_approx": risk.poisson_approx,
         "total_mass": risk.total_mass,
-        "dominant_label": dom.dominant_label,
-        "dominant_mass": dom.dominant_mass,
-        "other_mass": dom.other_mass,
-        "main_term": dom.main_term,
-        "correction_bound": dom.correction_bound,
+        **asdict(dom),
     }
-    return ScenarioResult(
-        comments=["per-group false-alert decomposition"],
-        header=["label", "n", "lam", "q", "mass", "share"],
-        rows=rows,
-        summary=summary,
-        resolved=resolved,
-    )
+    return ["per-group false-alert decomposition"], rows, summary
 
 
-def _run_bayes(params: dict) -> ScenarioResult:
-    _check_keys(params, required=("r", "s", "alpha", "q", "n"))
-    ctx = BayesContext(
-        r=_number(params, "r"),
-        s=_number(params, "s"),
-        alpha=_number(params, "alpha"),
-        q=_number(params, "q"),
-        n=_integer(params, "n"),
-    )
+def _bayes(p: dict):
+    ctx = BayesContext(**p)
     post = ppv(ctx)
     verdict = classify_regime(ctx)
     n_crit = bayes_critical_population(ctx.r, ctx.s, ctx.alpha, ctx.q)
     pi = ctx.r / ctx.n
-    resolved = {"r": ctx.r, "s": ctx.s, "alpha": ctx.alpha, "q": ctx.q, "n": ctx.n}
-    row = (
-        ctx.n,
-        pi,
-        verdict.nq,
-        verdict.rs,
-        post.ppv,
-        post.sparse_ppv,
-        post.fdr,
-        verdict.regime,
-        verdict.frequentist_reliable,
-        n_crit,
-        pi <= 0.01,
-    )
-    return ScenarioResult(
-        comments=["posterior reliability of an alert"],
-        header=[
-            "n",
-            "pi",
-            "nq",
-            "rs",
-            "ppv_exact",
-            "ppv_sparse",
-            "fdr",
-            "regime",
-            "frequentist_reliable",
-            "n_crit",
-            "sparse_prior",
-        ],
-        rows=[row],
-        summary={},
-        resolved=resolved,
-    )
+    row = {
+        "n": ctx.n,
+        "pi": pi,
+        "nq": verdict.nq,
+        "rs": verdict.rs,
+        "ppv_exact": post.ppv,
+        "ppv_sparse": post.sparse_ppv,
+        "fdr": post.fdr,
+        "regime": verdict.regime,
+        "frequentist_reliable": verdict.frequentist_reliable,
+        "n_crit": n_crit,
+        "sparse_prior": pi <= 0.01,
+    }
+    return ["posterior reliability of an alert"], [row], {}
 
 
-def _run_effdim(params: dict) -> ScenarioResult:
-    _check_keys(
-        params,
-        required=("k", "p", "c"),
-        optional=("k_eff", "tau", "area", "xi", "rho"),
-    )
-    k = _integer(params, "k")
-    p = _number(params, "p")
-    c = _number(params, "c")
-    present = [key for key in ("k_eff", "tau", "rho") if key in params]
-    if "area" in params or "xi" in params:
-        if not ("area" in params and "xi" in params):
-            raise SchemaError("spatial input requires both 'area' and 'xi'")
-        present.append("area+xi")
-    if len(present) != 1:
-        raise SchemaError(
-            f"exactly one of k_eff | tau | rho | area+xi must be given, got {present or 'none'}"
-        )
-    source = present[0]
+def _effdim(p: dict):
+    if ("area" in p) != ("xi" in p):
+        raise SchemaError("spatial input requires both 'area' and 'xi'")
+    source = _exactly_one(p, ("k_eff", "tau", "rho", "area"))
+    k = p["k"]
     if source == "k_eff":
-        k_eff = _number(params, "k_eff")
-        resolved_src = {"k_eff": k_eff}
+        k_eff = p["k_eff"]
     elif source == "tau":
-        tau = _number(params, "tau")
-        k_eff = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
-        resolved_src = {"tau": tau}
+        k_eff = k_eff_temporal(TemporalCorrelation(k=k, tau=p["tau"]))
     elif source == "rho":
-        rho = tuple(_number_list(params, "rho"))
-        k_eff = k_eff_temporal(TemporalCorrelation(k=k, rho=rho))
-        resolved_src = {"rho": list(rho)}
+        k_eff = k_eff_temporal(TemporalCorrelation(k=k, rho=tuple(p["rho"])))
     else:
-        area = _number(params, "area")
-        xi = _number(params, "xi")
-        k_eff = k_eff_spatial(SpatialCorrelation(area=area, xi=xi))
-        resolved_src = {"area": area, "xi": xi}
-    base = adjusted_limits(k, p, c, float(k))
-    adj = adjusted_limits(k, p, c, k_eff)
-    resolved = {"k": k, "p": p, "c": c, **resolved_src}
-    row = (
-        k,
-        adj.k_eff,
-        adj.reduction_factor,
-        base.adjusted_exponent,
-        adj.adjusted_exponent,
-        base.adjusted_n_crit,
-        adj.adjusted_n_crit,
-        "heuristic",
-    )
-    return ScenarioResult(
-        comments=["correlation-corrected effective dimensionality (heuristic indication)"],
-        header=[
-            "k",
-            "k_eff",
-            "reduction_factor",
-            "exponent_indep",
-            "exponent_corr",
-            "n_crit_indep",
-            "n_crit_corr",
-            "note",
-        ],
-        rows=[row],
-        summary={},
-        resolved=resolved,
-    )
+        k_eff = k_eff_spatial(SpatialCorrelation(area=p["area"], xi=p["xi"]))
+    base = adjusted_limits(k, p["p"], p["c"], float(k))
+    adj = adjusted_limits(k, p["p"], p["c"], k_eff)
+    row = {
+        "k": k,
+        "k_eff": adj.k_eff,
+        "reduction_factor": adj.reduction_factor,
+        "exponent_indep": base.adjusted_exponent,
+        "exponent_corr": adj.adjusted_exponent,
+        "n_crit_indep": base.adjusted_n_crit,
+        "n_crit_corr": adj.adjusted_n_crit,
+        "note": HEURISTIC_NOTE,
+    }
+    return ["correlation-corrected effective dimensionality (heuristic indication)"], [row], {}
 
 
-def _run_simulate(params: dict) -> ScenarioResult:
-    _check_keys(
-        params,
-        required=("target", "k", "p", "m", "runs", "seed", "mode"),
-        optional=("n", "workers", "correlation"),
-    )
-    target = _text(params, "target")
+def _simulate(p: dict):
+    target = p["target"]
     if target not in ("person", "system", "correlated"):
         raise SchemaError(f"target must be person | system | correlated, got {target!r}")
-    workers = _integer(params, "workers") if "workers" in params else 1
+    if ("correlation" in p) != (target == "correlated"):
+        raise SchemaError("'correlation' is required with target=correlated and valid only there")
+    p.setdefault("n", 1)
+    workers = p.setdefault("workers", 1)
     plan = SimPlan(
-        k=_integer(params, "k"),
-        p=_number(params, "p"),
-        m=_integer(params, "m"),
-        runs=_integer(params, "runs"),
-        seed=_integer(params, "seed"),
-        mode=_text(params, "mode"),
-        n=_integer(params, "n") if "n" in params else 1,
+        k=p["k"], p=p["p"], m=p["m"], runs=p["runs"], seed=p["seed"], mode=p["mode"], n=p["n"]
     )
-    resolved = {
+    if target == "correlated":
+        rep = simulate_correlated(plan, LatentCorrelation(**p["correlation"]), workers=workers)
+    elif target == "system":
+        rep = simulate_system(plan, workers=workers)
+    else:
+        rep = simulate_per_person(plan, workers=workers)
+    row = {
         "target": target,
+        "mode": plan.mode,
         "k": plan.k,
         "p": plan.p,
         "m": plan.m,
+        "n": plan.n,
         "runs": plan.runs,
         "seed": plan.seed,
-        "mode": plan.mode,
-        "n": plan.n,
-        "workers": workers,
+        "estimate": rep.estimate,
+        "std_error": rep.std_error,
+        "analytic": rep.analytic,
+        "abs_error": rep.abs_error,
+        "z_score": rep.z_score,
+        # only the correlated report carries count moments
+        "mean_count": getattr(rep, "mean_count", ""),
+        "count_variance": getattr(rep, "count_variance", ""),
     }
-    mean_count = ""
-    count_variance = ""
-    if target == "correlated":
-        if "correlation" not in params:
-            raise SchemaError("correlated target requires a 'correlation' object")
-        spec = params["correlation"]
-        if not isinstance(spec, dict):
-            raise SchemaError(f"'correlation' must be an object, got {spec!r}")
-        _check_keys(spec, required=("kind", "rho"))
-        corr = LatentCorrelation(kind=_text(spec, "kind"), rho=_number(spec, "rho"))
-        resolved["correlation"] = {"kind": corr.kind, "rho": corr.rho}
-        rep = simulate_correlated(plan, corr, workers=workers)
-        mean_count = rep.mean_count
-        count_variance = rep.count_variance
-    elif target == "system":
-        if "correlation" in params:
-            raise SchemaError("'correlation' is only valid with target=correlated")
-        rep = simulate_system(plan, workers=workers)
-    else:
-        if "correlation" in params:
-            raise SchemaError("'correlation' is only valid with target=correlated")
-        rep = simulate_per_person(plan, workers=workers)
-    row = (
-        target,
-        plan.mode,
-        plan.k,
-        plan.p,
-        plan.m,
-        plan.n,
-        plan.runs,
-        plan.seed,
-        rep.estimate,
-        rep.std_error,
-        rep.analytic,
-        rep.abs_error,
-        rep.z_score,
-        mean_count,
-        count_variance,
-    )
-    return ScenarioResult(
-        comments=["Monte Carlo validation run"],
-        header=[
-            "target",
-            "mode",
-            "k",
-            "p",
-            "m",
-            "n",
-            "runs",
-            "seed",
-            "estimate",
-            "std_error",
-            "analytic",
-            "abs_error",
-            "z_score",
-            "mean_count",
-            "count_variance",
-        ],
-        rows=[row],
-        summary={},
-        resolved=resolved,
-    )
+    return ["Monte Carlo validation run"], [row], {}
 
 
-_HANDLERS = {
-    "tail": _run_tail,
-    "system": _run_system,
-    "phase": _run_phase,
-    "lifetime": _run_lifetime,
-    "cohort": _run_cohort,
-    "bayes": _run_bayes,
-    "effdim": _run_effdim,
-    "simulate": _run_simulate,
+# kind -> (required parameter specs, optional parameter specs, compute)
+_KINDS = {
+    "tail": ({"lambda": float}, {"m": int, "c": float}, _tail),
+    "system": ({"k": int, "p": float, "n": int}, {"m": int, "c": float}, _system),
+    "phase": ({"lambdas": [float], "c": float, "alpha": float}, {}, _phase),
+    "lifetime": (
+        {"k0": float, "gamma": float, "p": float, "m": int},
+        {"n": int, "criterion_level": float},
+        _lifetime,
+    ),
+    "cohort": ({"groups": [{"label": str, "n": int, "p": float}], "k": int, "m": int}, {}, _cohort),
+    "bayes": ({"r": float, "s": float, "alpha": float, "q": float, "n": int}, {}, _bayes),
+    "effdim": (
+        {"k": int, "p": float, "c": float},
+        {"k_eff": float, "tau": float, "area": float, "xi": float, "rho": [float]},
+        _effdim,
+    ),
+    "simulate": (
+        {"target": str, "k": int, "p": float, "m": int, "runs": int, "seed": int, "mode": str},
+        {"n": int, "workers": int, "correlation": {"kind": str, "rho": float}},
+        _simulate,
+    ),
 }
+
+SCENARIO_KINDS = tuple(_KINDS)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -566,73 +382,54 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def execute(scenario: Scenario) -> ScenarioResult:
     """Validate parameters and run the computation for one scenario."""
-    if scenario.kind not in _HANDLERS:
+    if scenario.kind not in _KINDS:
         raise SchemaError(
             f"unknown kind {scenario.kind!r}; valid kinds: {', '.join(SCENARIO_KINDS)}"
         )
-    return _HANDLERS[scenario.kind](scenario.parameters)
+    required, optional, compute = _KINDS[scenario.kind]
+    params = _fields(scenario.parameters, required, optional)
+    comments, rows, summary = compute(params)
+    return ScenarioResult(comments=comments, rows=rows, summary=summary, parameters=params)
 
 
 def render_result(scenario: Scenario, result: ScenarioResult, fmt: str) -> str:
     """Render a result as CSV (with comment headers) or pretty JSON."""
     if fmt not in _FORMATS:
         raise SchemaError(f"format must be one of {_FORMATS}, got {fmt!r}")
+    header = list(result.rows[0])
+    rows = [list(row.values()) for row in result.rows]
     if fmt == "json":
-        payload = {
-            "name": scenario.name,
-            "kind": scenario.kind,
-            "parameters": result.resolved,
-            "columns": result.header,
-            "rows": [list(row) for row in result.rows],
-            "summary": result.summary,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return render_json(
+            {
+                "name": scenario.name,
+                "kind": scenario.kind,
+                "parameters": result.parameters,
+                "columns": header,
+                "rows": rows,
+                "summary": result.summary,
+            }
+        )
     comments = [f"scenario: {scenario.name}", f"kind: {scenario.kind}", *result.comments]
     comments += [f"{key} = {format_cell(value)}" for key, value in result.summary.items()]
-    return render_csv(comments, result.header, result.rows)
+    return render_csv(comments, header, rows)
 
 
 def run_scenario(
     scenario: Scenario,
     out_path: str | Path | None = None,
     fmt: str = "csv",
-) -> tuple[str, RunManifest | None]:
+) -> tuple[str, dict | None]:
     """Execute a scenario; write output + manifest when out_path is given.
 
     Returns the rendered text and, when a file was written, the manifest
-    that was placed next to it as ``<filename>.manifest.json``.
+    dict that was placed next to it as ``<filename>.manifest.json``.
     """
     result = execute(scenario)
     text = render_result(scenario, result, fmt)
     if out_path is None:
         return text, None
-    out = Path(out_path)
-    if out.parent:
-        out.parent.mkdir(parents=True, exist_ok=True)
-    write_text(out, text)
-
-    from . import __version__
-
-    seed = result.resolved.get("seed")
-    manifest = RunManifest(
-        scenario=scenario.name,
-        kind=scenario.kind,
-        parameters=result.resolved,
-        seed=seed,
-        artifact_version=__version__,
-        output_name=out.name,
-        sha256=file_sha256(out),
-    )
-    write_json(
-        out.with_name(out.name + ".manifest.json"),
-        {
-            "scenario": manifest.scenario,
-            "kind": manifest.kind,
-            "parameters": manifest.parameters,
-            "seed": manifest.seed,
-            "artifact_version": manifest.artifact_version,
-            "output": manifest.output_name,
-            "sha256": manifest.sha256,
-        },
+    params = result.parameters
+    manifest = write_artifact(
+        out_path, text, scenario.name, scenario.kind, params, params.get("seed")
     )
     return text, manifest

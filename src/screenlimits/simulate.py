@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import expm1, inf, log1p, sqrt
+from math import inf, sqrt
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import BudgetError, DomainError
-from .system import ScreeningConfig
+from .system import ScreeningConfig, system_probability
 from .tails import binomial_tail, poisson_tail
 
 __all__ = [
@@ -198,12 +198,6 @@ def _finish(alerts: int, plan: SimPlan, analytic: float) -> SimReport:
     )
 
 
-def _system_prob(q: float, n: int) -> float:
-    if q >= 1.0:
-        return 1.0
-    return -expm1(n * log1p(-q))
-
-
 def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
     """Estimate the per-person alert probability Pr(count >= m).
 
@@ -253,7 +247,7 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
                 f"mode={MODE_COMPOSITE!r}"
             )
         q = binomial_tail(plan.k, plan.p, plan.m)
-        analytic = _system_prob(q, plan.n)
+        analytic, _ = system_probability(q, plan.n)
         chunk = max(1, min(_CHUNK, (1 << 21) // plan.n))
         sizes = _chunk_sizes(plan.runs, chunk)
 
@@ -264,7 +258,7 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
 
     elif plan.mode == MODE_POISSON:
         q = poisson_tail(plan.k * plan.p, plan.m)
-        analytic = _system_prob(q, plan.n)
+        analytic, _ = system_probability(q, plan.n)
         sizes = _chunk_sizes(plan.runs, _CHUNK)
 
         def worker(j: int, size: int) -> int:
@@ -274,7 +268,7 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
 
     else:  # MODE_COMPOSITE
         q = binomial_tail(plan.k, plan.p, plan.m)
-        analytic = _system_prob(q, plan.n)
+        analytic, _ = system_probability(q, plan.n)
         sizes = _chunk_sizes(plan.runs, _CHUNK)
 
         def worker(j: int, size: int) -> int:

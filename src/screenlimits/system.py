@@ -11,16 +11,17 @@ of the population-size phase transition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, expm1, log, log1p, pi, sqrt
+from math import exp, expm1, log1p, pi, sqrt
 
 from .errors import DomainError, RangeOverflowError
-from .tails import chernoff_upper, poisson_tail, rate_function, robbins_lower
+from .tails import chernoff_upper, poisson_tail, rate_function, robbins_lower, threshold_for_ratio
 
 __all__ = [
     "ScreeningConfig",
     "SystemRisk",
     "CriticalPopulation",
     "PhaseScanPoint",
+    "system_probability",
     "system_risk",
     "critical_population",
     "phase_scan",
@@ -36,7 +37,7 @@ class ScreeningConfig:
     """Parameters of one screening deployment.
 
     Exactly one of `m` (integer alert threshold) or `c` (threshold-to-mean
-    ratio, converted via m = ceil(c * k * p)) must be given.
+    ratio, converted by `threshold_for_ratio(k * p, c)`) must be given.
 
     Attributes:
         k: Attributes checked per person (positive integer).
@@ -76,8 +77,7 @@ class ScreeningConfig:
         """Resolved integer alert threshold."""
         if self.m is not None:
             return self.m
-        # ceil with a fuzz guard so c*lam landing on an integer stays put
-        return int(ceil(self.c * self.lam - 1e-9))
+        return threshold_for_ratio(self.lam, self.c)
 
 
 @dataclass(frozen=True)
@@ -127,34 +127,26 @@ class PhaseScanPoint:
     upper: float
 
 
-def _system_probability(q: float, n: int) -> tuple[float, float]:
-    """(prob at least one, log complement) for n independent chances of q."""
+def system_probability(q: float, n: int) -> tuple[float, float]:
+    """(Pr(at least one alert), n * ln(1 - q)) for n independent chances of q.
+
+    1 - (1 - q)^n is evaluated as -expm1(n * log1p(-q)), which stays exact
+    for tiny q and overflow-safe for n up to 1e12 and beyond.
+    """
     if q >= 1.0:
         return 1.0, float("-inf")
     log_comp = n * log1p(-q)
     return -expm1(log_comp), log_comp
 
 
-def system_risk(config: ScreeningConfig) -> SystemRisk:
-    """Exact system false-alert probability with sandwich bounds.
-
-    The exact value is 1 - (1 - q)^n evaluated through n*log1p(-q), which is
-    overflow-safe for n up to 1e12 and beyond. Bounds pair the per-person
-    tail bounds with 1 - e^{-nq} on the lower side and
-    1 - e^{-n q/(1-q)} on the upper side; when the threshold does not exceed
-    the mean (no large-deviation regime) the bounds degrade to the trivial
-    [0, 1].
-    """
-    lam = config.lam
-    m = config.threshold
-    n = config.n
+def _risk(lam: float, m: int, n: int) -> SystemRisk:
+    """Exact risk and sandwich bounds for n people at mean lam, threshold m."""
     q = poisson_tail(lam, m)
-    prob, log_comp = _system_probability(q, n)
+    prob, log_comp = system_probability(q, n)
     if m > lam:
-        q_low = robbins_lower(lam, m / lam)
+        lower = -expm1(-n * robbins_lower(lam, m / lam))
         q_up = chernoff_upper(lam, m)
-        lower = -expm1(-n * q_low)
-        upper = 1.0 if q_up >= 1.0 else -expm1(-n * q_up / (1.0 - q_up))
+        upper = 1.0 if q_up >= 1.0 else min(1.0, -expm1(-n * q_up / (1.0 - q_up)))
     else:
         lower, upper = 0.0, 1.0
     return SystemRisk(
@@ -162,9 +154,21 @@ def system_risk(config: ScreeningConfig) -> SystemRisk:
         expected_false_alerts=n * q,
         prob_at_least_one=prob,
         lower_bound=lower,
-        upper_bound=min(1.0, upper),
+        upper_bound=upper,
         log_complement=log_comp,
     )
+
+
+def system_risk(config: ScreeningConfig) -> SystemRisk:
+    """Exact system false-alert probability with sandwich bounds.
+
+    The exact value is 1 - (1 - q)^n from `system_probability`. Bounds pair
+    the per-person tail bounds with 1 - e^{-nq} on the lower side and
+    1 - e^{-n q/(1-q)} on the upper side; when the threshold does not exceed
+    the mean (no large-deviation regime) the bounds degrade to the trivial
+    [0, 1].
+    """
+    return _risk(config.lam, config.threshold, config.n)
 
 
 def critical_population(lam: float, c: float) -> CriticalPopulation:
@@ -220,16 +224,17 @@ def phase_scan(
                 f"{PHASE_SCAN_MAX_POPULATION:.0e} at lam={lam}, alpha={alpha}"
             )
         n = max(1, round(n_real))
-        m = int(ceil(c * lam - 1e-9))
-        q = poisson_tail(lam, m)
-        prob, _ = _system_probability(q, n)
-        if m > lam:
-            lower = -expm1(-n * robbins_lower(lam, m / lam))
-            q_up = chernoff_upper(lam, m)
-            upper = 1.0 if q_up >= 1.0 else min(1.0, -expm1(-n * q_up / (1.0 - q_up)))
-        else:
-            lower, upper = 0.0, 1.0
+        m = threshold_for_ratio(lam, c)
+        risk = _risk(lam, m, n)
         points.append(
-            PhaseScanPoint(lam=lam, n=n, m=m, q=q, prob=prob, lower=lower, upper=upper)
+            PhaseScanPoint(
+                lam=lam,
+                n=n,
+                m=m,
+                q=risk.per_person_q,
+                prob=risk.prob_at_least_one,
+                lower=risk.lower_bound,
+                upper=risk.upper_bound,
+            )
         )
     return points

@@ -13,7 +13,15 @@ import io
 import json
 from pathlib import Path
 
-__all__ = ["format_cell", "render_csv", "write_text", "write_json", "file_sha256"]
+__all__ = [
+    "format_cell",
+    "render_csv",
+    "render_json",
+    "write_text",
+    "write_json",
+    "write_artifact",
+    "file_sha256",
+]
 
 
 def format_cell(value) -> str:
@@ -39,17 +47,45 @@ def render_csv(comments: list[str], header: list[str], rows: list) -> str:
     return buf.getvalue()
 
 
+def render_json(payload) -> str:
+    """Sorted, two-space-indented JSON text with a trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-        newline="",
-    )
+    path.write_text(render_json(payload), encoding="utf-8", newline="")
 
 
 def file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_artifact(
+    out: str | Path, text: str, scenario: str, kind: str, parameters: dict, seed: int | None
+) -> dict:
+    """Write `text` to `out` and its provenance to ``<name>.manifest.json``.
+
+    The manifest records the scenario name and kind, the resolved
+    parameters, the seed, the package version, the output's file name and
+    the sha256 of its bytes. It is returned as written.
+    """
+    from . import __version__
+
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_text(out, text)
+    manifest = {
+        "scenario": scenario,
+        "kind": kind,
+        "parameters": parameters,
+        "seed": seed,
+        "artifact_version": __version__,
+        "output": out.name,
+        "sha256": file_sha256(out),
+    }
+    write_json(out.with_name(out.name + ".manifest.json"), manifest)
+    return manifest

@@ -17,7 +17,7 @@ Everything here is scalar math on floats; no arrays, no state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, exp, expm1, fsum, lgamma, log, log1p, pi, sqrt
+from math import ceil, comb, exp, expm1, fsum, isfinite, lgamma, log, log1p, pi, sqrt
 
 from scipy.special import gammainc
 
@@ -296,10 +296,18 @@ def lecam_bound(k: int, p: float) -> float:
 
 
 def threshold_for_ratio(lam: float, c: float) -> int:
-    """Integer threshold m = ceil(c * lam), robust to float fuzz at integers."""
+    """Integer threshold m = ceil(c * lam), robust to float fuzz at integers.
+
+    Raises:
+        DomainError: If lam or c is not positive, or c * lam is not finite.
+    """
     if not (lam > 0.0) or not (c > 0.0):
         raise DomainError(f"need lam > 0 and c > 0, got lam={lam}, c={c}")
-    return int(ceil(c * lam - 1e-9))
+    target = c * lam
+    if not isfinite(target):
+        raise DomainError(f"threshold c*lam overflows a double: lam={lam}, c={c}")
+    # the fuzz guard keeps a product landing on an integer from rounding up
+    return int(ceil(target - 1e-9))
 
 
 def exact_overlap_fraction(v: int, t: int, s: int) -> float:

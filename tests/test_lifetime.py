@@ -16,6 +16,7 @@ from screenlimits.lifetime import (
     lambda_at,
     unreliability_series,
 )
+from screenlimits.system import system_probability
 from screenlimits.tails import poisson_tail
 
 UNIT_MEAN = GrowthModel(k0=100.0, gamma=1.5, p=0.01)  # lam(0) = 1
@@ -172,6 +173,7 @@ class TestUnreliabilitySeries:
             assert r.q == pytest.approx(poisson_tail(r.lam, 5), rel=1e-14)
             assert r.expected == r.q * 10
             assert r.prob == pytest.approx(1.0 - (1.0 - r.q) ** 10, rel=1e-10)
+            assert r.prob == system_probability(r.q, 10)[0]
 
     def test_series_brackets_corrected_root(self):
         rep = critical_time_corrected(UNIT_MEAN, 20, 10**6)

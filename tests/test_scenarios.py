@@ -1,14 +1,16 @@
 """Scenario configs, CLI exit codes, manifests, reproducibility."""
 
+import argparse
+import copy
 import hashlib
 import json
 
 import pytest
 
 from screenlimits import __version__
-from screenlimits.cli import main
+from screenlimits.cli import build_parser, main
 from screenlimits.errors import SchemaError
-from screenlimits.scenarios import Scenario, execute, load_scenario, run_scenario
+from screenlimits.scenarios import SCENARIO_KINDS, Scenario, execute, load_scenario, run_scenario
 
 VALID = {
     "tail": {"kind": "tail", "parameters": {"lambda": 5.0, "m": 15}},
@@ -58,6 +60,25 @@ VALID = {
 }
 
 SUBCOMMAND = {kind: ("phase-scan" if kind == "phase" else kind) for kind in VALID}
+
+CORRELATED = {
+    "kind": "simulate",
+    "parameters": {
+        **VALID["simulate"]["parameters"],
+        "target": "correlated",
+        "mode": "copula-correlated",
+        "correlation": {"kind": "ar1", "rho": 0.3},
+    },
+}
+
+# (subcommand, valid document, path to one numeric slot in its parameters)
+NUMERIC_SLOTS = {
+    "number": ("tail", VALID["tail"], ("lambda",)),
+    "integer": ("system", VALID["system"], ("k",)),
+    "integer-runs": ("simulate", VALID["simulate"], ("runs",)),
+    "group-p": ("cohort", VALID["cohort"], ("groups", 0, "p")),
+    "correlation-rho": ("simulate", CORRELATED, ("correlation", "rho")),
+}
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -130,6 +151,44 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"kind": "mystery", "parameters": {}})
         assert main(["tail", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error[schema]:")
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
+    @pytest.mark.parametrize("slot", sorted(NUMERIC_SLOTS))
+    def test_non_finite_number_is_two(self, slot, literal, tmp_path, capsys):
+        command, doc, path = NUMERIC_SLOTS[slot]
+        doc = copy.deepcopy(doc)
+        node = doc["parameters"]
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = "@"
+        # json.dumps cannot write 1e400, so the literal goes in as raw text
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[schema]:")
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("tail", {"lambda": 1e308, "c": 10}),
+            ("system", {"k": 1000, "p": 0.5, "n": 10, "c": 1e306}),
+        ],
+    )
+    def test_threshold_overflow_is_three(self, command, params, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": command, "parameters": params})
+        assert main([command, "--config", cfg]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[domain]:")
+
+
+def test_subcommands_follow_kind_table():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(SCENARIO_KINDS) == sorted(VALID)
+    assert set(sub.choices) == set(SUBCOMMAND.values()) | {"figures", "golden"}
 
 
 class TestAllKindsRun:
@@ -232,6 +291,13 @@ class TestManifests:
         manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["parameters"]["runs"] == 2000
+
+    def test_run_scenario_returns_written_manifest(self, tmp_path):
+        scenario = Scenario(name="t", kind="tail", parameters={"lambda": 5.0, "m": 15})
+        out = tmp_path / "t.csv"
+        text, manifest = run_scenario(scenario, out, "csv")
+        assert out.read_text() == text
+        assert manifest == json.loads((tmp_path / "t.csv.manifest.json").read_text())
 
     def test_no_manifest_without_out(self):
         scenario = Scenario(name="t", kind="tail", parameters={"lambda": 5.0, "m": 15})

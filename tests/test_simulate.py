@@ -19,7 +19,7 @@ from screenlimits.simulate import (
     simulate_per_person,
     simulate_system,
 )
-from screenlimits.system import ScreeningConfig, system_risk
+from screenlimits.system import ScreeningConfig, system_probability, system_risk
 from screenlimits.tails import binomial_tail, poisson_tail
 
 
@@ -95,6 +95,12 @@ class TestSystem:
         as_person = simulate_per_person(plan)
         assert as_system.estimate == as_person.estimate
         assert as_system.analytic == pytest.approx(as_person.analytic, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [MODE_BINOMIAL, MODE_POISSON, MODE_COMPOSITE])
+    def test_analytic_is_system_probability(self, mode):
+        plan = SimPlan(k=100, p=0.01, m=3, n=40, runs=100, seed=1, mode=mode)
+        tail = poisson_tail(1.0, 3) if mode == MODE_POISSON else binomial_tail(100, 0.01, 3)
+        assert simulate_system(plan).analytic == system_probability(tail, 40)[0]
 
     def test_draw_budget_enforced(self):
         plan = SimPlan(

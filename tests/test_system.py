@@ -11,6 +11,7 @@ from screenlimits.system import (
     ScreeningConfig,
     critical_population,
     phase_scan,
+    system_probability,
     system_risk,
 )
 from screenlimits.tails import poisson_tail, rate_function, robbins_lower
@@ -64,6 +65,12 @@ class TestSystemRisk:
         for _ in range(1000):
             prod *= 1.0 - q
         assert risk.prob_at_least_one == pytest.approx(1.0 - prod, rel=1e-10)
+
+    def test_exact_value_is_system_probability(self):
+        risk = system_risk(ScreeningConfig(k=1000, p=0.005, n=10**6, m=15))
+        prob, log_comp = system_probability(risk.per_person_q, 10**6)
+        assert (risk.prob_at_least_one, risk.log_complement) == (prob, log_comp)
+        assert system_probability(1.0, 10) == (1.0, -math.inf)
 
     def test_expected_alerts_identity(self):
         cfg = ScreeningConfig(k=50, p=0.02, n=12345, m=4)
@@ -185,6 +192,15 @@ class TestPhaseScan:
             assert pt.n == max(1, round(math.sqrt(pt.lam) * math.exp(pt.lam * rate_function(1.5))))
             assert pt.q == pytest.approx(poisson_tail(pt.lam, pt.m), rel=1e-14)
             assert pt.lower <= pt.prob <= pt.upper
+
+    def test_points_equal_system_risk(self):
+        # k * p == lam exactly, so both paths see the same tail arguments
+        for pt in phase_scan([25.0, 100.0, 400.0], 1.5, 1.0):
+            risk = system_risk(ScreeningConfig(k=round(2 * pt.lam), p=0.5, n=pt.n, m=pt.m))
+            assert pt.q == risk.per_person_q
+            assert pt.prob == risk.prob_at_least_one
+            assert pt.lower == risk.lower_bound
+            assert pt.upper == risk.upper_bound
 
     def test_tiny_alpha_limit(self):
         pt = phase_scan([25.0], 1.5, 1e-9)[0]
