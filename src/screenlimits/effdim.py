@@ -10,9 +10,9 @@ the exponential forms are exact only for independent attributes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, pi, sqrt
+from math import exp, inf, isfinite, pi, sqrt
 
-from .errors import DomainError
+from .errors import DomainError, RangeOverflowError
 from .tails import rate_function
 
 __all__ = [
@@ -112,8 +112,16 @@ def k_eff_from_design_effect(k: int, deff: float) -> float:
 
 
 def k_eff_spatial(corr: SpatialCorrelation) -> float:
-    """Spatial effective dimension A / (2 pi xi^2)."""
-    return corr.area / (2.0 * pi * corr.xi**2)
+    """Spatial effective dimension A / (2 pi xi^2).
+
+    Raises:
+        RangeOverflowError: If xi^2 leaves the double range (overflows, or
+            underflows to zero).
+    """
+    try:
+        return corr.area / (2.0 * pi * corr.xi**2)
+    except (OverflowError, ZeroDivisionError):
+        raise RangeOverflowError(f"xi^2 leaves the double range: xi={corr.xi}") from None
 
 
 def k_eff_temporal(corr: TemporalCorrelation) -> float:
@@ -160,6 +168,7 @@ def adjusted_limits(k: int, p: float, c: float, k_eff: float) -> CorrelationAdju
     Raises:
         DomainError: If k_eff > k (negative net correlation would be needed
             to gain dimensions; not supported here).
+        RangeOverflowError: If the critical population overflows a double.
     """
     if k < 1 or k != int(k):
         raise DomainError(f"k must be a positive integer, got {k}")
@@ -173,10 +182,20 @@ def adjusted_limits(k: int, p: float, c: float, k_eff: float) -> CorrelationAdju
             "(nonnegative-correlation reductions only)"
         )
     exponent = k_eff * p * rate_function(c)
+    # exp raises past ~709.8 but passes an infinite exponent through as inf
+    try:
+        n_crit = sqrt(k * p) * exp(exponent)
+    except OverflowError:
+        n_crit = inf
+    if not isfinite(n_crit):
+        raise RangeOverflowError(
+            f"critical population sqrt(k p) e^E overflows a double at exponent "
+            f"E = k_eff p D(c) = {exponent:g}"
+        )
     return CorrelationAdjusted(
         k_eff=k_eff,
         reduction_factor=k_eff / k,
         adjusted_exponent=exponent,
         adjusted_tail_lower=exp(-exponent),
-        adjusted_n_crit=sqrt(k * p) * exp(exponent),
+        adjusted_n_crit=n_crit,
     )

@@ -53,8 +53,9 @@ _MODES = (MODE_BINOMIAL, MODE_POISSON, MODE_COMPOSITE, MODE_COPULA)
 # Fixed trial chunk size; part of the determinism contract.
 _CHUNK = 8192
 
-# Exact system mode refuses more than this many individual draws.
-_EXACT_DRAW_BUDGET = 1_000_000_000
+# No plan may make more than this many draws: every mode draws at least one
+# value per run, exact system mode n per run.
+_DRAW_BUDGET = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ class SimPlan:
     """A fully specified simulation: parameters, budget, seed, mode.
 
     p may sit at 0 or 1 exactly (degenerate but simulable); the analytic
-    reference handles both endpoints.
+    reference handles both endpoints. More runs than the draw budget (1e9)
+    raise BudgetError.
     """
 
     k: int
@@ -82,6 +84,8 @@ class SimPlan:
             raise DomainError(f"m must be a nonnegative integer, got {self.m}")
         if self.runs < 1 or self.runs != int(self.runs):
             raise DomainError(f"runs must be a positive integer, got {self.runs}")
+        if self.runs > _DRAW_BUDGET:
+            raise BudgetError(f"runs = {self.runs:.2e} exceeds the {_DRAW_BUDGET:.0e}-draw budget")
         if self.n < 1 or self.n != int(self.n):
             raise DomainError(f"n must be a positive integer, got {self.n}")
         if not (0 <= self.seed < 2**64) or self.seed != int(self.seed):
@@ -240,10 +244,10 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
         raise DomainError("use simulate_correlated for copula plans")
     if plan.mode == MODE_BINOMIAL:
         total_draws = plan.n * plan.runs
-        if total_draws > _EXACT_DRAW_BUDGET:
+        if total_draws > _DRAW_BUDGET:
             raise BudgetError(
                 f"exact mode needs n*runs = {total_draws:.2e} individual "
-                f"draws (> {_EXACT_DRAW_BUDGET:.0e}); reduce runs or use "
+                f"draws (> {_DRAW_BUDGET:.0e}); reduce runs or use "
                 f"mode={MODE_COMPOSITE!r}"
             )
         q = binomial_tail(plan.k, plan.p, plan.m)

@@ -21,7 +21,7 @@ from math import ceil, comb, exp, expm1, fsum, isfinite, lgamma, log, log1p, pi,
 
 from scipy.special import gammainc
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 __all__ = [
     "RateInput",
@@ -40,6 +40,12 @@ __all__ = [
 
 # Relative truncation target for the log-space tail series.
 _SERIES_RTOL = 1e-18
+
+# Most terms a tail series may sum before the kernel gives up with a
+# BudgetError: ~1-2 s of interpreter time. The log-space Poisson series at
+# lam = 1e12, m = lam + 1 needs 7.4e6 terms; the exact binomial sum needs
+# k - m + 1 terms.
+_MAX_TERMS = 10**7
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,6 +164,10 @@ def log_poisson_tail(lam: float, m: int) -> float:
     terms with geometric ratio < lam/m, so the sum is evaluated in log space
     anchored at the first term. Otherwise the tail is order one and plain
     log(poisson_tail(...)) is exact enough.
+
+    Raises:
+        BudgetError: If the series has not converged after _MAX_TERMS terms,
+            which happens only when m - lam is small against a huge lam.
     """
     _validate_tail_args(lam, m)
     if m == 0:
@@ -169,13 +179,15 @@ def log_poisson_tail(lam: float, m: int) -> float:
     log_first = -lam + m * log(lam) - lgamma(m + 1.0)
     total = 1.0
     term = 1.0
-    j = m
-    while True:
-        j += 1
+    for j in range(m + 1, m + 1 + _MAX_TERMS):
         term *= lam / j
         total += term
         if term < _SERIES_RTOL * total:
             break
+    else:
+        raise BudgetError(
+            f"tail series at lam={lam:g}, m={m} has not converged after {_MAX_TERMS:g} terms"
+        )
     return log_first + log(total)
 
 
@@ -183,14 +195,19 @@ def binomial_tail(k: int, p: float, m: int) -> float:
     """Exact Pr(Bin(k, p) >= m) by stable compensated summation.
 
     Terms are evaluated in log space through lgamma and accumulated with
-    fsum, so the result is accurate to ~1e-14 relative even deep in the
-    tail. Serves as the exact reference the Poisson approximation is
-    checked against.
+    fsum, so the result stays accurate deep in the tail: the measured
+    relative error is 3.8e-10 at (k, p, m) = (1e6, 5e-6, 3), set by rounding
+    in the lgamma values of size ~1e7 whose differences form each term.
+    Serves as the exact reference the Poisson approximation is checked
+    against.
 
     Args:
         k: Number of trials (>= 0).
         p: Success probability in [0, 1].
         m: Threshold; m > k gives 0, m <= 0 gives 1.
+
+    Raises:
+        BudgetError: If the sum has more than _MAX_TERMS terms (k - m + 1).
     """
     if k < 0 or k != int(k):
         raise DomainError(f"k must be a nonnegative integer, got {k}")
@@ -206,19 +223,18 @@ def binomial_tail(k: int, p: float, m: int) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
+    if k - m + 1 > _MAX_TERMS:
+        raise BudgetError(
+            f"binomial tail at k={k:g}, m={m:g} sums {k - m + 1:g} terms, more than {_MAX_TERMS:g}"
+        )
     log_p = log(p)
     log_q = log1p(-p)
     log_choose = lgamma(k + 1.0)
-    terms = []
-    for j in range(m, k + 1):
-        log_term = (
-            log_choose
-            - lgamma(j + 1.0)
-            - lgamma(k - j + 1.0)
-            + j * log_p
-            + (k - j) * log_q
-        )
-        terms.append(exp(log_term))
+    # fsum is correctly rounded, so a generator gives the bytes a list would
+    terms = (
+        exp(log_choose - lgamma(j + 1.0) - lgamma(k - j + 1.0) + j * log_p + (k - j) * log_q)
+        for j in range(m, k + 1)
+    )
     return min(1.0, fsum(terms))
 
 

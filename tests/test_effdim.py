@@ -17,7 +17,7 @@ from screenlimits.effdim import (
     k_eff_temporal_rough,
     variance_with_design_effect,
 )
-from screenlimits.errors import DomainError
+from screenlimits.errors import DomainError, RangeOverflowError
 from screenlimits.simulate import (
     MODE_COPULA,
     LatentCorrelation,
@@ -87,6 +87,11 @@ class TestSpatial:
             SpatialCorrelation(area=0.0, xi=1.0)
         with pytest.raises(DomainError):
             SpatialCorrelation(area=1.0, xi=0.0)
+
+    @pytest.mark.parametrize("xi", [1e300, 1e-300])
+    def test_xi_squared_out_of_range(self, xi):
+        with pytest.raises(RangeOverflowError):
+            k_eff_spatial(SpatialCorrelation(area=1e6, xi=xi))
 
 
 class TestTemporal:
@@ -186,3 +191,12 @@ class TestAdjustedLimits:
             adjusted_limits(k=100, p=0.01, c=1.0, k_eff=50.0)
         with pytest.raises(DomainError):
             adjusted_limits(k=100, p=1.0, c=1.5, k_eff=50.0)
+
+    @pytest.mark.parametrize(
+        "k, c, k_eff",
+        [(int(1e300), 2.0, 1e300), (1000, 1e300, 10.0), (10**6, 2.0, 10**6 / 4)],
+        ids=["huge-k", "huge-c", "exponent-966"],
+    )
+    def test_critical_population_overflow(self, k, c, k_eff):
+        with pytest.raises(RangeOverflowError):
+            adjusted_limits(k=k, p=0.01, c=c, k_eff=k_eff)

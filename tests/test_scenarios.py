@@ -2,12 +2,15 @@
 
 import argparse
 import copy
+import csv
 import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from screenlimits import __version__
+from screenlimits import __version__, cli
 from screenlimits.cli import build_parser, main
 from screenlimits.errors import SchemaError
 from screenlimits.scenarios import SCENARIO_KINDS, Scenario, execute, load_scenario, run_scenario
@@ -183,6 +186,79 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error[domain]:")
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"k": 1e300, "p": 0.01, "c": 2.0, "k_eff": 10.0},
+            {"k": 1000, "p": 0.01, "c": 1e300, "k_eff": 10.0},
+            {"k": 1000, "p": 0.01, "c": 2.0, "area": 1e6, "xi": 1e300},
+        ],
+        ids=["huge-k", "huge-c", "huge-xi"],
+    )
+    def test_effdim_overflow_is_three(self, params, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "effdim", "parameters": params})
+        assert main(["effdim", "--config", cfg]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[domain]:")
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("tail", {"lambda": 1e16, "m": 10000000100000000}),
+            ("simulate", {**VALID["simulate"]["parameters"], "k": 1e300}),
+        ],
+        ids=["log-poisson-series", "binomial-sum"],
+    )
+    def test_tail_term_limit_is_four(self, command, params, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": command, "parameters": params})
+        assert main([command, "--config", cfg]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[budget]:")
+
+
+# One numeric parameter of a valid config gets one of these values.
+FUZZ_VALUES = (0, -1, 1e-300, 1e300, 10**300, 0.5, 2)
+
+
+def _numeric_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _numeric_paths(value, path + (index,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+FUZZ_DOCS = [(SUBCOMMAND[kind], VALID[kind]) for kind in sorted(VALID)] + [("simulate", CORRELATED)]
+FUZZ_SLOTS = [
+    (command, doc, path) for command, doc in FUZZ_DOCS for path in _numeric_paths(doc["parameters"])
+]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(slot=st.sampled_from(FUZZ_SLOTS), value=st.sampled_from(FUZZ_VALUES))
+def test_one_bad_number_ends_in_a_known_exit(slot, value, tmp_path, capsys):
+    command, doc, path = slot
+    doc = copy.deepcopy(doc)
+    node = doc["parameters"]
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    cfg = write_config(tmp_path, doc)
+    code = main([command, "--config", cfg])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error[")]
+    assert code in (0, 2, 3, 4)
+    assert len(errors) == (code != 0)
+
 
 def test_subcommands_follow_kind_table():
     parser = build_parser()
@@ -348,6 +424,61 @@ class TestOverrides:
             cols = doc["columns"]
             roots[level] = doc["rows"][0][cols.index("t_star_corrected")]
         assert roots["0.01"] < roots["1.0"]
+
+
+def _csv_row(text):
+    """The single data row of a one-row scenario CSV, keyed by column."""
+    (row,) = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
+    return row
+
+
+class TestSharedParser:
+    def test_main_builds_one_parser_per_process(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cfg = write_config(tmp_path, VALID["tail"])
+        for _ in range(20):
+            assert cli.main(["tail", "--config", cfg]) == 0
+        assert len(built) == 1
+
+    def test_override_does_not_carry_to_next_call(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, VALID["simulate"])
+        assert main(["simulate", "--config", cfg, "--runs", "10"]) == 0
+        assert _csv_row(capsys.readouterr().out)["runs"] == "10"
+        assert main(["simulate", "--config", cfg]) == 0
+        assert _csv_row(capsys.readouterr().out)["runs"] == "2000"
+
+    def test_usage_error_and_help_leave_next_call_unchanged(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, VALID["tail"])
+        out = tmp_path / "tail.csv"
+
+        def outputs():
+            assert main(["tail", "--config", cfg]) == 0
+            stdout = capsys.readouterr().out
+            assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == ""
+            manifest = (tmp_path / "tail.csv.manifest.json").read_bytes()
+            return stdout, out.read_bytes(), manifest
+
+        before = outputs()
+        with pytest.raises(SystemExit) as usage:
+            main(["tail", "--config", cfg, "--bogus"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as shown:
+            main(["--help"])
+        assert shown.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: screenlimits")
+        assert outputs() == before
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestGoldenCommand:

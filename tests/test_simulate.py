@@ -263,6 +263,11 @@ class TestPlanValidation:
         with pytest.raises(DomainError):
             SimPlan(k=10, p=0.5, m=1, runs=10, seed=0, mode="bogus")
 
+    def test_runs_beyond_draw_budget(self):
+        assert SimPlan(k=10, p=0.1, m=2, runs=10**9, seed=0, mode=MODE_POISSON).runs == 10**9
+        with pytest.raises(BudgetError):
+            SimPlan(k=10, p=0.1, m=2, runs=10**9 + 1, seed=0, mode=MODE_POISSON)
+
     def test_for_config_copies_fields(self):
         cfg = ScreeningConfig(k=120, p=0.02, n=500, c=2.5)
         plan = SimPlan.for_config(cfg, runs=1000, seed=3, mode=MODE_POISSON)

@@ -10,7 +10,8 @@ from mpmath import mp
 from mpmath import gammainc as mp_gammainc
 from mpmath import log as mp_log
 
-from screenlimits.errors import DomainError
+from screenlimits import tails
+from screenlimits.errors import BudgetError, DomainError
 from screenlimits.tails import (
     OverlapInput,
     RateInput,
@@ -134,6 +135,24 @@ class TestPoissonTail:
                 ref = float(mp_log(mp_gammainc(m, 0, lam, regularized=True)))
             assert ours == pytest.approx(ref, rel=1e-10), (lam, m)
 
+    def test_log_tail_term_limit(self, monkeypatch):
+        # the log-space series as a plain while loop, counting its terms
+        lam, m = 100.0, 110
+        total = term = 1.0
+        j = m
+        while True:
+            j += 1
+            term *= lam / j
+            total += term
+            if term < 1e-18 * total:
+                break
+        want = -lam + m * math.log(lam) - math.lgamma(m + 1.0) + math.log(total)
+        monkeypatch.setattr(tails, "_MAX_TERMS", j - m)
+        assert log_poisson_tail(lam, m) == want
+        monkeypatch.setattr(tails, "_MAX_TERMS", j - m - 1)
+        with pytest.raises(BudgetError):
+            log_poisson_tail(lam, m)
+
     def test_log_matches_linear_scale(self):
         for lam, m in ((0.5, 3), (2.0, 3), (5.0, 15), (50.0, 75), (200.0, 300)):
             exact = poisson_tail(lam, m)
@@ -179,6 +198,17 @@ class TestBinomialTail:
         for bad in (-0.1, 1.1):
             with pytest.raises(DomainError):
                 binomial_tail(10, bad, 3)
+
+    def test_term_limit_is_budget_error(self):
+        with pytest.raises(BudgetError):
+            binomial_tail(10**300, 0.01, 3)
+
+    def test_term_limit_boundary(self, monkeypatch):
+        want = binomial_tail(12, 0.3, 3)
+        monkeypatch.setattr(tails, "_MAX_TERMS", 10)
+        assert binomial_tail(12, 0.3, 3) == want
+        with pytest.raises(BudgetError):
+            binomial_tail(13, 0.3, 3)
 
     @given(
         k=st.integers(min_value=1, max_value=400),
