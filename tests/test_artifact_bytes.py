@@ -5,7 +5,9 @@ Every `--out` artifact of each scenario kind (CSV and JSON, each with its
 is pinned by hash, so a refactor of the scenario, rendering or manifest code
 must leave every byte unchanged. Some configs take a second branch of their
 kind (a ratio threshold, a threshold below the mean, an analytic-only
-lifetime, each effective-dimension source, each simulation target).
+lifetime, each effective-dimension source, each simulation target, and
+each of numpy's binomial samplers: inversion, BTPE past a mean of 30, and
+the p > 0.5 reflection).
 
 Recorded with numpy 2.4.6 and scipy 1.17.1 on CPython 3.11. A numpy or
 scipy upgrade that moves the last digit of a kernel may change a hash; such
@@ -102,6 +104,61 @@ CASES = {
         },
         ("--runs", "1500", "--seed", "9"),
     ),
+    "simulate-system-exact": (
+        "simulate",
+        {
+            "target": "system",
+            "k": 200,
+            "p": 0.01,
+            "m": 8,
+            "n": 500,
+            "runs": 5000,
+            "seed": 17,
+            "mode": "binomial-exact",
+            "workers": 2,
+        },
+        (),
+    ),
+    "simulate-person-btpe": (
+        "simulate",
+        {
+            "target": "person",
+            "k": 1000,
+            "p": 0.04,
+            "m": 48,
+            "runs": 10000,
+            "seed": 19,
+            "mode": "binomial-exact",
+        },
+        (),
+    ),
+    "simulate-person-high-p": (
+        "simulate",
+        {
+            "target": "person",
+            "k": 40,
+            "p": 0.8,
+            "m": 35,
+            "runs": 10000,
+            "seed": 23,
+            "mode": "binomial-exact",
+            "workers": 2,
+        },
+        (),
+    ),
+    "simulate-person-poisson": (
+        "simulate",
+        {
+            "target": "person",
+            "k": 1000,
+            "p": 0.005,
+            "m": 9,
+            "runs": 10000,
+            "seed": 29,
+            "mode": "poisson-approx",
+        },
+        (),
+    ),
 }
 
 EXPECTED = {
@@ -177,11 +234,35 @@ EXPECTED = {
         "simulate-correlated.json": "103364171759c2df31c354c4f43724a9908c99bbe08e8e0b02ecff26bc7fb63d",
         "simulate-correlated.json.manifest.json": "036c06e73dab9651977e2abb595c710b662df52793fa561b5a5a09d616074317",
     },
+    "simulate-person-btpe": {
+        "simulate-person-btpe.csv": "bba014db6dd8c566ef25f8f7f27f8646fe680fe72ea957980f06af21688662db",
+        "simulate-person-btpe.csv.manifest.json": "7d2679c69b97b60fd1c1fb3d56df4a92a7e488212b4f4ee872f0841f65fe99a4",
+        "simulate-person-btpe.json": "917c87265fb7d5486e0ab1d8f0bbcb11606d3d23241eb8b9b4afae8be0a45a55",
+        "simulate-person-btpe.json.manifest.json": "7fb3430fbfd804a00a4757eea286cf9e1ab98f38e3683147efae818db5c09387",
+    },
+    "simulate-person-high-p": {
+        "simulate-person-high-p.csv": "a723edae9e197ee2aab287fe32f519bcd47866e4c41bbccc15ecf2a99c7398c5",
+        "simulate-person-high-p.csv.manifest.json": "e18544b921603ed5f6e3df44a55a31405ab8b3a4bd433dfd14d718a158f30c6f",
+        "simulate-person-high-p.json": "98d82266a83010c29c56ed0c3127aad2fe07546f9ee28a2a5d7854c9fca8ea23",
+        "simulate-person-high-p.json.manifest.json": "2fbcc6523e507adf27f8be8f35f911c6c30e675a9de649778643d472dab8ac7e",
+    },
+    "simulate-person-poisson": {
+        "simulate-person-poisson.csv": "2b19c957e6b9bc760db6a06e9985a38df07e3f78028b38744276edddac394362",
+        "simulate-person-poisson.csv.manifest.json": "f08244032a5f07e765c0dd5e142cc757128373fdcd534e258dfa1410afd9d646",
+        "simulate-person-poisson.json": "0ce4e2ec7c87c0c846c7d5fd4fe74e1d6511f07b78297c73ed3b96d89e48357c",
+        "simulate-person-poisson.json.manifest.json": "11bf6c98e934baf084c151c8e75ec9e300c37a478f9713cea14497a5591e7fb0",
+    },
     "simulate-system": {
         "simulate-system.csv": "b65d1fccd203a65bdfdb6626ef9ecc1415bf79bc909569e64844fa283acdc970",
         "simulate-system.csv.manifest.json": "cfa4b6b1e864182daf09cfff247d79b6173236873296c31e1bc305e12e134927",
         "simulate-system.json": "a18a72f1233639cbcd627a57171f22c049801e905c856a12300c97e1e5c1877c",
         "simulate-system.json.manifest.json": "f9d63959735f268eef776cdc75ea2b020800a1809db97a902a004549b27a2bba",
+    },
+    "simulate-system-exact": {
+        "simulate-system-exact.csv": "905b18338e002d7b837a46f98f44888f46f2665430c6f11bbe2ba161ecf6e721",
+        "simulate-system-exact.csv.manifest.json": "a9b960d55f14f9310049b67a7089ded6ff63f1875277231144b0af990398e478",
+        "simulate-system-exact.json": "d225b114c818d1bd0e57f01de64e3fd1fc8d88781cbe2395303b957854b63bc5",
+        "simulate-system-exact.json.manifest.json": "e1912eeefccfe5771bff2cd54be7dcc05bd0330405f4cf87b78caa778fb4dc26",
     },
     "system": {
         "system.csv": "76eda4dd833a7a47d9a438454f76da6e3f628b4d3d0f59e572145043f68b8dc1",
