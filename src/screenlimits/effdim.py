@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, inf, isfinite, pi, sqrt
 
-from .errors import DomainError, RangeOverflowError
-from .tails import rate_function
+from .errors import BudgetError, DomainError, RangeOverflowError
+from .tails import _MAX_TERMS, rate_function
 
 __all__ = [
     "SpatialCorrelation",
@@ -127,16 +127,36 @@ def k_eff_spatial(corr: SpatialCorrelation) -> float:
 def k_eff_temporal(corr: TemporalCorrelation) -> float:
     """Bartlett-Wilks effective sample size k / (1 + 2 sum rho(h)(1 - h/k)).
 
-    With tau given, rho(h) = exp(-h/tau). Returns k unreduced if the
+    With tau given, rho(h) = exp(-h/tau). It only falls with h, so the sum
+    stops at the first lag where it underflows to 0.0, found by bisection:
+    every later term is exactly 0.0 as well. Returns k unreduced if the
     denominator does not exceed 1 (net negative correlation).
+
+    Raises:
+        BudgetError: If the tau sum has more than tails._MAX_TERMS nonzero
+            terms.
     """
     k = corr.k
+    stop = k
     if corr.tau is not None:
-        rho = lambda h: exp(-h / corr.tau)  # noqa: E731
+        tau = corr.tau
+        rho = lambda h: exp(-h / tau)  # noqa: E731
+        # invariant: rho(lo) > 0, and rho(stop) == 0.0 or stop == k
+        lo = 0
+        while stop - lo > 1:
+            mid = (lo + stop) // 2
+            if rho(mid) == 0.0:
+                stop = mid
+            else:
+                lo = mid
+        if stop - 1 > _MAX_TERMS:
+            raise BudgetError(
+                f"temporal sum at k={k:g}, tau={tau:g} has more than {_MAX_TERMS:g} nonzero terms"
+            )
     else:
         seq = corr.rho
         rho = lambda h: seq[h - 1]  # noqa: E731
-    denom = 1.0 + 2.0 * sum(rho(h) * (1.0 - h / k) for h in range(1, k))
+    denom = 1.0 + 2.0 * sum(rho(h) * (1.0 - h / k) for h in range(1, stop))
     if denom <= 1.0:
         return float(k)
     return k / denom

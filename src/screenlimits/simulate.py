@@ -12,18 +12,28 @@ Modes:
     poisson-approx     draw Poisson counts (or Binomial(n, q) at system level)
     analytic-composite one Bernoulli(1 - (1-q)^n) per trial, for huge n
     copula-correlated  correlated attributes via a latent Gaussian copula
+
+Binomial draws only ever feed an alert test count >= m. Where numpy samples
+the binomial by inversion (0 < p <= 1/2, n p <= 30), it reads one Philox
+double per value, and the alert is decided by comparing that same double
+with a cut-off computed once per plan, so the uniforms alone give the
+alerts numpy's counts would. The kernel-equality grid in
+tests/test_simulate.py pins this to rng.binomial element by element: a
+numpy upgrade that changes its sampler fails that test loudly instead of
+moving a result.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import exp, inf, log1p, sqrt
+from struct import pack, unpack
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, RangeOverflowError
 from .system import ScreeningConfig, system_probability
 from .tails import binomial_tail, poisson_tail
 
@@ -56,6 +66,14 @@ _CHUNK = 8192
 # No plan may make more than this many draws: every mode draws at least one
 # value per run, exact system mode n per run.
 _DRAW_BUDGET = 1_000_000_000
+
+# numpy's sampler limits: binomial n is an int64, and Generator.poisson
+# rejects a mean above int64 max - 10 sqrt(int64 max).
+_INT64_MAX = 2**63 - 1
+_POISSON_LAM_MAX = _INT64_MAX - sqrt(_INT64_MAX) * 10
+
+# Bit pattern of the double 1.0: every double in [0, 1) has a smaller one.
+_ONE_BITS = unpack("<q", pack("<d", 1.0))[0]
 
 
 @dataclass(frozen=True)
@@ -166,6 +184,80 @@ def _chunk_sizes(runs: int, chunk: int) -> list[int]:
     return sizes
 
 
+def _walk_reaches(u: float, n: int, p: float, q: float, px: float, steps: int) -> bool:
+    """Whether numpy's inversion walk from uniform u counts to `steps`.
+
+    The float operations are those of numpy's random_binomial_inversion, in
+    its order, starting from px = (1-p)^n; each is monotone in u.
+    """
+    for x in range(1, steps + 1):
+        if not u > px:
+            return False
+        u -= px
+        px = (float(n - x + 1) * p * px) / (x * q)
+    return True
+
+
+def _inversion_cuts(n: int, p: float, m: int) -> tuple[float, float] | None:
+    """Uniform cut-offs that decide Bin(n, p) >= m in numpy's inversion sampler.
+
+    numpy draws Bin(n, p) by inversion when 0 < p <= 1/2 and n p <= 30: one
+    double U per value, the double rng.random would return, and the count
+    reaches m exactly when U exceeds the first cut. Past the second cut the
+    count would pass numpy's bound and the walk would restart on a fresh
+    double. Returns None outside that regime, for m < 1 and for m beyond
+    the bound; each cut is a bisection over the bit patterns of [0, 1).
+
+    Raises:
+        RangeOverflowError: If n does not fit numpy's int64 binomial size.
+    """
+    if n > _INT64_MAX:
+        raise RangeOverflowError(f"binomial size n = {n:.3g} exceeds numpy's int64 limit")
+    n = int(n)
+    if not (0.0 < p <= 0.5 and n >= 1 and p * n <= 30.0 and m >= 1):
+        return None
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(float(n), mean + 10.0 * sqrt(mean * q + 1)))
+    if m > bound:
+        return None
+    qn = exp(n * log1p(-p))
+
+    def last_short_walk(steps: int) -> float:
+        # invariant: the walk from lo stops short, the walk from hi does not
+        # (hi = 1.0 stands in: rng.random never returns it)
+        lo, hi = 0, _ONE_BITS
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _walk_reaches(unpack("<d", pack("<q", mid))[0], n, p, q, qn, steps):
+                hi = mid
+            else:
+                lo = mid
+        return unpack("<d", pack("<q", lo))[0]
+
+    return last_short_walk(m), last_short_walk(bound + 1)
+
+
+def _binomial_alerts(
+    seed: int, j: int, n: int, p: float, m: int, shape, cuts: tuple[float, float] | None
+) -> np.ndarray:
+    """Exactly rng.binomial(n, p, shape) >= m on chunk j's stream.
+
+    With cuts from _inversion_cuts the alerts are read off the uniforms
+    numpy's sampler would have drawn. If any of them would have restarted
+    the walk, numpy's stream shifts, so the chunk is drawn again by
+    rng.binomial from a fresh generator.
+    """
+    rng = _chunk_rng(seed, j)
+    if cuts is not None:
+        alert_cut, restart_cut = cuts
+        u = rng.random(shape)
+        if not u.max() > restart_cut:
+            return u > alert_cut
+        rng = _chunk_rng(seed, j)
+    return rng.binomial(n, p, shape) >= m
+
+
 def _map_chunks(worker, sizes: list[int], workers: int) -> list:
     """Evaluate worker(chunk_index, size) for every chunk.
 
@@ -213,19 +305,25 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
             f"per-person simulation supports {MODE_BINOMIAL!r} and "
             f"{MODE_POISSON!r}, got {plan.mode!r}"
         )
+    sizes = _chunk_sizes(plan.runs, _CHUNK)
     if plan.mode == MODE_BINOMIAL:
         analytic = binomial_tail(plan.k, plan.p, plan.m)
-    else:
-        analytic = poisson_tail(plan.k * plan.p, plan.m)
-    sizes = _chunk_sizes(plan.runs, _CHUNK)
+        cuts = _inversion_cuts(plan.k, plan.p, plan.m)
 
-    def worker(j: int, size: int) -> int:
-        rng = _chunk_rng(plan.seed, j)
-        if plan.mode == MODE_BINOMIAL:
-            counts = rng.binomial(plan.k, plan.p, size=size)
-        else:
-            counts = rng.poisson(plan.k * plan.p, size=size)
-        return int((counts >= plan.m).sum())
+        def worker(j: int, size: int) -> int:
+            return int(_binomial_alerts(plan.seed, j, plan.k, plan.p, plan.m, size, cuts).sum())
+
+    else:
+        lam = plan.k * plan.p
+        if lam > _POISSON_LAM_MAX:
+            raise RangeOverflowError(
+                f"Poisson mean k p = {lam:.3g} exceeds numpy's limit {_POISSON_LAM_MAX:.3g}"
+            )
+        analytic = poisson_tail(lam, plan.m)
+
+        def worker(j: int, size: int) -> int:
+            rng = _chunk_rng(plan.seed, j)
+            return int((rng.poisson(lam, size=size) >= plan.m).sum())
 
     alerts = sum(_map_chunks(worker, sizes, workers))
     return _finish(alerts, plan, analytic)
@@ -254,21 +352,20 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
         analytic, _ = system_probability(q, plan.n)
         chunk = max(1, min(_CHUNK, (1 << 21) // plan.n))
         sizes = _chunk_sizes(plan.runs, chunk)
+        cuts = _inversion_cuts(plan.k, plan.p, plan.m)
 
         def worker(j: int, size: int) -> int:
-            rng = _chunk_rng(plan.seed, j)
-            counts = rng.binomial(plan.k, plan.p, size=(size, plan.n))
-            return int((counts >= plan.m).any(axis=1).sum())
+            alerts = _binomial_alerts(plan.seed, j, plan.k, plan.p, plan.m, (size, plan.n), cuts)
+            return int(alerts.any(axis=1).sum())
 
     elif plan.mode == MODE_POISSON:
         q = poisson_tail(plan.k * plan.p, plan.m)
         analytic, _ = system_probability(q, plan.n)
         sizes = _chunk_sizes(plan.runs, _CHUNK)
+        cuts = _inversion_cuts(plan.n, q, 1)
 
         def worker(j: int, size: int) -> int:
-            rng = _chunk_rng(plan.seed, j)
-            alert_counts = rng.binomial(plan.n, q, size=size)
-            return int((alert_counts > 0).sum())
+            return int(_binomial_alerts(plan.seed, j, plan.n, q, 1, size, cuts).sum())
 
     else:  # MODE_COMPOSITE
         q = binomial_tail(plan.k, plan.p, plan.m)
@@ -295,14 +392,13 @@ def _latent_counts(
         shared = rng.standard_normal(size)
         own = rng.standard_normal((size, k))
         latent = sqrt(corr.rho) * shared[:, None] + sqrt(1.0 - corr.rho) * own
-    else:
-        own = rng.standard_normal((size, k))
-        latent = np.empty((size, k))
-        latent[:, 0] = own[:, 0]
-        scale = sqrt(1.0 - corr.rho**2)
-        for t in range(1, k):
-            latent[:, t] = corr.rho * latent[:, t - 1] + scale * own[:, t]
-    return (latent <= threshold).sum(axis=1)
+        return (latent <= threshold).sum(axis=1)
+    # the recurrence runs along attributes: one contiguous row per attribute
+    latent = rng.standard_normal((size, k)).T.copy()
+    scale = sqrt(1.0 - corr.rho**2)
+    for t in range(1, k):
+        latent[t] = corr.rho * latent[t - 1] + scale * latent[t]
+    return (latent <= threshold).sum(axis=0)
 
 
 def simulate_correlated(

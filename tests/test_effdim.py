@@ -17,7 +17,8 @@ from screenlimits.effdim import (
     k_eff_temporal_rough,
     variance_with_design_effect,
 )
-from screenlimits.errors import DomainError, RangeOverflowError
+from screenlimits import effdim
+from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
 from screenlimits.simulate import (
     MODE_COPULA,
     LatentCorrelation,
@@ -129,6 +130,29 @@ class TestTemporal:
     def test_net_negative_correlation_returns_k(self):
         corr = TemporalCorrelation(k=3, rho=(-0.4, -0.1))
         assert k_eff_temporal(corr) == 3.0
+
+    @pytest.mark.parametrize("tau", [0.05, 0.7, 5.0, 60.0, 5000.0])
+    @pytest.mark.parametrize("k", [2, 365, 4000, 20000])
+    def test_tau_sum_stops_at_underflow_bit_identically(self, k, tau):
+        # reference: the full k - 1 lag sum, zero terms included
+        full = 1.0 + 2.0 * sum(math.exp(-h / tau) * (1.0 - h / k) for h in range(1, k))
+        want = float(k) if full <= 1.0 else k / full
+        assert k_eff_temporal(TemporalCorrelation(k=k, tau=tau)) == want
+
+    def test_tau_sum_is_short_for_huge_k(self):
+        corr = TemporalCorrelation(k=int(1e300), tau=5.0)
+        assert k_eff_temporal(corr) == pytest.approx(1e300 * math.tanh(0.1), rel=1e-12)
+
+    def test_tau_sum_term_limit(self, monkeypatch):
+        monkeypatch.setattr(effdim, "_MAX_TERMS", 1000)
+        # 1000 nonzero lags pass, 1001 do not
+        assert k_eff_temporal(TemporalCorrelation(k=1001, tau=1e6)) > 0.0
+        with pytest.raises(BudgetError):
+            k_eff_temporal(TemporalCorrelation(k=1002, tau=1e6))
+        # a huge k is fine while exp(-h/tau) underflows within the limit
+        assert k_eff_temporal(TemporalCorrelation(k=10**6, tau=1.0)) > 0.0
+        with pytest.raises(BudgetError):
+            k_eff_temporal(TemporalCorrelation(k=10**6, tau=2.0))
 
     def test_validation(self):
         with pytest.raises(DomainError):

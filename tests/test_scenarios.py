@@ -5,6 +5,7 @@ import copy
 import csv
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -217,6 +218,47 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error[budget]:")
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"target": "system", "mode": "poisson-approx", "n": 1e300},
+            {"target": "system", "mode": "poisson-approx", "n": 1e300, "p": 1e-310},
+            {"target": "person", "mode": "poisson-approx", "k": 1e300},
+        ],
+        ids=["binomial-size", "binomial-size-tiny-q", "poisson-mean"],
+    )
+    def test_sampler_limit_is_three(self, params, tmp_path, capsys):
+        doc = {"kind": "simulate", "parameters": {**VALID["simulate"]["parameters"], **params}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[domain]:")
+
+    @pytest.mark.parametrize(
+        "params, code",
+        [
+            # the critical population of the independent case overflows
+            ({"k": 1e300, "p": 0.01, "c": 2.0, "tau": 5}, 3),
+            ({"k": 1e8, "p": 0.01, "c": 2.0, "tau": 5}, 3),
+            ({"k": 1e300, "p": 1e-300, "c": 2.0, "tau": 5}, 0),
+            ({"k": 1e8, "p": 1e-9, "c": 2.0, "tau": 5}, 0),
+            ({"k": 1e300, "p": 0.01, "c": 2.0, "tau": 1e300}, 4),
+        ],
+        ids=["huge-k", "k-1e8", "huge-k-small-p", "k-1e8-small-p", "huge-tau"],
+    )
+    def test_temporal_sum_ends_quickly(self, params, code, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "effdim", "parameters": params})
+        start = time.perf_counter()
+        assert main(["effdim", "--config", cfg]) == code
+        assert time.perf_counter() - start < 1.0
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error[")]
+        assert len(errors) == (code != 0)
+        if code:
+            assert errors[0].startswith({3: "error[domain]:", 4: "error[budget]:"}[code])
+
 
 # One numeric parameter of a valid config gets one of these values.
 FUZZ_VALUES = (0, -1, 1e-300, 1e300, 10**300, 0.5, 2)
@@ -233,14 +275,29 @@ def _numeric_paths(node, path=()):
         yield path
 
 
-FUZZ_DOCS = [(SUBCOMMAND[kind], VALID[kind]) for kind in sorted(VALID)] + [("simulate", CORRELATED)]
+POISSON_PERSON = {
+    "kind": "simulate",
+    "parameters": {**VALID["simulate"]["parameters"], "mode": "poisson-approx"},
+}
+POISSON_SYSTEM = {
+    "kind": "simulate",
+    "parameters": {
+        **VALID["simulate"]["parameters"],
+        "target": "system",
+        "mode": "poisson-approx",
+        "n": 50,
+    },
+}
+FUZZ_DOCS = [(SUBCOMMAND[kind], VALID[kind]) for kind in sorted(VALID)] + [
+    ("simulate", doc) for doc in (CORRELATED, POISSON_PERSON, POISSON_SYSTEM)
+]
 FUZZ_SLOTS = [
     (command, doc, path) for command, doc in FUZZ_DOCS for path in _numeric_paths(doc["parameters"])
 ]
 
 
 @settings(
-    max_examples=300,
+    max_examples=400,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],

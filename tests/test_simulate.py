@@ -3,9 +3,11 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 
-from screenlimits.errors import BudgetError, DomainError
+from screenlimits import simulate
+from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
 from screenlimits.simulate import (
     MODE_BINOMIAL,
     MODE_COMPOSITE,
@@ -215,6 +217,18 @@ class TestCorrelated:
         assert 0.0 <= rep.estimate <= 1.0
         assert rep.mean_count == pytest.approx(64 * 0.05, rel=0.05)
 
+    def test_ar1_counts_match_the_column_recurrence(self):
+        k, size, rho, threshold = 365, 300, 0.55, -1.9
+        corr = LatentCorrelation(kind="ar1", rho=rho)
+        got = simulate._latent_counts(simulate._chunk_rng(5, 1), size, k, threshold, corr)
+        own = simulate._chunk_rng(5, 1).standard_normal((size, k))
+        latent = np.empty((size, k))
+        latent[:, 0] = own[:, 0]
+        scale = math.sqrt(1.0 - rho**2)
+        for t in range(1, k):
+            latent[:, t] = rho * latent[:, t - 1] + scale * own[:, t]
+        assert np.array_equal(got, (latent <= threshold).sum(axis=1))
+
     def test_invalid_structures(self):
         with pytest.raises(DomainError):
             LatentCorrelation(kind="exchangeable", rho=-0.1)
@@ -273,3 +287,109 @@ class TestPlanValidation:
         plan = SimPlan.for_config(cfg, runs=1000, seed=3, mode=MODE_POISSON)
         assert (plan.k, plan.p, plan.n) == (120, 0.02, 500)
         assert plan.m == cfg.threshold
+
+
+def _numpy_bound(n: int, p: float) -> int:
+    """The count past which numpy's inversion walk restarts."""
+    mean = n * p
+    return int(min(float(n), mean + 10.0 * math.sqrt(mean * (1.0 - p) + 1)))
+
+
+def _inversion_edge(n: int) -> float:
+    """The largest p with p * n <= 30 in floating point."""
+    p = 30.0 / n
+    while p * n > 30.0:
+        p = math.nextafter(p, 0.0)
+    while math.nextafter(p, math.inf) * n <= 30.0:
+        p = math.nextafter(p, math.inf)
+    return p
+
+
+def _grid_ps(n: int) -> list[float]:
+    """p from n p = 1e-4 to 60, the inversion edge on both sides, 1/2 and 0."""
+    edge = _inversion_edge(n)
+    ps = [lam / n for lam in (1e-4, 0.01, 0.3, 1.0, 5.0, 29.9, 60.0)]
+    ps += [edge, math.nextafter(edge, math.inf), 0.5, 0.0]
+    return sorted({min(p, 1.0) for p in ps})
+
+
+class TestBinomialAlerts:
+    """_binomial_alerts must equal rng.binomial(n, p, shape) >= m bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(257,), (16, 33)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("n", [1, 2, 20, 500, 10**6, 10**9, 2**62, 2**63 - 1])
+    def test_matches_numpy_over_grid(self, n, shape):
+        for i, p in enumerate(_grid_ps(n)):
+            bound = _numpy_bound(n, p)
+            for m in sorted({0, 1, bound, bound + 1, 40}):
+                seed, j = 1000 * i + m, i % 3
+                cuts = simulate._inversion_cuts(n, p, m)
+                got = simulate._binomial_alerts(seed, j, n, p, m, shape, cuts)
+                want = simulate._chunk_rng(seed, j).binomial(n, p, shape) >= m
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (n, p, m)
+
+    def test_regime(self):
+        edge = _inversion_edge(500)
+        assert simulate._inversion_cuts(500, edge, 5) is not None
+        assert simulate._inversion_cuts(500, math.nextafter(edge, math.inf), 5) is None
+        assert simulate._inversion_cuts(60, 0.5, 30) is not None
+        assert simulate._inversion_cuts(20, 0.6, 5) is None
+        assert simulate._inversion_cuts(20, 0.0, 1) is None
+        assert simulate._inversion_cuts(20, 0.1, 0) is None
+        bound = _numpy_bound(20, 0.1)
+        assert simulate._inversion_cuts(20, 0.1, bound) is not None
+        assert simulate._inversion_cuts(20, 0.1, bound + 1) is None
+        alert_cut, restart_cut = simulate._inversion_cuts(200, 0.01, 8)
+        assert 0.0 < alert_cut < restart_cut < 1.0
+
+    def test_restart_fallback_redraws_from_a_fresh_stream(self, monkeypatch):
+        plans = [
+            SimPlan(k=200, p=0.01, m=6, runs=20_000, seed=41, mode=MODE_BINOMIAL),
+            SimPlan(k=200, p=0.01, m=6, n=50, runs=400, seed=42, mode=MODE_BINOMIAL),
+            SimPlan(k=200, p=0.01, m=6, n=50, runs=20_000, seed=43, mode=MODE_POISSON),
+        ]
+        runs = [simulate_per_person, simulate_system, simulate_system]
+        expected = [run(plan) for run, plan in zip(runs, plans)]
+        real_cuts = simulate._inversion_cuts
+
+        def restart_everywhere(n, p, m):
+            alert_cut, _ = real_cuts(n, p, m)
+            return alert_cut, -1.0
+
+        rngs = []
+        real_rng = simulate._chunk_rng
+
+        def counted_rng(seed, j):
+            rngs.append((seed, j))
+            return real_rng(seed, j)
+
+        monkeypatch.setattr(simulate, "_inversion_cuts", restart_everywhere)
+        monkeypatch.setattr(simulate, "_chunk_rng", counted_rng)
+        for run, plan, want in zip(runs, plans, expected):
+            rngs.clear()
+            assert run(plan, workers=2) == want
+            # every chunk built its generator twice: once for the uniforms,
+            # once more for the fallback draw
+            assert len(rngs) == 2 * len(set(rngs))
+
+
+class TestSamplerLimits:
+    def test_binomial_size_beyond_int64(self):
+        plan = SimPlan(k=20, p=0.3, m=5, n=2**63, runs=10, seed=0, mode=MODE_POISSON)
+        with pytest.raises(RangeOverflowError):
+            simulate_system(plan)
+        plan = SimPlan(k=20, p=0.3, m=5, n=2**63 - 1, runs=10, seed=0, mode=MODE_POISSON)
+        assert simulate_system(plan).estimate == 1.0
+
+    def test_poisson_mean_beyond_numpy_limit(self):
+        limit = simulate._POISSON_LAM_MAX
+        assert limit == (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+        plan = SimPlan(k=10**19, p=1.0, m=5, runs=10, seed=0, mode=MODE_POISSON)
+        with pytest.raises(RangeOverflowError):
+            simulate_per_person(plan)
+        # numpy itself accepts the limit and rejects the next double
+        rng = np.random.default_rng(0)
+        assert rng.poisson(limit) >= 0
+        with pytest.raises(ValueError):
+            rng.poisson(math.nextafter(limit, math.inf))
