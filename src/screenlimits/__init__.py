@@ -97,7 +97,6 @@ from .system import (
 )
 from .tails import (
     OverlapInput,
-    RateInput,
     TailEstimate,
     binomial_tail,
     chernoff_upper,

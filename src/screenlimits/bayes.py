@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_positive, check_unit
 
 __all__ = [
     "BayesContext",
@@ -64,16 +64,11 @@ class BayesContext:
     n: int
 
     def __post_init__(self) -> None:
-        if not (self.r > 0.0):
-            raise DomainError(f"r must be positive, got {self.r}")
-        if not (0.0 < self.s <= 1.0):
-            raise DomainError(f"s must lie in (0, 1], got {self.s}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if not (0.0 <= self.q <= 1.0):
-            raise DomainError(f"q must lie in [0, 1], got {self.q}")
-        if self.n < 1 or self.n != int(self.n):
-            raise DomainError(f"n must be a positive integer, got {self.n}")
+        check_positive("r", self.r)
+        check_unit("s", self.s, "(0, 1]")
+        check_unit("alpha", self.alpha)
+        check_unit("q", self.q, "[0, 1]")
+        check_int("n", self.n, 1)
         if self.r > self.n:
             raise DomainError(f"r={self.r} cannot exceed n={self.n}")
 
@@ -103,8 +98,7 @@ class RegimeVerdict:
 
 def ppv_exact(pi: float, s: float, q: float) -> float:
     """Exact Bayes PPV = s*pi / (s*pi + q*(1-pi)) for base rate pi."""
-    if not (0.0 <= pi <= 1.0):
-        raise DomainError(f"pi must lie in [0, 1], got {pi}")
+    check_unit("pi", pi, "[0, 1]")
     denom = s * pi + q * (1.0 - pi)
     if denom == 0.0:
         raise DomainError("no alerts possible: s*pi + q*(1-pi) = 0")
@@ -113,7 +107,7 @@ def ppv_exact(pi: float, s: float, q: float) -> float:
 
 def sparse_ppv(rs: float, nq: float) -> float:
     """Sparse-regime approximation rs / (rs + nq)."""
-    if rs < 0.0 or nq < 0.0:
+    if not (rs >= 0.0 and nq >= 0.0):
         raise DomainError(f"rs and nq must be nonnegative, got {rs}, {nq}")
     if rs + nq == 0.0:
         raise DomainError("no alerts possible: rs + nq = 0")
@@ -139,17 +133,14 @@ def ppv(ctx: BayesContext) -> PosteriorSummary:
 
 def likelihood_ratio(s: float, q: float) -> float:
     """Alert likelihood ratio s / q."""
-    if not (s > 0.0):
-        raise DomainError(f"s must be positive, got {s}")
-    if not (q > 0.0):
-        raise DomainError(f"q must be positive, got {q}")
+    check_positive("s", s)
+    check_positive("q", q)
     return s / q
 
 
 def prior_odds(pi: float) -> float:
     """Prior odds pi / (1 - pi); +inf at pi = 1 by convention."""
-    if not (0.0 < pi <= 1.0):
-        raise DomainError(f"pi must lie in (0, 1], got {pi}")
+    check_unit("pi", pi, "(0, 1]")
     if pi == 1.0:
         return inf
     return pi / (1.0 - pi)
@@ -157,10 +148,8 @@ def prior_odds(pi: float) -> float:
 
 def posterior_odds(lr: float, prior: float) -> float:
     """Posterior odds = likelihood ratio times prior odds."""
-    if not (lr > 0.0):
-        raise DomainError(f"likelihood ratio must be positive, got {lr}")
-    if not (prior > 0.0):
-        raise DomainError(f"prior odds must be positive, got {prior}")
+    check_positive("likelihood ratio", lr)
+    check_positive("prior odds", prior)
     return lr * prior
 
 
@@ -171,14 +160,10 @@ def bayes_critical_population(r: float, s: float, alpha: float, q: float) -> flo
     alpha even though the frequentist expected false-alert count may still
     look tame.
     """
-    if not (r > 0.0):
-        raise DomainError(f"r must be positive, got {r}")
-    if not (0.0 < s <= 1.0):
-        raise DomainError(f"s must lie in (0, 1], got {s}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    if not (q > 0.0):
-        raise DomainError(f"q must be positive, got {q}")
+    check_positive("r", r)
+    check_unit("s", s, "(0, 1]")
+    check_unit("alpha", alpha)
+    check_positive("q", q)
     return (1.0 - alpha) * r * s / (alpha * q)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, expm1, log1p
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_unit
 from .tails import log_poisson_tail, poisson_tail
 
 __all__ = [
@@ -39,10 +39,8 @@ class CohortGroup:
     def __post_init__(self) -> None:
         if not self.label:
             raise DomainError("group label must be nonempty")
-        if self.size < 1 or self.size != int(self.size):
-            raise DomainError(f"group size must be a positive integer, got {self.size}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"group p must lie strictly in (0, 1), got {self.p}")
+        check_int("group size", self.size, 1)
+        check_unit("group p", self.p)
 
 
 @dataclass(frozen=True)
@@ -101,10 +99,8 @@ class DominanceReport:
 
 
 def _group_stats(profile: CohortProfile, k: int, m: int) -> list[tuple[CohortGroup, float, float, float]]:
-    if k < 1 or k != int(k):
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if m < 1 or m != int(m):
-        raise DomainError(f"m must be a positive integer, got {m}")
+    check_int("k", k, 1)
+    check_int("m", m, 1)
     out = []
     for g in profile.groups:
         lam = k * g.p
@@ -170,10 +166,8 @@ def disparity_ratio(p1: float, p2: float, k: int, m: int) -> float:
     """
     if not (0.0 < p1 < p2 < 1.0):
         raise DomainError(f"need 0 < p1 < p2 < 1, got p1={p1}, p2={p2}")
-    if k < 1 or k != int(k):
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if m < 1 or m != int(m):
-        raise DomainError(f"m must be a positive integer, got {m}")
+    check_int("k", k, 1)
+    check_int("m", m, 1)
     return exp(log_poisson_tail(k * p2, m) - log_poisson_tail(k * p1, m))
 
 
@@ -186,6 +180,5 @@ def amplification_window(p1: float, p2: float, m: int) -> tuple[float, float]:
     """
     if not (0.0 < p1 < p2 < 1.0):
         raise DomainError(f"need 0 < p1 < p2 < 1, got p1={p1}, p2={p2}")
-    if m < 1 or m != int(m):
-        raise DomainError(f"m must be a positive integer, got {m}")
+    check_int("m", m, 1)
     return (m / p2, m / p1)

@@ -17,10 +17,11 @@ from __future__ import annotations
 from pathlib import Path
 
 from .cohorts import CohortGroup, CohortProfile, cohort_system_risk, disparity_ratio
+from .errors import check_int
 from .lifetime import GrowthModel, unreliability_series
 from .simulate import MODE_BINOMIAL, SimPlan, simulate_system
 from .system import ScreeningConfig, system_risk
-from .tableio import file_sha256, render_csv, write_json, write_text
+from .tableio import render_csv, write_json, write_text
 
 __all__ = ["PANEL_FILES", "figure_panels"]
 
@@ -154,6 +155,7 @@ def figure_panels(
     Returns {"dir": str, "files": {name: sha256}}. Only panel_a consumes
     randomness; runs and seed are recorded in the manifest either way.
     """
+    check_int("seed", seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -201,9 +203,7 @@ def figure_panels(
 
     checksums: dict[str, str] = {}
     for name, (comments, header, rows) in panel_specs.items():
-        path = out / name
-        write_text(path, render_csv(comments, header, rows))
-        checksums[name] = file_sha256(path)
+        checksums[name] = write_text(out / name, render_csv(comments, header, rows))
 
     from . import __version__
 

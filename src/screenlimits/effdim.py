@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, inf, isfinite, pi, sqrt
 
-from .errors import BudgetError, DomainError, RangeOverflowError
+from .errors import (
+    BudgetError, DomainError, RangeOverflowError, check_int, check_positive, check_unit
+)
 from .tails import _MAX_TERMS, rate_function
 
 __all__ = [
@@ -42,10 +44,8 @@ class SpatialCorrelation:
     xi: float
 
     def __post_init__(self) -> None:
-        if not (self.area > 0.0):
-            raise DomainError(f"area must be positive, got {self.area}")
-        if not (self.xi > 0.0):
-            raise DomainError(f"xi must be positive, got {self.xi}")
+        check_positive("area", self.area)
+        check_positive("xi", self.xi)
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,11 @@ class TemporalCorrelation:
     rho: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.k != int(self.k):
-            raise DomainError(f"k must be a positive integer, got {self.k}")
+        check_int("k", self.k, 1)
         if (self.tau is None) == (self.rho is None):
             raise DomainError("exactly one of tau or rho must be provided")
-        if self.tau is not None and not (self.tau > 0.0):
-            raise DomainError(f"tau must be positive, got {self.tau}")
+        if self.tau is not None:
+            check_positive("tau", self.tau)
         if self.rho is not None:
             if len(self.rho) != self.k - 1:
                 raise DomainError(
@@ -87,8 +86,7 @@ class CorrelationAdjusted:
 
 def design_effect(rho_row_sums: list[float] | tuple[float, ...], k: int) -> float:
     """DEFF = sum of off-diagonal correlations divided by k."""
-    if k < 1 or k != int(k):
-        raise DomainError(f"k must be a positive integer, got {k}")
+    check_int("k", k, 1)
     if len(rho_row_sums) != k:
         raise DomainError(f"need one row sum per observation, got {len(rho_row_sums)} for k={k}")
     return sum(rho_row_sums) / k
@@ -96,8 +94,8 @@ def design_effect(rho_row_sums: list[float] | tuple[float, ...], k: int) -> floa
 
 def variance_with_design_effect(k: int, p: float, deff: float) -> float:
     """Var(Y) = k p (1-p) (1 + DEFF) for the correlated match count."""
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"p must lie strictly in (0, 1), got {p}")
+    check_int("k", k, 1)
+    check_unit("p", p)
     return k * p * (1.0 - p) * (1.0 + deff)
 
 
@@ -106,7 +104,8 @@ def k_eff_from_design_effect(k: int, deff: float) -> float:
 
     Nonnegative DEFF (nonnegative average correlation) implies k_eff <= k.
     """
-    if deff <= -1.0:
+    check_int("k", k, 1)
+    if not (deff > -1.0):
         raise DomainError(f"DEFF must exceed -1, got {deff}")
     return k / (1.0 + deff)
 
@@ -164,16 +163,16 @@ def k_eff_temporal(corr: TemporalCorrelation) -> float:
 
 def k_eff_temporal_geometric(k: int, tau: float) -> float:
     """Closed geometric-sum form k (1 - e^{-1/tau}) / (1 + e^{-1/tau})."""
-    if k < 1 or not (tau > 0.0):
-        raise DomainError(f"need k >= 1 and tau > 0, got k={k}, tau={tau}")
+    check_int("k", k, 1)
+    check_positive("tau", tau)
     r = exp(-1.0 / tau)
     return k * (1.0 - r) / (1.0 + r)
 
 
 def k_eff_temporal_rough(k: int, tau: float) -> float:
     """Long-memory shorthand k / (2 tau)."""
-    if k < 1 or not (tau > 0.0):
-        raise DomainError(f"need k >= 1 and tau > 0, got k={k}, tau={tau}")
+    check_int("k", k, 1)
+    check_positive("tau", tau)
     return k / (2.0 * tau)
 
 
@@ -190,10 +189,8 @@ def adjusted_limits(k: int, p: float, c: float, k_eff: float) -> CorrelationAdju
             to gain dimensions; not supported here).
         RangeOverflowError: If the critical population overflows a double.
     """
-    if k < 1 or k != int(k):
-        raise DomainError(f"k must be a positive integer, got {k}")
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"p must lie strictly in (0, 1), got {p}")
+    check_int("k", k, 1)
+    check_unit("p", p)
     if not (c > 1.0):
         raise DomainError(f"c must exceed 1, got {c}")
     if not (0.0 < k_eff <= k):

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, log, sqrt
 
-from .errors import AlreadyUnreliableError, BracketError, DomainError
+from .errors import (
+    AlreadyUnreliableError, BracketError, DomainError, check_int, check_positive, check_unit
+)
 from .system import system_probability
 from .tails import poisson_tail
 
@@ -53,8 +55,7 @@ class GrowthModel:
             raise DomainError(f"k0 must be >= 1, got {self.k0}")
         if not (self.gamma > 1.0):
             raise DomainError(f"gamma must exceed 1, got {self.gamma}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"p must lie strictly in (0, 1), got {self.p}")
+        check_unit("p", self.p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +93,7 @@ class GrowthPoint:
 
 def lambda_at(model: GrowthModel, t: float) -> float:
     """Mean match count at time t, with an explicit overflow guard."""
-    if t < 0.0:
+    if not (t >= 0.0):
         raise DomainError(f"t must be nonnegative, got {t}")
     exponent = log(model.k0 * model.p) + t * log(model.gamma)
     if exponent > 700.0:
@@ -105,8 +106,7 @@ def lambda_at(model: GrowthModel, t: float) -> float:
 
 def critical_time_analytic(model: GrowthModel, m: int) -> float:
     """Time T* at which lam(t) reaches m; 0.0 if m <= lam(0) already."""
-    if m < 1 or m != int(m):
-        raise DomainError(f"m must be a positive integer, got {m}")
+    check_int("m", m, 1)
     lam0 = model.k0 * model.p
     if m <= lam0:
         return 0.0
@@ -131,14 +131,9 @@ def critical_time_corrected(
         BracketError: If the criterion level is unreachable inside the
             bracket (e.g. level > n).
     """
-    if m < 1 or m != int(m):
-        raise DomainError(f"m must be a positive integer, got {m}")
-    if n < 1 or n != int(n):
-        raise DomainError(f"n must be a positive integer, got {n}")
-    if not (criterion_level > 0.0):
-        raise DomainError(
-            f"criterion_level must be positive, got {criterion_level}"
-        )
+    check_int("m", m, 1)
+    check_int("n", n, 1)
+    check_positive("criterion_level", criterion_level)
     lam0 = model.k0 * model.p
     if not (m > lam0):
         raise DomainError(
@@ -188,10 +183,8 @@ def unreliability_series(
     times: list[float] | tuple[float, ...],
 ) -> list[GrowthPoint]:
     """Time series of (lam, q, n*q, system prob) rows along `times`."""
-    if m < 1 or m != int(m):
-        raise DomainError(f"m must be a positive integer, got {m}")
-    if n < 1 or n != int(n):
-        raise DomainError(f"n must be a positive integer, got {n}")
+    check_int("m", m, 1)
+    check_int("n", n, 1)
     rows = []
     for t in times:
         lam = lambda_at(model, t)

@@ -33,7 +33,7 @@ from struct import pack, unpack
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import BudgetError, DomainError, RangeOverflowError
+from .errors import BudgetError, DomainError, RangeOverflowError, check_int, check_unit
 from .system import ScreeningConfig, system_probability
 from .tails import binomial_tail, poisson_tail
 
@@ -67,6 +67,10 @@ _CHUNK = 8192
 # value per run, exact system mode n per run.
 _DRAW_BUDGET = 1_000_000_000
 
+# Most worker threads a run may use. A pool starts a thread per submitted
+# chunk while none is idle, so an unbounded count could start ~1e5 threads.
+_MAX_WORKERS = 32
+
 # numpy's sampler limits: binomial n is an int64, and Generator.poisson
 # rejects a mean above int64 max - 10 sqrt(int64 max).
 _INT64_MAX = 2**63 - 1
@@ -94,20 +98,14 @@ class SimPlan:
     n: int = 1
 
     def __post_init__(self) -> None:
-        if self.k < 0 or self.k != int(self.k):
-            raise DomainError(f"k must be a nonnegative integer, got {self.k}")
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"p must lie in [0, 1], got {self.p}")
-        if self.m < 0 or self.m != int(self.m):
-            raise DomainError(f"m must be a nonnegative integer, got {self.m}")
-        if self.runs < 1 or self.runs != int(self.runs):
-            raise DomainError(f"runs must be a positive integer, got {self.runs}")
+        check_int("k", self.k, 0)
+        check_unit("p", self.p, "[0, 1]")
+        check_int("m", self.m, 0)
+        check_int("runs", self.runs, 1)
         if self.runs > _DRAW_BUDGET:
             raise BudgetError(f"runs = {self.runs:.2e} exceeds the {_DRAW_BUDGET:.0e}-draw budget")
-        if self.n < 1 or self.n != int(self.n):
-            raise DomainError(f"n must be a positive integer, got {self.n}")
-        if not (0 <= self.seed < 2**64) or self.seed != int(self.seed):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_int("n", self.n, 1)
+        check_int("seed", self.seed, 0, 2**64 - 1)
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
@@ -264,6 +262,7 @@ def _map_chunks(worker, sizes: list[int], workers: int) -> list:
     Results are collected by chunk index, so scheduling order is
     irrelevant to the combined outcome.
     """
+    check_int("workers", workers, 1, _MAX_WORKERS)
     if workers <= 1:
         return [worker(j, size) for j, size in enumerate(sizes)]
     out = [None] * len(sizes)
@@ -417,10 +416,7 @@ def simulate_correlated(
         )
     if plan.k < 1:
         raise DomainError("copula simulation needs k >= 1")
-    if not (0.0 < plan.p < 1.0):
-        raise DomainError(
-            f"copula simulation needs p strictly in (0, 1), got {plan.p}"
-        )
+    check_unit("p", plan.p)
     threshold = float(ndtri(plan.p))
     analytic = binomial_tail(plan.k, plan.p, plan.m)
     chunk = max(1, min(4096, (1 << 20) // plan.k))
@@ -493,8 +489,7 @@ def latent_rho_for_binary(
     monotone. Accuracy is limited by pilot noise, hence the loose default
     tolerance.
     """
-    if not (0.0 < rho_binary < 1.0):
-        raise DomainError(f"target binary rho must lie in (0, 1), got {rho_binary}")
+    check_unit("target binary rho", rho_binary)
     lo, hi = 0.0, 0.999
     for _ in range(40):
         mid = 0.5 * (lo + hi)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, expm1, log1p, pi, sqrt
 
-from .errors import DomainError, RangeOverflowError
+from .errors import DomainError, RangeOverflowError, check_int, check_positive, check_unit
 from .tails import chernoff_upper, poisson_tail, rate_function, robbins_lower, threshold_for_ratio
 
 __all__ = [
@@ -54,16 +54,13 @@ class ScreeningConfig:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.k != int(self.k):
-            raise DomainError(f"k must be a positive integer, got {self.k}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"p must lie strictly in (0, 1), got {self.p}")
-        if self.n < 1 or self.n != int(self.n):
-            raise DomainError(f"n must be a positive integer, got {self.n}")
+        check_int("k", self.k, 1)
+        check_unit("p", self.p)
+        check_int("n", self.n, 1)
         if (self.m is None) == (self.c is None):
             raise DomainError("exactly one of m or c must be provided")
-        if self.m is not None and (self.m < 1 or self.m != int(self.m)):
-            raise DomainError(f"m must be a positive integer, got {self.m}")
+        if self.m is not None:
+            check_int("m", self.m, 1)
         if self.c is not None and not (self.c > 1.0):
             raise DomainError(f"c must exceed 1, got {self.c}")
 
@@ -133,6 +130,7 @@ def system_probability(q: float, n: int) -> tuple[float, float]:
     1 - (1 - q)^n is evaluated as -expm1(n * log1p(-q)), which stays exact
     for tiny q and overflow-safe for n up to 1e12 and beyond.
     """
+    check_int("n", n, 0)
     if q >= 1.0:
         return 1.0, float("-inf")
     log_comp = n * log1p(-q)
@@ -173,8 +171,7 @@ def system_risk(config: ScreeningConfig) -> SystemRisk:
 
 def critical_population(lam: float, c: float) -> CriticalPopulation:
     """Critical population scales for a tail operating point (lam, c > 1)."""
-    if not (lam > 0.0):
-        raise DomainError(f"lam must be positive, got {lam}")
+    check_positive("lam", lam)
     if not (c > 1.0):
         raise DomainError(f"critical population needs c > 1, got {c}")
     exponent = lam * rate_function(c)
@@ -205,12 +202,10 @@ def phase_scan(
     """
     if not (c > 1.0):
         raise DomainError(f"phase scan needs c > 1, got {c}")
-    if not (alpha > 0.0):
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_positive("alpha", alpha)
     points: list[PhaseScanPoint] = []
     for lam in lambda_values:
-        if not (lam > 0.0):
-            raise DomainError(f"lam values must be positive, got {lam}")
+        check_positive("lam values", lam)
         exponent = alpha * lam * rate_function(c)
         if exponent > 706.0:
             raise RangeOverflowError(

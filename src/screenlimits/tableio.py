@@ -20,7 +20,6 @@ __all__ = [
     "write_text",
     "write_json",
     "write_artifact",
-    "file_sha256",
 ]
 
 
@@ -52,16 +51,15 @@ def render_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="")
+def write_text(path: Path, text: str) -> str:
+    """Write `text` as UTF-8, newlines untranslated; return the bytes' sha256."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_json(path: Path, payload) -> None:
     path.write_text(render_json(payload), encoding="utf-8", newline="")
-
-
-def file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_artifact(
@@ -77,7 +75,7 @@ def write_artifact(
 
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_text(out, text)
+    digest = write_text(out, text)
     manifest = {
         "scenario": scenario,
         "kind": kind,
@@ -85,7 +83,7 @@ def write_artifact(
         "seed": seed,
         "artifact_version": __version__,
         "output": out.name,
-        "sha256": file_sha256(out),
+        "sha256": digest,
     }
     write_json(out.with_name(out.name + ".manifest.json"), manifest)
     return manifest

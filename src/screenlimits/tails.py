@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, comb, exp, expm1, fsum, isfinite, lgamma, log, log1p, pi, sqrt
+from sys import float_info
 
 from scipy.special import gammainc
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, check_int, check_positive, check_unit
 
 __all__ = [
-    "RateInput",
     "TailEstimate",
     "OverlapInput",
     "rate_function",
@@ -46,30 +46,6 @@ _SERIES_RTOL = 1e-18
 # lam = 1e12, m = lam + 1 needs 7.4e6 terms; the exact binomial sum needs
 # k - m + 1 terms.
 _MAX_TERMS = 10**7
-
-
-@dataclass(frozen=True, slots=True)
-class RateInput:
-    """A validated (c, lam) pair for rate-function work.
-
-    Attributes:
-        c: Threshold-to-mean ratio; must be positive.
-        lam: Mean event count; must be positive.
-    """
-
-    c: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not (self.c > 0.0):
-            raise DomainError(f"c must be positive, got {self.c}")
-        if not (self.lam > 0.0):
-            raise DomainError(f"lam must be positive, got {self.lam}")
-
-    @property
-    def exponent(self) -> float:
-        """lam * D(c), the large-deviation exponent at this operating point."""
-        return self.lam * rate_function(self.c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,13 +83,10 @@ class OverlapInput:
     suspicious_items: int
 
     def __post_init__(self) -> None:
-        v, t, s = self.domain_size, self.person_items, self.suspicious_items
-        if v < 1:
-            raise DomainError(f"domain_size must be >= 1, got {v}")
-        if not (0 <= t <= v):
-            raise DomainError(f"person_items must lie in [0, {v}], got {t}")
-        if not (0 <= s <= v):
-            raise DomainError(f"suspicious_items must lie in [0, {v}], got {s}")
+        v = self.domain_size
+        check_int("domain_size", v, 1)
+        check_int("person_items", self.person_items, 0, v)
+        check_int("suspicious_items", self.suspicious_items, 0, v)
 
 
 def rate_function(c: float) -> float:
@@ -128,16 +101,8 @@ def rate_function(c: float) -> float:
     Raises:
         DomainError: If c <= 0.
     """
-    if not (c > 0.0):
-        raise DomainError(f"rate function needs c > 0, got {c}")
+    check_positive("c", c)
     return c * log(c) - c + 1.0
-
-
-def _validate_tail_args(lam: float, m: int) -> None:
-    if not (lam > 0.0):
-        raise DomainError(f"lam must be positive, got {lam}")
-    if m != int(m) or m < 0:
-        raise DomainError(f"threshold m must be a nonnegative integer, got {m}")
 
 
 def poisson_tail(lam: float, m: int) -> float:
@@ -147,14 +112,23 @@ def poisson_tail(lam: float, m: int) -> float:
     series / continued-fraction split inside scipy's gammainc. Relative
     accuracy is ~1e-13 over lam <= 1e4, m <= 1e5.
 
+    Below the smallest normal double gammainc flushes to 0.0 (3.07e-312 at
+    lam=377.72, m=1323). While lam * D(m/lam) < 746 leaves room for a nonzero
+    double, the result there is exp(log_poisson_tail(lam, m)); that series
+    takes ~1 s at lam = 1e14 and past it can raise BudgetError.
+
     Args:
         lam: Mean of the Poisson distribution (> 0).
         m: Integer threshold (>= 0).
     """
-    _validate_tail_args(lam, m)
+    check_positive("lam", lam)
+    check_int("threshold m", m, 0)
     if m == 0:
         return 1.0
-    return float(gammainc(m, lam))
+    q = float(gammainc(m, lam))
+    if q < float_info.min and lam * rate_function(m / lam) < 746.0:
+        return exp(log_poisson_tail(lam, m))
+    return q
 
 
 def log_poisson_tail(lam: float, m: int) -> float:
@@ -169,7 +143,8 @@ def log_poisson_tail(lam: float, m: int) -> float:
         BudgetError: If the series has not converged after _MAX_TERMS terms,
             which happens only when m - lam is small against a huge lam.
     """
-    _validate_tail_args(lam, m)
+    check_positive("lam", lam)
+    check_int("threshold m", m, 0)
     if m == 0:
         return 0.0
     if m <= lam:
@@ -209,12 +184,9 @@ def binomial_tail(k: int, p: float, m: int) -> float:
     Raises:
         BudgetError: If the sum has more than _MAX_TERMS terms (k - m + 1).
     """
-    if k < 0 or k != int(k):
-        raise DomainError(f"k must be a nonnegative integer, got {k}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    if m != int(m):
-        raise DomainError(f"threshold m must be an integer, got {m}")
+    check_int("k", k, 0)
+    check_unit("p", p, "[0, 1]")
+    check_int("threshold m", m)
     if m <= 0:
         return 1.0
     if m > k:
@@ -240,8 +212,7 @@ def binomial_tail(k: int, p: float, m: int) -> float:
 
 def chernoff_upper(lam: float, m: float) -> float:
     """Chernoff bound exp(-lam * D(m/lam)) on Pr(Pois(lam) >= m), m > lam."""
-    if not (lam > 0.0):
-        raise DomainError(f"lam must be positive, got {lam}")
+    check_positive("lam", lam)
     if not (m > lam):
         raise DomainError(f"Chernoff bound needs m > lam, got m={m}, lam={lam}")
     return min(1.0, exp(-lam * rate_function(m / lam)))
@@ -258,8 +229,7 @@ def robbins_lower(lam: float, c: float) -> float:
         lam: Poisson mean (> 0).
         c: Threshold ratio (> 1).
     """
-    if not (lam > 0.0):
-        raise DomainError(f"lam must be positive, got {lam}")
+    check_positive("lam", lam)
     if not (c > 1.0):
         raise DomainError(f"Robbins bound needs c > 1, got {c}")
     m = c * lam
@@ -268,7 +238,8 @@ def robbins_lower(lam: float, c: float) -> float:
 
 def tail_estimate(lam: float, m: int) -> TailEstimate:
     """Exact tail plus both sandwich bounds at an integer threshold m > lam."""
-    _validate_tail_args(lam, m)
+    check_positive("lam", lam)
+    check_int("threshold m", m, 0)
     if not (m > lam):
         raise DomainError(
             f"sandwich bounds exist only for m > lam, got m={m}, lam={lam}"
@@ -304,10 +275,8 @@ def overlap_probability(inp: OverlapInput) -> float:
 
 def lecam_bound(k: int, p: float) -> float:
     """Le Cam bound 2 k p^2 on total variation between Bin(k,p) and Pois(kp)."""
-    if k < 0 or k != int(k):
-        raise DomainError(f"k must be a nonnegative integer, got {k}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p}")
+    check_int("k", k, 0)
+    check_unit("p", p, "[0, 1]")
     return 2.0 * k * p * p
 
 
@@ -317,8 +286,8 @@ def threshold_for_ratio(lam: float, c: float) -> int:
     Raises:
         DomainError: If lam or c is not positive, or c * lam is not finite.
     """
-    if not (lam > 0.0) or not (c > 0.0):
-        raise DomainError(f"need lam > 0 and c > 0, got lam={lam}, c={c}")
+    check_positive("lam", lam)
+    check_positive("c", c)
     target = c * lam
     if not isfinite(target):
         raise DomainError(f"threshold c*lam overflows a double: lam={lam}, c={c}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from screenlimits import simulate
+from screenlimits.cli import main
 from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
 from screenlimits.simulate import (
     MODE_BINOMIAL,
@@ -287,6 +288,49 @@ class TestPlanValidation:
         plan = SimPlan.for_config(cfg, runs=1000, seed=3, mode=MODE_POISSON)
         assert (plan.k, plan.p, plan.n) == (120, 0.02, 500)
         assert plan.m == cfg.threshold
+
+
+class _PoolBuilt(Exception):
+    pass
+
+
+class _NoPool:
+    """Stands in for ThreadPoolExecutor: building one raises, so no thread starts."""
+
+    def __init__(self, *args, **kwargs):
+        raise _PoolBuilt
+
+
+class TestWorkers:
+    RUNS = {
+        "person": lambda w: simulate_per_person(_workers_plan(MODE_BINOMIAL), workers=w),
+        "system": lambda w: simulate_system(_workers_plan(MODE_BINOMIAL), workers=w),
+        "correlated": lambda w: simulate_correlated(
+            _workers_plan(MODE_COPULA), LatentCorrelation(kind="ar1", rho=0.5), workers=w
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [0, -1, 33, 10**6, 2.0, True])
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+    def test_out_of_range_fails_before_any_pool(self, run, workers, monkeypatch):
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _NoPool)
+        with pytest.raises(DomainError, match="workers must be an integer in"):
+            run(workers)
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+    def test_bound_is_inclusive(self, run, monkeypatch):
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _NoPool)
+        with pytest.raises(_PoolBuilt):
+            run(32)
+
+    def test_figures_workers_is_a_domain_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", _NoPool)
+        assert main(["figures", "--out", str(tmp_path), "--runs", "1", "--workers", "33"]) == 3
+        assert "error[domain]: workers must be an integer in [1, 32], got 33" in capsys.readouterr().err
+
+
+def _workers_plan(mode: str) -> SimPlan:
+    return SimPlan(k=10, p=0.1, m=3, runs=10, seed=0, mode=mode)
 
 
 def _numpy_bound(n: int, p: float) -> int:

@@ -14,7 +14,6 @@ from screenlimits import tails
 from screenlimits.errors import BudgetError, DomainError
 from screenlimits.tails import (
     OverlapInput,
-    RateInput,
     binomial_tail,
     chernoff_upper,
     exact_overlap_fraction,
@@ -83,14 +82,6 @@ class TestRateFunction:
                     continue
                 mid = 0.5 * (a + b)
                 assert rate_function(mid) <= 0.5 * (rate_function(a) + rate_function(b)) + 1e-15
-
-    def test_rate_input_exponent(self):
-        ri = RateInput(c=3.0, lam=5.0)
-        assert ri.exponent == pytest.approx(5.0 * rate_function(3.0), rel=1e-15)
-        with pytest.raises(DomainError):
-            RateInput(c=0.0, lam=5.0)
-        with pytest.raises(DomainError):
-            RateInput(c=2.0, lam=-1.0)
 
 
 class TestPoissonTail:
