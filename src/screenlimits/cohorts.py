@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, expm1, log1p
 
-from .errors import DomainError, check_int, check_unit
+from .errors import DomainError, as_float, check_int, check_unit
 from .tails import log_poisson_tail, poisson_tail
 
 __all__ = [
@@ -101,9 +101,10 @@ class DominanceReport:
 def _group_stats(profile: CohortProfile, k: int, m: int) -> list[tuple[CohortGroup, float, float, float]]:
     check_int("k", k, 1)
     check_int("m", m, 1)
+    attributes = as_float("k", k)
     out = []
     for g in profile.groups:
-        lam = k * g.p
+        lam = attributes * g.p
         q = poisson_tail(lam, m)
         out.append((g, lam, q, g.size * q))
     return out
@@ -168,7 +169,8 @@ def disparity_ratio(p1: float, p2: float, k: int, m: int) -> float:
         raise DomainError(f"need 0 < p1 < p2 < 1, got p1={p1}, p2={p2}")
     check_int("k", k, 1)
     check_int("m", m, 1)
-    return exp(log_poisson_tail(k * p2, m) - log_poisson_tail(k * p1, m))
+    attributes = as_float("k", k)
+    return exp(log_poisson_tail(attributes * p2, m) - log_poisson_tail(attributes * p1, m))
 
 
 def amplification_window(p1: float, p2: float, m: int) -> tuple[float, float]:
@@ -181,4 +183,5 @@ def amplification_window(p1: float, p2: float, m: int) -> tuple[float, float]:
     if not (0.0 < p1 < p2 < 1.0):
         raise DomainError(f"need 0 < p1 < p2 < 1, got p1={p1}, p2={p2}")
     check_int("m", m, 1)
-    return (m / p2, m / p1)
+    threshold = as_float("m", m)
+    return (threshold / p2, threshold / p1)

@@ -19,7 +19,7 @@ from pathlib import Path
 from .cohorts import CohortGroup, CohortProfile, cohort_system_risk, disparity_ratio
 from .errors import check_int
 from .lifetime import GrowthModel, unreliability_series
-from .simulate import MODE_BINOMIAL, SimPlan, simulate_system
+from .simulate import MODE_BINOMIAL, SimPlan, _map_tasks, simulate_system
 from .system import ScreeningConfig, system_risk
 from .tableio import render_csv, write_json, write_text
 
@@ -61,32 +61,33 @@ _PANEL_D = {
 
 
 def _panel_a_rows(runs: int, seed: int, workers: int) -> list:
-    rows = []
-    for idx, k in enumerate(_PANEL_A["k_values"]):
-        point_seed = (seed + 1_000_003 * idx) % 2**64
-        plan = SimPlan(
+    # every point costs runs * n draws, so mapping whole points balances
+    plans = [
+        SimPlan(
             k=k,
             p=_PANEL_A["p"],
             m=_PANEL_A["m"],
             runs=runs,
-            seed=point_seed,
+            seed=(seed + 1_000_003 * idx) % 2**64,
             mode=_PANEL_A["mode"],
             n=_PANEL_A["n"],
         )
-        rep = simulate_system(plan, workers=workers)
-        rows.append(
-            (
-                k,
-                k * _PANEL_A["p"],
-                _PANEL_A["m"],
-                _PANEL_A["n"],
-                rep.analytic,
-                rep.estimate,
-                rep.std_error,
-                rep.z_score,
-            )
+        for idx, k in enumerate(_PANEL_A["k_values"])
+    ]
+    reports = _map_tasks(simulate_system, [(plan,) for plan in plans], workers)
+    return [
+        (
+            plan.k,
+            plan.k * _PANEL_A["p"],
+            _PANEL_A["m"],
+            _PANEL_A["n"],
+            rep.analytic,
+            rep.estimate,
+            rep.std_error,
+            rep.z_score,
         )
-    return rows
+        for plan, rep in zip(plans, reports)
+    ]
 
 
 def _panel_b_rows() -> list:

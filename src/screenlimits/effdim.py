@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from math import exp, inf, isfinite, pi, sqrt
 
 from .errors import (
-    BudgetError, DomainError, RangeOverflowError, check_int, check_positive, check_unit
+    BudgetError, DomainError, RangeOverflowError, as_float, check_int,
+    check_positive, check_unit
 )
 from .tails import _MAX_TERMS, rate_function
 
@@ -96,7 +97,8 @@ def variance_with_design_effect(k: int, p: float, deff: float) -> float:
     """Var(Y) = k p (1-p) (1 + DEFF) for the correlated match count."""
     check_int("k", k, 1)
     check_unit("p", p)
-    return k * p * (1.0 - p) * (1.0 + deff)
+    _check_deff(deff)
+    return as_float("k", k) * p * (1.0 - p) * (1.0 + deff)
 
 
 def k_eff_from_design_effect(k: int, deff: float) -> float:
@@ -105,9 +107,14 @@ def k_eff_from_design_effect(k: int, deff: float) -> float:
     Nonnegative DEFF (nonnegative average correlation) implies k_eff <= k.
     """
     check_int("k", k, 1)
+    _check_deff(deff)
+    return as_float("k", k) / (1.0 + deff)
+
+
+def _check_deff(deff: float) -> None:
+    """Raise DomainError unless DEFF > -1, the range a variance allows."""
     if not (deff > -1.0):
         raise DomainError(f"DEFF must exceed -1, got {deff}")
-    return k / (1.0 + deff)
 
 
 def k_eff_spatial(corr: SpatialCorrelation) -> float:
@@ -166,14 +173,14 @@ def k_eff_temporal_geometric(k: int, tau: float) -> float:
     check_int("k", k, 1)
     check_positive("tau", tau)
     r = exp(-1.0 / tau)
-    return k * (1.0 - r) / (1.0 + r)
+    return as_float("k", k) * (1.0 - r) / (1.0 + r)
 
 
 def k_eff_temporal_rough(k: int, tau: float) -> float:
     """Long-memory shorthand k / (2 tau)."""
     check_int("k", k, 1)
     check_positive("tau", tau)
-    return k / (2.0 * tau)
+    return as_float("k", k) / (2.0 * tau)
 
 
 def adjusted_limits(k: int, p: float, c: float, k_eff: float) -> CorrelationAdjusted:

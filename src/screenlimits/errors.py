@@ -5,6 +5,7 @@ so library code should raise these rather than bare ValueError wherever a
 caller could plausibly want to dispatch on the failure class. The check
 functions at the end are the one policy for integer, positive and
 unit-interval arguments: they raise DomainError, never coerce, and fail nan.
+as_float is the one conversion of a checked integer into float arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "check_int",
     "check_positive",
     "check_unit",
+    "as_float",
 ]
 
 
@@ -87,3 +89,11 @@ def check_unit(name: str, value, interval: str = "(0, 1)") -> None:
     if not (above and below):
         strictly = "strictly " if interval == "(0, 1)" else ""
         raise DomainError(f"{name} must lie {strictly}in {interval}, got {value}")
+
+
+def as_float(name: str, value) -> float:
+    """float(value), or RangeOverflowError for an integer beyond the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise RangeOverflowError(f"{name} exceeds the double range (~1.8e308)") from None

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from math import exp, log, sqrt
 
 from .errors import (
-    AlreadyUnreliableError, BracketError, DomainError, check_int, check_positive, check_unit
+    AlreadyUnreliableError, BracketError, DomainError, as_float, check_int,
+    check_positive, check_unit
 )
 from .system import system_probability
 from .tails import poisson_tail
@@ -110,7 +111,7 @@ def critical_time_analytic(model: GrowthModel, m: int) -> float:
     lam0 = model.k0 * model.p
     if m <= lam0:
         return 0.0
-    return log(m / lam0) / log(model.gamma)
+    return log(as_float("m", m) / lam0) / log(model.gamma)
 
 
 def critical_time_corrected(
@@ -140,8 +141,10 @@ def critical_time_corrected(
             f"threshold m={m} must exceed the initial mean {lam0}"
         )
 
+    population = as_float("n", n)
+
     def excess(t: float) -> float:
-        return n * poisson_tail(lambda_at(model, t), m) - criterion_level
+        return population * poisson_tail(lambda_at(model, t), m) - criterion_level
 
     if excess(0.0) >= 0.0:
         raise AlreadyUnreliableError(

@@ -7,6 +7,10 @@ and across any degree of parallelism: chunk outputs are integer counts and
 integer sums, which combine identically in any order. The `workers` argument
 changes wall-clock time only, never the report.
 
+Workers: a call runs its chunks in the calling thread plus up to
+`workers - 1` helper threads of one pool shared by the whole process, all
+taking chunks from one queue. A plan of one chunk never uses a thread.
+
 Modes:
     binomial-exact     draw the k-attribute match count per individual
     poisson-approx     draw Poisson counts (or Binomial(n, q) at system level)
@@ -16,7 +20,8 @@ Modes:
 Binomial draws only ever feed an alert test count >= m. Where numpy samples
 the binomial by inversion (0 < p <= 1/2, n p <= 30), it reads one Philox
 double per value, and the alert is decided by comparing that same double
-with a cut-off computed once per plan, so the uniforms alone give the
+with a cut-off computed once per plan. The comparison is made on the raw
+64-bit Philox words the doubles are made from, so the words alone give the
 alerts numpy's counts would. The kernel-equality grid in
 tests/test_simulate.py pins this to rng.binomial element by element: a
 numpy upgrade that changes its sampler fails that test loudly instead of
@@ -25,15 +30,17 @@ moving a result.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from math import exp, inf, log1p, sqrt
+from math import exp, floor, inf, log1p, sqrt
+from queue import Empty, SimpleQueue
 from struct import pack, unpack
+from threading import Event, Lock
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import BudgetError, DomainError, RangeOverflowError, check_int, check_unit
+from .errors import BudgetError, DomainError, RangeOverflowError, as_float, check_int, check_unit
 from .system import ScreeningConfig, system_probability
 from .tails import binomial_tail, poisson_tail
 
@@ -64,12 +71,14 @@ _MODES = (MODE_BINOMIAL, MODE_POISSON, MODE_COMPOSITE, MODE_COPULA)
 _CHUNK = 8192
 
 # No plan may make more than this many draws: every mode draws at least one
-# value per run, exact system mode n per run.
+# value per run, exact system mode n per run and copula mode k per run.
 _DRAW_BUDGET = 1_000_000_000
 
-# Most worker threads a run may use. A pool starts a thread per submitted
-# chunk while none is idle, so an unbounded count could start ~1e5 threads.
+# Most threads a run may use, the calling thread included. The shared pool
+# holds at most _MAX_WORKERS - 1 helpers and starts them only as needed.
 _MAX_WORKERS = 32
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = Lock()
 
 # numpy's sampler limits: binomial n is an int64, and Generator.poisson
 # rejects a mean above int64 max - 10 sqrt(int64 max).
@@ -102,7 +111,7 @@ class SimPlan:
         check_unit("p", self.p, "[0, 1]")
         check_int("m", self.m, 0)
         check_int("runs", self.runs, 1)
-        if self.runs > _DRAW_BUDGET:
+        if as_float("runs", self.runs) > _DRAW_BUDGET:
             raise BudgetError(f"runs = {self.runs:.2e} exceeds the {_DRAW_BUDGET:.0e}-draw budget")
         check_int("n", self.n, 1)
         check_int("seed", self.seed, 0, 2**64 - 1)
@@ -236,42 +245,92 @@ def _inversion_cuts(n: int, p: float, m: int) -> tuple[float, float] | None:
     return last_short_walk(m), last_short_walk(bound + 1)
 
 
+def _word_cut(cut: float) -> int:
+    """Smallest raw Philox word w whose double (w >> 11) * 2**-53 exceeds cut.
+
+    A negative cut gives 0, which every word reaches; a cut at or above the
+    largest double below 1 gives 2**64, which none does.
+    """
+    return max(0, floor(cut * 2.0**53) + 1) << 11
+
+
 def _binomial_alerts(
     seed: int, j: int, n: int, p: float, m: int, shape, cuts: tuple[float, float] | None
 ) -> np.ndarray:
     """Exactly rng.binomial(n, p, shape) >= m on chunk j's stream.
 
-    With cuts from _inversion_cuts the alerts are read off the uniforms
-    numpy's sampler would have drawn. If any of them would have restarted
-    the walk, numpy's stream shifts, so the chunk is drawn again by
-    rng.binomial from a fresh generator.
+    A 2-D shape is reduced along its rows by any(), one alert flag per row.
+    With cuts from _inversion_cuts the alerts are read off the raw words
+    behind the doubles numpy's sampler would have drawn; a row alerts when
+    its largest word does. If any of them would have restarted the walk,
+    numpy's stream shifts, so the chunk is drawn again by rng.binomial from
+    a fresh generator.
     """
     rng = _chunk_rng(seed, j)
     if cuts is not None:
         alert_cut, restart_cut = cuts
-        u = rng.random(shape)
-        if not u.max() > restart_cut:
-            return u > alert_cut
+        words = rng.bit_generator.random_raw(shape)
+        if words.ndim == 2:
+            words = words.max(axis=1)
+        if words.max() < _word_cut(restart_cut):
+            return words >= _word_cut(alert_cut)
         rng = _chunk_rng(seed, j)
-    return rng.binomial(n, p, shape) >= m
+    alerts = rng.binomial(n, p, shape) >= m
+    return alerts.any(axis=1) if alerts.ndim == 2 else alerts
 
 
-def _map_chunks(worker, sizes: list[int], workers: int) -> list:
-    """Evaluate worker(chunk_index, size) for every chunk.
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide helper pool, built on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=_MAX_WORKERS - 1)
+        return _POOL
 
-    Results are collected by chunk index, so scheduling order is
-    irrelevant to the combined outcome.
+
+def _map_tasks(fn, items: list[tuple], workers: int) -> list:
+    """[fn(*args) for args in items], on up to `workers` threads.
+
+    The calling thread and up to workers - 1 helpers from the shared pool
+    take tasks from one queue; results are stored by task index, so
+    scheduling order never reaches the result. After a task raises, no
+    thread starts another, and the error reaches the caller only once every
+    helper has stopped.
     """
     check_int("workers", workers, 1, _MAX_WORKERS)
-    if workers <= 1:
-        return [worker(j, size) for j, size in enumerate(sizes)]
-    out = [None] * len(sizes)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(worker, j, size): j for j, size in enumerate(sizes)
-        }
-        for fut, j in futures.items():
-            out[j] = fut.result()
+    helpers = min(workers, len(items)) - 1
+    if helpers < 1:
+        return [fn(*args) for args in items]
+    out = [None] * len(items)
+    todo = SimpleQueue()
+    for task in enumerate(items):
+        todo.put(task)
+    failed = Event()
+
+    def drain() -> None:
+        try:
+            while not failed.is_set():
+                try:
+                    i, args = todo.get_nowait()
+                except Empty:
+                    return
+                out[i] = fn(*args)
+        except BaseException:
+            failed.set()
+            raise
+
+    futures = []
+    try:
+        pool = _pool()
+        for _ in range(helpers):
+            futures.append(pool.submit(drain))
+        drain()
+    finally:
+        # a helper that has not started would find nothing left to do
+        started = [fut for fut in futures if not fut.cancel()]
+        wait(started)
+    for fut in started:
+        fut.result()
     return out
 
 
@@ -313,7 +372,7 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
             return int(_binomial_alerts(plan.seed, j, plan.k, plan.p, plan.m, size, cuts).sum())
 
     else:
-        lam = plan.k * plan.p
+        lam = as_float("k", plan.k) * plan.p
         if lam > _POISSON_LAM_MAX:
             raise RangeOverflowError(
                 f"Poisson mean k p = {lam:.3g} exceeds numpy's limit {_POISSON_LAM_MAX:.3g}"
@@ -324,7 +383,7 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
             rng = _chunk_rng(plan.seed, j)
             return int((rng.poisson(lam, size=size) >= plan.m).sum())
 
-    alerts = sum(_map_chunks(worker, sizes, workers))
+    alerts = sum(_map_tasks(worker, list(enumerate(sizes)), workers))
     return _finish(alerts, plan, analytic)
 
 
@@ -340,7 +399,7 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
     if plan.mode == MODE_COPULA:
         raise DomainError("use simulate_correlated for copula plans")
     if plan.mode == MODE_BINOMIAL:
-        total_draws = plan.n * plan.runs
+        total_draws = as_float("n * runs", plan.n * plan.runs)
         if total_draws > _DRAW_BUDGET:
             raise BudgetError(
                 f"exact mode needs n*runs = {total_draws:.2e} individual "
@@ -354,11 +413,11 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
         cuts = _inversion_cuts(plan.k, plan.p, plan.m)
 
         def worker(j: int, size: int) -> int:
-            alerts = _binomial_alerts(plan.seed, j, plan.k, plan.p, plan.m, (size, plan.n), cuts)
-            return int(alerts.any(axis=1).sum())
+            shape = (size, plan.n)
+            return int(_binomial_alerts(plan.seed, j, plan.k, plan.p, plan.m, shape, cuts).sum())
 
     elif plan.mode == MODE_POISSON:
-        q = poisson_tail(plan.k * plan.p, plan.m)
+        q = poisson_tail(as_float("k", plan.k) * plan.p, plan.m)
         analytic, _ = system_probability(q, plan.n)
         sizes = _chunk_sizes(plan.runs, _CHUNK)
         cuts = _inversion_cuts(plan.n, q, 1)
@@ -375,7 +434,7 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
             rng = _chunk_rng(plan.seed, j)
             return int((rng.random(size) < analytic).sum())
 
-    alerts = sum(_map_chunks(worker, sizes, workers))
+    alerts = sum(_map_tasks(worker, list(enumerate(sizes)), workers))
     return _finish(alerts, plan, analytic)
 
 
@@ -409,6 +468,8 @@ def simulate_correlated(
     or below the p-quantile, so marginals stay Bernoulli(p) exactly while the
     latent structure induces dependence. The analytic field carries the
     independent-case reference Pr(Bin(k, p) >= m) for inflation comparisons.
+    Each run draws k latent normals, so more than 1e9 in k*runs raise
+    BudgetError.
     """
     if plan.mode != MODE_COPULA:
         raise DomainError(
@@ -417,6 +478,11 @@ def simulate_correlated(
     if plan.k < 1:
         raise DomainError("copula simulation needs k >= 1")
     check_unit("p", plan.p)
+    total_draws = as_float("k * runs", plan.k * plan.runs)
+    if total_draws > _DRAW_BUDGET:
+        raise BudgetError(
+            f"copula mode needs k*runs = {total_draws:.2e} latent draws (> {_DRAW_BUDGET:.0e})"
+        )
     threshold = float(ndtri(plan.p))
     analytic = binomial_tail(plan.k, plan.p, plan.m)
     chunk = max(1, min(4096, (1 << 20) // plan.k))
@@ -431,7 +497,7 @@ def simulate_correlated(
             int((counts * counts).sum()),
         )
 
-    parts = _map_chunks(worker, sizes, workers)
+    parts = _map_tasks(worker, list(enumerate(sizes)), workers)
     alerts = sum(part[0] for part in parts)
     total = sum(part[1] for part in parts)
     total_sq = sum(part[2] for part in parts)

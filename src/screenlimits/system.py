@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, expm1, log1p, pi, sqrt
 
-from .errors import DomainError, RangeOverflowError, check_int, check_positive, check_unit
+from .errors import DomainError, RangeOverflowError, as_float, check_int, check_positive, check_unit
 from .tails import chernoff_upper, poisson_tail, rate_function, robbins_lower, threshold_for_ratio
 
 __all__ = [
@@ -67,7 +67,7 @@ class ScreeningConfig:
     @property
     def lam(self) -> float:
         """Per-person mean match count k * p."""
-        return self.k * self.p
+        return as_float("k", self.k) * self.p
 
     @property
     def threshold(self) -> int:
@@ -133,7 +133,7 @@ def system_probability(q: float, n: int) -> tuple[float, float]:
     check_int("n", n, 0)
     if q >= 1.0:
         return 1.0, float("-inf")
-    log_comp = n * log1p(-q)
+    log_comp = as_float("n", n) * log1p(-q)
     return -expm1(log_comp), log_comp
 
 

@@ -22,7 +22,7 @@ from sys import float_info
 
 from scipy.special import gammainc
 
-from .errors import BudgetError, DomainError, check_int, check_positive, check_unit
+from .errors import BudgetError, DomainError, as_float, check_int, check_positive, check_unit
 
 __all__ = [
     "TailEstimate",
@@ -125,7 +125,7 @@ def poisson_tail(lam: float, m: int) -> float:
     check_int("threshold m", m, 0)
     if m == 0:
         return 1.0
-    q = float(gammainc(m, lam))
+    q = float(gammainc(as_float("threshold m", m), lam))
     if q < float_info.min and lam * rate_function(m / lam) < 746.0:
         return exp(log_poisson_tail(lam, m))
     return q
@@ -151,7 +151,7 @@ def log_poisson_tail(lam: float, m: int) -> float:
         # Tail is order one here; underflow impossible.
         return log(float(gammainc(m, lam)))
     # m > lam: series in log space, one code path at any depth.
-    log_first = -lam + m * log(lam) - lgamma(m + 1.0)
+    log_first = -lam + as_float("threshold m", m) * log(lam) - lgamma(m + 1.0)
     total = 1.0
     term = 1.0
     for j in range(m + 1, m + 1 + _MAX_TERMS):
@@ -182,6 +182,7 @@ def binomial_tail(k: int, p: float, m: int) -> float:
         m: Threshold; m > k gives 0, m <= 0 gives 1.
 
     Raises:
+        RangeOverflowError: If k exceeds the double range.
         BudgetError: If the sum has more than _MAX_TERMS terms (k - m + 1).
     """
     check_int("k", k, 0)
@@ -195,13 +196,13 @@ def binomial_tail(k: int, p: float, m: int) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
+    log_choose = lgamma(as_float("k", k) + 1.0)
     if k - m + 1 > _MAX_TERMS:
         raise BudgetError(
             f"binomial tail at k={k:g}, m={m:g} sums {k - m + 1:g} terms, more than {_MAX_TERMS:g}"
         )
     log_p = log(p)
     log_q = log1p(-p)
-    log_choose = lgamma(k + 1.0)
     # fsum is correctly rounded, so a generator gives the bytes a list would
     terms = (
         exp(log_choose - lgamma(j + 1.0) - lgamma(k - j + 1.0) + j * log_p + (k - j) * log_q)
@@ -244,7 +245,7 @@ def tail_estimate(lam: float, m: int) -> TailEstimate:
         raise DomainError(
             f"sandwich bounds exist only for m > lam, got m={m}, lam={lam}"
         )
-    c = m / lam
+    c = as_float("threshold m", m) / lam
     return TailEstimate(
         exact=poisson_tail(lam, m),
         chernoff_upper=chernoff_upper(lam, m),
@@ -277,7 +278,7 @@ def lecam_bound(k: int, p: float) -> float:
     """Le Cam bound 2 k p^2 on total variation between Bin(k,p) and Pois(kp)."""
     check_int("k", k, 0)
     check_unit("p", p, "[0, 1]")
-    return 2.0 * k * p * p
+    return 2.0 * as_float("k", k) * p * p
 
 
 def threshold_for_ratio(lam: float, c: float) -> int:

@@ -23,7 +23,7 @@ from screenlimits.effdim import (
     k_eff_temporal_rough,
     variance_with_design_effect,
 )
-from screenlimits.errors import DomainError
+from screenlimits.errors import DomainError, RangeOverflowError, ScreenLimitsError
 from screenlimits.lifetime import (
     GrowthModel,
     critical_time_analytic,
@@ -42,7 +42,7 @@ from screenlimits.simulate import (
     simulate_per_person,
     simulate_system,
 )
-from screenlimits.system import ScreeningConfig, system_probability
+from screenlimits.system import ScreeningConfig, system_probability, system_risk
 from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
@@ -144,6 +144,37 @@ NAN_ARGUMENTS = {
     "sparse_ppv.nq": lambda: sparse_ppv(1.0, math.nan),
     "k_eff_from_design_effect.deff": lambda: k_eff_from_design_effect(10, math.nan),
 }
+
+
+@pytest.mark.parametrize("deff", [math.nan, -1.0, -2.0])
+def test_design_effect_variance_needs_deff_above_minus_one(deff):
+    with pytest.raises(DomainError, match="DEFF must exceed -1"):
+        variance_with_design_effect(10, 0.1, deff)
+
+
+# integers that pass check_int but do not fit a double
+HUGE_INTEGERS = {
+    "poisson_tail.m": lambda: poisson_tail(5.0, 10**400),
+    "binomial_tail.k": lambda: binomial_tail(10**400, 0.1, 3),
+    "system_risk.k": lambda: system_risk(ScreeningConfig(k=10**400, p=0.005, n=10, m=3)),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_INTEGERS.values(), ids=HUGE_INTEGERS)
+def test_integers_beyond_the_double_range_overflow_cleanly(call):
+    with pytest.raises(RangeOverflowError, match="exceeds the double range"):
+        call()
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
+def test_integer_arguments_beyond_the_double_range_end_in_a_result_or_our_error(
+    call, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    try:
+        call(10**400)
+    except ScreenLimitsError:
+        pass
 
 
 @pytest.mark.parametrize("call", NAN_ARGUMENTS.values(), ids=NAN_ARGUMENTS)

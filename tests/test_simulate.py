@@ -2,12 +2,16 @@
 
 import math
 import statistics
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from screenlimits import simulate
 from screenlimits.cli import main
+from screenlimits.datasets import figure_panels
 from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
 from screenlimits.simulate import (
     MODE_BINOMIAL,
@@ -240,6 +244,14 @@ class TestCorrelated:
         with pytest.raises(DomainError):
             LatentCorrelation(kind="unknown", rho=0.5)
 
+    def test_draw_budget_counts_every_latent_draw(self):
+        corr = LatentCorrelation(kind="ar1", rho=0.5)
+        plan = SimPlan(k=10**6, p=0.1, m=3, runs=1001, seed=0, mode=MODE_COPULA)
+        with pytest.raises(BudgetError, match="k\\*runs"):
+            simulate_correlated(plan, corr)
+        with pytest.raises(BudgetError):
+            measure_binary_correlation(10**12, 0.3, corr)
+
     def test_copula_requires_copula_mode(self):
         plan = SimPlan(k=10, p=0.2, m=3, runs=100, seed=0, mode=MODE_BINOMIAL)
         with pytest.raises(DomainError):
@@ -303,34 +315,117 @@ class _NoPool:
 
 class TestWorkers:
     RUNS = {
-        "person": lambda w: simulate_per_person(_workers_plan(MODE_BINOMIAL), workers=w),
-        "system": lambda w: simulate_system(_workers_plan(MODE_BINOMIAL), workers=w),
-        "correlated": lambda w: simulate_correlated(
-            _workers_plan(MODE_COPULA), LatentCorrelation(kind="ar1", rho=0.5), workers=w
+        "person": lambda w, runs=10: simulate_per_person(
+            _workers_plan(MODE_BINOMIAL, runs), workers=w
+        ),
+        "system": lambda w, runs=10: simulate_system(
+            _workers_plan(MODE_BINOMIAL, runs), workers=w
+        ),
+        "correlated": lambda w, runs=10: simulate_correlated(
+            _workers_plan(MODE_COPULA, runs), LatentCorrelation(kind="ar1", rho=0.5), workers=w
         ),
     }
 
     @pytest.mark.parametrize("workers", [0, -1, 33, 10**6, 2.0, True])
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
     def test_out_of_range_fails_before_any_pool(self, run, workers, monkeypatch):
+        monkeypatch.setattr(simulate, "_POOL", None)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", _NoPool)
         with pytest.raises(DomainError, match="workers must be an integer in"):
             run(workers)
 
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
     def test_bound_is_inclusive(self, run, monkeypatch):
+        want = run(1)
+        # the 10-run plan is one chunk, which runs in the calling thread
+        monkeypatch.setattr(simulate, "_POOL", None)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", _NoPool)
-        with pytest.raises(_PoolBuilt):
-            run(32)
+        assert run(32) == want
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+    def test_many_chunks_build_one_pool(self, run, counted_pools):
+        want = run(1, runs=20_000)
+        assert run(32, runs=20_000) == want
+        assert run(2, runs=20_000) == want
+        assert len(counted_pools) == 1
+
+    def test_one_pool_per_process(self, tmp_path, counted_pools):
+        for w in (2, 4):
+            for run in self.RUNS.values():
+                run(w, runs=20_000)
+            figure_panels(tmp_path / str(w), runs=50, workers=2)
+        assert len(counted_pools) == 1
+
+    @pytest.mark.parametrize("bad", [0, 5, 99])
+    def test_error_reaches_the_caller_after_every_helper(self, bad):
+        lock = threading.Lock()
+        running, started, seen = [0], [], []
+
+        def task(i):
+            with lock:
+                running[0] += 1
+                started.append(i)
+            try:
+                time.sleep(0.005)
+                if i == bad:
+                    raise RuntimeError(f"task {i}")
+                return i
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(RuntimeError, match=f"task {bad}"):
+            try:
+                simulate._map_tasks(task, [(i,) for i in range(100)], 4)
+            finally:
+                seen.append(running[0])
+        assert seen == [0]
+        if bad < 99:
+            # no thread takes a new task once one has failed
+            assert len(started) < 100
+
+    def test_every_task_runs_once_under_thread_switching(self):
+        interval = sys.getswitchinterval()
+        ran = []
+
+        def task(i):
+            ran.append(i)
+            return i * i
+
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate._map_tasks(task, [(i,) for i in range(3000)], 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in range(3000)]
+        assert sorted(ran) == list(range(3000))
 
     def test_figures_workers_is_a_domain_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(simulate, "_POOL", None)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", _NoPool)
         assert main(["figures", "--out", str(tmp_path), "--runs", "1", "--workers", "33"]) == 3
         assert "error[domain]: workers must be an integer in [1, 32], got 33" in capsys.readouterr().err
 
 
-def _workers_plan(mode: str) -> SimPlan:
-    return SimPlan(k=10, p=0.1, m=3, runs=10, seed=0, mode=mode)
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """Every pool simulate builds from a fresh start; shut down afterwards."""
+    built = []
+    real = simulate.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(simulate, "_POOL", None)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", counted)
+    yield built
+    for pool in built:
+        pool.shutdown()
+
+
+def _workers_plan(mode: str, runs: int = 10) -> SimPlan:
+    return SimPlan(k=10, p=0.1, m=3, runs=runs, seed=0, mode=mode)
 
 
 def _numpy_bound(n: int, p: float) -> int:
@@ -358,7 +453,10 @@ def _grid_ps(n: int) -> list[float]:
 
 
 class TestBinomialAlerts:
-    """_binomial_alerts must equal rng.binomial(n, p, shape) >= m bit for bit."""
+    """_binomial_alerts must equal rng.binomial(n, p, shape) >= m bit for bit.
+
+    For a 2-D shape, that array reduced by any() along its rows.
+    """
 
     @pytest.mark.parametrize("shape", [(257,), (16, 33)], ids=["1d", "2d"])
     @pytest.mark.parametrize("n", [1, 2, 20, 500, 10**6, 10**9, 2**62, 2**63 - 1])
@@ -370,6 +468,8 @@ class TestBinomialAlerts:
                 cuts = simulate._inversion_cuts(n, p, m)
                 got = simulate._binomial_alerts(seed, j, n, p, m, shape, cuts)
                 want = simulate._chunk_rng(seed, j).binomial(n, p, shape) >= m
+                if want.ndim == 2:
+                    want = want.any(axis=1)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), (n, p, m)
 
@@ -386,6 +486,23 @@ class TestBinomialAlerts:
         assert simulate._inversion_cuts(20, 0.1, bound + 1) is None
         alert_cut, restart_cut = simulate._inversion_cuts(200, 0.01, 8)
         assert 0.0 < alert_cut < restart_cut < 1.0
+
+    @pytest.mark.parametrize(
+        "cut",
+        [0.5, 1e-300, 0.0, 2.0**-53, 3 * 2.0**-53, 0.5 - 2.0**-53, math.nextafter(1.0, 0.0), -1.0]
+        + [math.nextafter(2.0**-53 * k, d) for k in (1, 2**40 + 7) for d in (0.0, 1.0)],
+    )
+    def test_word_cut_matches_the_double(self, cut):
+        # numpy's Philox double is (w >> 11) * 2**-53 of the same raw word
+        key = np.array([7, 11], dtype=np.uint64)
+        words = np.random.Philox(key=key).random_raw(10**6)
+        u = np.random.Generator(np.random.Philox(key=key)).random(10**6)
+        assert np.array_equal(u, (words >> np.uint64(11)) * 2.0**-53)
+        wc = simulate._word_cut(cut)
+        edges = [w for w in (0, wc - 1, wc, wc + 1, 2**64 - 1) if 0 <= w < 2**64]
+        words = np.concatenate([words, np.array(edges, dtype=np.uint64)])
+        u = (words >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(u > cut, words >= wc)
 
     def test_restart_fallback_redraws_from_a_fresh_stream(self, monkeypatch):
         plans = [
