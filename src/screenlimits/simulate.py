@@ -17,6 +17,15 @@ Modes:
     analytic-composite one Bernoulli(1 - (1-q)^n) per trial, for huge n
     copula-correlated  correlated attributes via a latent Gaussian copula
 
+Person poisson-approx, for 0 < k p <= 30 and 1 <= m <= k p + 10 sqrt(k p + 1),
+decides each run from one raw Philox word: sequential-search inversion of
+Pois(k p) from that word's double counts to m exactly when the double
+exceeds a cut-off found once per plan. Outside that regime a chunk draws
+rng.poisson(k p) >= m. The exchangeable copula draws one shared normal s per
+run and the count as Bin(k, Phi((t - sqrt(rho) s) / sqrt(1 - rho))), the law
+of k latent threshold crossings given s; AR(1) draws all k latent normals.
+Both copula kinds count k draws per run against the draw budget.
+
 Binomial draws only ever feed an alert test count >= m. Where numpy samples
 the binomial by inversion (0 < p <= 1/2, n p <= 30), it reads one Philox
 double per value, and the alert is decided by comparing that same double
@@ -38,9 +47,17 @@ from struct import pack, unpack
 from threading import Event, Lock
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
-from .errors import BudgetError, DomainError, RangeOverflowError, as_float, check_int, check_unit
+from .errors import (
+    BudgetError,
+    DomainError,
+    RangeOverflowError,
+    as_float,
+    check_int,
+    check_positive,
+    check_unit,
+)
 from .system import ScreeningConfig, system_probability
 from .tails import binomial_tail, poisson_tail
 
@@ -191,18 +208,53 @@ def _chunk_sizes(runs: int, chunk: int) -> list[int]:
     return sizes
 
 
-def _walk_reaches(u: float, n: int, p: float, q: float, px: float, steps: int) -> bool:
-    """Whether numpy's inversion walk from uniform u counts to `steps`.
+def _bits(u: float) -> int:
+    return unpack("<q", pack("<d", u))[0]
 
-    The float operations are those of numpy's random_binomial_inversion, in
-    its order, starting from px = (1-p)^n; each is monotone in u.
+
+def _double(bits: int) -> float:
+    return unpack("<d", pack("<q", bits))[0]
+
+
+def _walk_reaches(u: float, terms: list[float]) -> bool:
+    """Whether a sequential-search walk from uniform u passes every term.
+
+    Each step stops unless u > px and otherwise takes u -= px, as numpy's
+    binomial inversion does, so the walk counts to len(terms) exactly when
+    it passes them all. Each operation is monotone in u.
     """
-    for x in range(1, steps + 1):
+    for px in terms:
         if not u > px:
             return False
         u -= px
-        px = (float(n - x + 1) * p * px) / (x * q)
     return True
+
+
+def _last_short_walk(terms: list[float]) -> float:
+    """Largest double in [0, 1) whose walk over `terms` stops short.
+
+    A bisection over the bit patterns of [0, 1). The walk's float sum lies
+    within a few ulps per step of the answer, so the search first brackets
+    4 len(terms) + 8 patterns either side of it; if the walk does not confirm
+    both ends, it falls back to the whole range. Either way the result is
+    the one bit pattern where the walk changes, so both searches agree.
+    """
+    # invariant: the walk from lo stops short, the walk from hi does not
+    # (hi = 1.0 stands in: rng.random never returns it)
+    width = 4 * len(terms) + 8
+    centre = _bits(min(sum(terms), 1.0))
+    lo, hi = max(0, centre - width), min(_ONE_BITS, centre + width)
+    if _walk_reaches(_double(lo), terms) or (
+        hi < _ONE_BITS and not _walk_reaches(_double(hi), terms)
+    ):
+        lo, hi = 0, _ONE_BITS
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _walk_reaches(_double(mid), terms):
+            hi = mid
+        else:
+            lo = mid
+    return _double(lo)
 
 
 def _inversion_cuts(n: int, p: float, m: int) -> tuple[float, float] | None:
@@ -213,7 +265,7 @@ def _inversion_cuts(n: int, p: float, m: int) -> tuple[float, float] | None:
     reaches m exactly when U exceeds the first cut. Past the second cut the
     count would pass numpy's bound and the walk would restart on a fresh
     double. Returns None outside that regime, for m < 1 and for m beyond
-    the bound; each cut is a bisection over the bit patterns of [0, 1).
+    the bound.
 
     Raises:
         RangeOverflowError: If n does not fit numpy's int64 binomial size.
@@ -228,21 +280,31 @@ def _inversion_cuts(n: int, p: float, m: int) -> tuple[float, float] | None:
     bound = int(min(float(n), mean + 10.0 * sqrt(mean * q + 1)))
     if m > bound:
         return None
-    qn = exp(n * log1p(-p))
+    # the px of numpy's random_binomial_inversion, in its float order
+    px = exp(n * log1p(-p))
+    terms = [px]
+    for x in range(1, bound + 1):
+        px = (float(n - x + 1) * p * px) / (x * q)
+        terms.append(px)
+    return _last_short_walk(terms[:m]), _last_short_walk(terms)
 
-    def last_short_walk(steps: int) -> float:
-        # invariant: the walk from lo stops short, the walk from hi does not
-        # (hi = 1.0 stands in: rng.random never returns it)
-        lo, hi = 0, _ONE_BITS
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _walk_reaches(unpack("<d", pack("<q", mid))[0], n, p, q, qn, steps):
-                hi = mid
-            else:
-                lo = mid
-        return unpack("<d", pack("<q", lo))[0]
 
-    return last_short_walk(m), last_short_walk(bound + 1)
+def _poisson_cut(lam: float, m: int) -> float | None:
+    """Uniform cut-off above which a sequential-search Pois(lam) count is >= m.
+
+    The walk starts from px = e^-lam and steps px = px lam / x (Devroye 1986,
+    Non-Uniform Random Variate Generation, X.3). Returns None outside
+    0 < lam <= 30 and 1 <= m <= lam + 10 sqrt(lam + 1), where the walk could
+    grow long.
+    """
+    if not (0.0 < lam <= 30.0 and 1 <= m <= lam + 10.0 * sqrt(lam + 1.0)):
+        return None
+    px = exp(-lam)
+    terms = [px]
+    for x in range(1, m):
+        px = px * lam / x
+        terms.append(px)
+    return _last_short_walk(terms)
 
 
 def _word_cut(cut: float) -> int:
@@ -277,6 +339,21 @@ def _binomial_alerts(
         rng = _chunk_rng(seed, j)
     alerts = rng.binomial(n, p, shape) >= m
     return alerts.any(axis=1) if alerts.ndim == 2 else alerts
+
+
+def _poisson_alerts(
+    seed: int, j: int, lam: float, m: int, size: int, cut: float | None
+) -> np.ndarray:
+    """Pois(lam) >= m for `size` runs of chunk j, one raw Philox word per run.
+
+    With a cut from _poisson_cut a run alerts when its word's double exceeds
+    the cut; the walk never restarts, so nothing is redrawn. Without one the
+    chunk draws rng.poisson(lam, size) >= m.
+    """
+    rng = _chunk_rng(seed, j)
+    if cut is None:
+        return rng.poisson(lam, size) >= m
+    return rng.bit_generator.random_raw(size) >= _word_cut(cut)
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -356,7 +433,8 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
     """Estimate the per-person alert probability Pr(count >= m).
 
     binomial-exact draws Bin(k, p) per trial; poisson-approx draws
-    Pois(k*p). The analytic reference matches the sampled law.
+    Pois(k*p), from one raw word per trial where _poisson_cut gives a cut.
+    The analytic reference matches the sampled law.
     """
     if plan.mode not in (MODE_BINOMIAL, MODE_POISSON):
         raise DomainError(
@@ -378,10 +456,10 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
                 f"Poisson mean k p = {lam:.3g} exceeds numpy's limit {_POISSON_LAM_MAX:.3g}"
             )
         analytic = poisson_tail(lam, plan.m)
+        cut = _poisson_cut(lam, plan.m)
 
         def worker(j: int, size: int) -> int:
-            rng = _chunk_rng(plan.seed, j)
-            return int((rng.poisson(lam, size=size) >= plan.m).sum())
+            return int(_poisson_alerts(plan.seed, j, lam, plan.m, size, cut).sum())
 
     alerts = sum(_map_tasks(worker, list(enumerate(sizes)), workers))
     return _finish(alerts, plan, analytic)
@@ -447,10 +525,11 @@ def _latent_counts(
 ) -> np.ndarray:
     """Match counts for `size` trials under the latent-Gaussian copula."""
     if corr.kind == "exchangeable":
+        # given the shared factor s the k indicators are independent, each
+        # Bernoulli(Phi((threshold - sqrt(rho) s) / sqrt(1 - rho)))
         shared = rng.standard_normal(size)
-        own = rng.standard_normal((size, k))
-        latent = sqrt(corr.rho) * shared[:, None] + sqrt(1.0 - corr.rho) * own
-        return (latent <= threshold).sum(axis=1)
+        p_given_s = ndtr((threshold - sqrt(corr.rho) * shared) / sqrt(1.0 - corr.rho))
+        return rng.binomial(k, p_given_s)
     # the recurrence runs along attributes: one contiguous row per attribute
     latent = rng.standard_normal((size, k)).T.copy()
     scale = sqrt(1.0 - corr.rho**2)
@@ -468,7 +547,12 @@ def simulate_correlated(
     or below the p-quantile, so marginals stay Bernoulli(p) exactly while the
     latent structure induces dependence. The analytic field carries the
     independent-case reference Pr(Bin(k, p) >= m) for inflation comparisons.
-    Each run draws k latent normals, so more than 1e9 in k*runs raise
+
+    exchangeable draws one shared factor s per run and the count as
+    Bin(k, Phi((t - sqrt(rho) s) / sqrt(1 - rho))), t the p-quantile: given
+    s the k indicators are independent with that probability (Vasicek 2002).
+    ar1 draws k latent normals per run and runs the recurrence. Either way
+    the budget counts k draws per run, so more than 1e9 in k*runs raise
     BudgetError.
     """
     if plan.mode != MODE_COPULA:
@@ -556,6 +640,7 @@ def latent_rho_for_binary(
     tolerance.
     """
     check_unit("target binary rho", rho_binary)
+    check_positive("tol", tol)
     lo, hi = 0.0, 0.999
     for _ in range(40):
         mid = 0.5 * (lo + hi)

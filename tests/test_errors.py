@@ -146,6 +146,13 @@ NAN_ARGUMENTS = {
 }
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+def test_latent_rho_tolerance_must_be_positive(tol):
+    # nan and negative tolerances used to run all 40 pilot bisections
+    with pytest.raises(DomainError, match="tol must be positive"):
+        latent_rho_for_binary(4, 0.3, 0.1, draws=1000, tol=tol)
+
+
 @pytest.mark.parametrize("deff", [math.nan, -1.0, -2.0])
 def test_design_effect_variance_needs_deff_above_minus_one(deff):
     with pytest.raises(DomainError, match="DEFF must exceed -1"):

@@ -167,6 +167,17 @@ class TestCalibration:
                 hits += 1
         assert hits >= 95
 
+    def test_poisson_z_scores_calibrated_over_seeds(self):
+        # person poisson-approx decides each run from one raw word
+        plan_proto = dict(k=100, p=0.05, m=10, runs=20_000, mode=MODE_POISSON)
+        assert simulate._poisson_cut(100 * 0.05, 10) is not None
+        hits = 0
+        for seed in range(100):
+            rep = simulate_per_person(SimPlan(seed=seed, **plan_proto))
+            if abs(rep.z_score) <= 3.0:
+                hits += 1
+        assert hits >= 95
+
     def test_error_shrinks_like_inverse_sqrt(self):
         # mean |error| over seeds vs runs on a log-log slope near -1/2
         plan_proto = dict(k=100, p=0.05, m=10, mode=MODE_BINOMIAL)
@@ -233,6 +244,35 @@ class TestCorrelated:
         for t in range(1, k):
             latent[:, t] = rho * latent[:, t - 1] + scale * own[:, t]
         assert np.array_equal(got, (latent <= threshold).sum(axis=1))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.6])
+    def test_exchangeable_law_matches_the_full_latent_sampler(self, rho):
+        # the one-factor binomial draw against k latent normals per run
+        k, p, m, runs = 40, 0.1, 9, 100_000
+        threshold = float(simulate.ndtri(p))
+        corr = LatentCorrelation(kind="exchangeable", rho=rho)
+        got = simulate._latent_counts(simulate._chunk_rng(3, 0), runs, k, threshold, corr)
+        rng = np.random.default_rng(4)
+        want = np.concatenate(
+            [
+                (
+                    math.sqrt(rho) * rng.standard_normal(10_000)[:, None]
+                    + math.sqrt(1.0 - rho) * rng.standard_normal((10_000, k))
+                    <= threshold
+                ).sum(axis=1)
+                for _ in range(runs // 10_000)
+            ]
+        )
+
+        def z(stat_a, stat_b):
+            # two-sample z of per-run statistics
+            a, b = stat_a.astype(float), stat_b.astype(float)
+            se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+            return (a.mean() - b.mean()) / se
+
+        assert abs(z(got, want)) <= 6.0
+        assert abs(z((got - got.mean()) ** 2, (want - want.mean()) ** 2)) <= 6.0
+        assert abs(z(got >= m, want >= m)) <= 6.0
 
     def test_invalid_structures(self):
         with pytest.raises(DomainError):
@@ -533,6 +573,104 @@ class TestBinomialAlerts:
             # every chunk built its generator twice: once for the uniforms,
             # once more for the fallback draw
             assert len(rngs) == 2 * len(set(rngs))
+
+
+def _poisson_bound(lam: float) -> float:
+    return lam + 10.0 * math.sqrt(lam + 1.0)
+
+
+def _poisson_replay(u: float, lam: float, m: int) -> bool:
+    """Whether the sequential-search Pois(lam) count from uniform u is >= m."""
+    x, px = 0, math.exp(-lam)
+    while x < m and u > px:
+        u -= px
+        x += 1
+        px = px * lam / x
+    return x >= m
+
+
+def _full_bisection(reaches) -> float:
+    """Largest double in [0, 1) from which reaches() is False, over all 62 bits."""
+    lo, hi = 0, simulate._ONE_BITS
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(simulate._double(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return simulate._double(lo)
+
+
+class TestPoissonAlerts:
+    """Person poisson-approx alerts: one raw word per run, or rng.poisson."""
+
+    LAMS = [1e-4, 0.3, 1.0, 5.0, 12.5, 29.9, 30.0, math.nextafter(30.0, math.inf), 45.0]
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_matches_sequential_search_replay(self, lam):
+        bound = math.floor(_poisson_bound(lam))
+        for i, m in enumerate(sorted({0, 1, 2, 6, bound, bound + 1})):
+            seed, j = 31 * i + 7, i % 3
+            cut = simulate._poisson_cut(lam, m)
+            assert (cut is not None) == (lam <= 30.0 and 1 <= m <= bound), (lam, m)
+            got = simulate._poisson_alerts(seed, j, lam, m, 2000, cut)
+            rng = simulate._chunk_rng(seed, j)
+            if cut is None:
+                want = rng.poisson(lam, 2000) >= m
+            else:
+                want = np.array([_poisson_replay(u, lam, m) for u in rng.random(2000)])
+                # the cut is the last double whose walk stops short; at the
+                # largest double below 1 no draw alerts
+                assert not _poisson_replay(cut, lam, m)
+                above = math.nextafter(cut, 1.0)
+                assert above == 1.0 or _poisson_replay(above, lam, m)
+            assert got.dtype == bool
+            assert np.array_equal(got, want), (lam, m)
+
+    def test_per_person_uses_the_words(self):
+        plan = SimPlan(k=1000, p=0.005, m=9, runs=20_000, seed=29, mode=MODE_POISSON)
+        cut = simulate._poisson_cut(5.0, 9)
+        sizes = simulate._chunk_sizes(plan.runs, simulate._CHUNK)
+        words = np.concatenate(
+            [simulate._chunk_rng(29, j).bit_generator.random_raw(size) for j, size in enumerate(sizes)]
+        )
+        alerts = int((words >= simulate._word_cut(cut)).sum())
+        assert simulate_per_person(plan, workers=2).estimate == alerts / plan.runs
+
+    def test_bracketed_cuts_equal_the_full_bisection(self):
+        rng = np.random.default_rng(8)
+        for _ in range(600):
+            n = int(10 ** rng.uniform(0, 9))
+            p = min(0.5, 10 ** rng.uniform(-4, math.log10(30)) / n)
+            m = int(rng.integers(1, max(1, _numpy_bound(n, p)) + 1))
+            got = simulate._inversion_cuts(n, p, m)
+            q = 1.0 - p
+            qn = math.exp(n * math.log1p(-p))
+
+            def reaches(u, steps):
+                # numpy's random_binomial_inversion walk, px computed in place
+                px = qn
+                for x in range(1, steps + 1):
+                    if not u > px:
+                        return False
+                    u -= px
+                    px = (float(n - x + 1) * p * px) / (x * q)
+                return True
+
+            bound = _numpy_bound(n, p)
+            want = tuple(_full_bisection(lambda u, s=s: reaches(u, s)) for s in (m, bound + 1))
+            assert got == want, (n, p, m)
+            lam = float(rng.uniform(1e-3, 30.0))
+            m = int(rng.integers(1, math.floor(_poisson_bound(lam)) + 1))
+            want = _full_bisection(lambda u: _poisson_replay(u, lam, m))
+            assert simulate._poisson_cut(lam, m) == want, (lam, m)
+
+    @pytest.mark.parametrize("guess", [0.0, 1.0])
+    def test_a_wrong_bracket_falls_back_to_the_full_range(self, guess, monkeypatch):
+        # centre the bracket far from the cut: both end checks must catch it
+        want = simulate._inversion_cuts(305, 0.01, 6)
+        monkeypatch.setattr(simulate, "sum", lambda terms: guess, raising=False)
+        assert simulate._inversion_cuts(305, 0.01, 6) == want
 
 
 class TestSamplerLimits:
