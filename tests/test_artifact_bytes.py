@@ -247,10 +247,10 @@ EXPECTED = {
         "simulate-person-high-p.json.manifest.json": "2fbcc6523e507adf27f8be8f35f911c6c30e675a9de649778643d472dab8ac7e",
     },
     "simulate-person-poisson": {
-        "simulate-person-poisson.csv": "2b19c957e6b9bc760db6a06e9985a38df07e3f78028b38744276edddac394362",
-        "simulate-person-poisson.csv.manifest.json": "f08244032a5f07e765c0dd5e142cc757128373fdcd534e258dfa1410afd9d646",
-        "simulate-person-poisson.json": "0ce4e2ec7c87c0c846c7d5fd4fe74e1d6511f07b78297c73ed3b96d89e48357c",
-        "simulate-person-poisson.json.manifest.json": "11bf6c98e934baf084c151c8e75ec9e300c37a478f9713cea14497a5591e7fb0",
+        "simulate-person-poisson.csv": "145d936de15f2f7090c8aebd7b73a2523d3e48a6bc47fcf0aa1f207d725d293e",
+        "simulate-person-poisson.csv.manifest.json": "7b488b3dee6d48bf9096ad432cdd52be7d01fbfad7a557f30a160d088c0ad693",
+        "simulate-person-poisson.json": "887f4c6d2a97e6b9d7d5408368083846ea9da5c0763a0ab0a079b14e2f261f06",
+        "simulate-person-poisson.json.manifest.json": "18bd4b51168d5d1c03f6664cefe5b887209df700b6e3b0971584f78fa7c80864",
     },
     "simulate-system": {
         "simulate-system.csv": "b65d1fccd203a65bdfdb6626ef9ecc1415bf79bc909569e64844fa283acdc970",
