@@ -249,7 +249,7 @@ class TestCorrelated:
     def test_exchangeable_law_matches_the_full_latent_sampler(self, rho):
         # the one-factor binomial draw against k latent normals per run
         k, p, m, runs = 40, 0.1, 9, 100_000
-        threshold = float(simulate.ndtri(p))
+        threshold = statistics.NormalDist().inv_cdf(p)
         corr = LatentCorrelation(kind="exchangeable", rho=rho)
         got = simulate._latent_counts(simulate._chunk_rng(3, 0), runs, k, threshold, corr)
         rng = np.random.default_rng(4)
