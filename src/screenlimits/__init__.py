@@ -72,7 +72,6 @@ from .lifetime import (
 from .scenarios import Scenario, execute, load_scenario, run_scenario
 from .simulate import (
     MODE_BINOMIAL,
-    MODE_COMPOSITE,
     MODE_COPULA,
     MODE_POISSON,
     CorrelatedSimReport,

@@ -15,9 +15,9 @@ evidence or noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
 
-from .errors import DomainError, check_int, check_positive, check_unit
+from .errors import DomainError, RangeOverflowError, check_int, check_positive, check_unit
 
 __all__ = [
     "BayesContext",
@@ -159,12 +159,19 @@ def bayes_critical_population(r: float, s: float, alpha: float, q: float) -> flo
     Beyond this n, an alert's posterior reliability falls below the target
     alpha even though the frequentist expected false-alert count may still
     look tame.
+
+    Raises:
+        RangeOverflowError: If the population overflows a double.
     """
     check_positive("r", r)
     check_unit("s", s, "(0, 1]")
     check_unit("alpha", alpha)
     check_positive("q", q)
-    return (1.0 - alpha) * r * s / (alpha * q)
+    # alpha q underflows to 0 for subnormal inputs
+    n_crit = (1.0 - alpha) * r * s / (alpha * q) if alpha * q > 0.0 else inf
+    if not isfinite(n_crit):
+        raise RangeOverflowError(f"critical population overflows a double at alpha={alpha}, q={q}")
+    return n_crit
 
 
 def classify_regime(ctx: BayesContext) -> RegimeVerdict:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands mirror the scenario kinds (tail, system, phase-scan, lifetime,
-cohort, bayes, effdim, simulate) plus two composite emitters (figures,
-golden). Compute subcommands read their parameters from a JSON config via
+cohort, bayes, effdim, simulate) plus two that take no config: figures
+writes the four panel datasets and golden recomputes the reference-value
+registry. Compute subcommands read their parameters from a JSON config via
 --config and write CSV or JSON via --out/--format, printing to stdout when
 no output path is given.
 
@@ -21,7 +22,7 @@ from .datasets import figure_panels
 from .errors import BudgetError, DomainError, SchemaError
 from .golden import all_pass, golden_report, render_table, rows_for_output
 from .scenarios import SCENARIO_KINDS, load_scenario, run_scenario
-from .tableio import render_csv, render_json, write_artifact
+from .tableio import render_rows, write_artifact
 
 __all__ = ["main", "build_parser"]
 
@@ -111,15 +112,10 @@ def _golden_command(args: argparse.Namespace) -> int:
     if args.out is None:
         print(render_table(checks))
     else:
-        table = rows_for_output(checks)
-        columns = list(table[0])
-        rows = [list(row.values()) for row in table]
-        if args.format == "json":
-            text = render_json({"tol_scale": args.tol_scale, "columns": columns, "rows": rows})
-        else:
-            comments = ["frozen reference-value registry", f"tol_scale = {args.tol_scale!r}"]
-            text = render_csv(comments, columns, rows)
-        write_artifact(args.out, text, "golden", "golden", {"tol_scale": args.tol_scale}, None)
+        comments = ["frozen reference-value registry", f"tol_scale = {args.tol_scale!r}"]
+        params = {"tol_scale": args.tol_scale}
+        text = render_rows(args.format, rows_for_output(checks), comments, params)
+        write_artifact(args.out, text, "golden", "golden", params, None)
     return 0 if all_pass(checks) else 1
 
 

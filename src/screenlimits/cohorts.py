@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, expm1, log1p
 
-from .errors import DomainError, as_float, check_int, check_unit
+from .errors import DomainError, RangeOverflowError, as_float, check_int, check_unit
 from .tails import log_poisson_tail, poisson_tail
 
 __all__ = [
@@ -164,13 +164,20 @@ def disparity_ratio(p1: float, p2: float, k: int, m: int) -> float:
 
     Computed as exp(log q2 - log q1) so extreme ratios survive even when
     the smaller tail underflows double precision.
+
+    Raises:
+        RangeOverflowError: If the ratio itself overflows a double.
     """
     if not (0.0 < p1 < p2 < 1.0):
         raise DomainError(f"need 0 < p1 < p2 < 1, got p1={p1}, p2={p2}")
     check_int("k", k, 1)
     check_int("m", m, 1)
     attributes = as_float("k", k)
-    return exp(log_poisson_tail(attributes * p2, m) - log_poisson_tail(attributes * p1, m))
+    log_ratio = log_poisson_tail(attributes * p2, m) - log_poisson_tail(attributes * p1, m)
+    try:
+        return exp(log_ratio)
+    except OverflowError:
+        raise RangeOverflowError(f"disparity ratio e^{log_ratio:g} overflows a double") from None
 
 
 def amplification_window(p1: float, p2: float, m: int) -> tuple[float, float]:

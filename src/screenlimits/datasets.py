@@ -14,6 +14,7 @@ Panels:
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 
 from .cohorts import CohortGroup, CohortProfile, cohort_system_risk, disparity_ratio
@@ -60,7 +61,7 @@ _PANEL_D = {
 }
 
 
-def _panel_a_rows(runs: int, seed: int, workers: int) -> list:
+def _panel_a_rows(runs: int, seed: int, workers: int) -> list[dict]:
     # every point costs runs * n draws, so mapping whole points balances
     plans = [
         SimPlan(
@@ -76,21 +77,21 @@ def _panel_a_rows(runs: int, seed: int, workers: int) -> list:
     ]
     reports = _map_tasks(simulate_system, [(plan,) for plan in plans], workers)
     return [
-        (
-            plan.k,
-            plan.k * _PANEL_A["p"],
-            _PANEL_A["m"],
-            _PANEL_A["n"],
-            rep.analytic,
-            rep.estimate,
-            rep.std_error,
-            rep.z_score,
-        )
+        {
+            "k": plan.k,
+            "lam": plan.k * _PANEL_A["p"],
+            "m": _PANEL_A["m"],
+            "n": _PANEL_A["n"],
+            "analytic": rep.analytic,
+            "estimate": rep.estimate,
+            "std_error": rep.std_error,
+            "z_score": rep.z_score,
+        }
         for plan, rep in zip(plans, reports)
     ]
 
 
-def _panel_b_rows() -> list:
+def _panel_b_rows() -> list[dict]:
     rows = []
     for x in _PANEL_B["log10_n"]:
         n = max(1, round(10.0**x))
@@ -98,28 +99,28 @@ def _panel_b_rows() -> list:
             ScreeningConfig(k=_PANEL_B["k"], p=_PANEL_B["p"], n=n, m=_PANEL_B["m"])
         )
         rows.append(
-            (
-                n,
-                risk.per_person_q,
-                risk.prob_at_least_one,
-                risk.lower_bound,
-                risk.upper_bound,
-                risk.log_complement,
-            )
+            {
+                "n": n,
+                "q": risk.per_person_q,
+                "prob": risk.prob_at_least_one,
+                "lower": risk.lower_bound,
+                "upper": risk.upper_bound,
+                "log_complement": risk.log_complement,
+            }
         )
     return rows
 
 
-def _panel_c_rows() -> list:
+def _panel_c_rows() -> list[dict]:
     cfg = _PANEL_C
     model = GrowthModel(k0=cfg["k0"], gamma=cfg["gamma"], p=cfg["p"])
     steps = round(cfg["t_max"] / cfg["t_step"])
     times = [j * cfg["t_step"] for j in range(steps + 1)]
     series = unreliability_series(model, cfg["m"], cfg["n"], times)
-    return [(pt.t, pt.lam, pt.q, pt.expected, pt.prob) for pt in series]
+    return [asdict(pt) for pt in series]
 
 
-def _panel_d_rows() -> list:
+def _panel_d_rows() -> list[dict]:
     cfg = _PANEL_D
     rows = []
     for k in cfg["k_values"]:
@@ -132,15 +133,15 @@ def _panel_d_rows() -> list:
         risk = cohort_system_risk(profile, k=k, m=cfg["m"])
         by_label = {g.label: g for g in risk.groups}
         rows.append(
-            (
-                k,
-                by_label["low"].lam,
-                by_label["high"].lam,
-                by_label["low"].q,
-                by_label["high"].q,
-                disparity_ratio(cfg["p_low"], cfg["p_high"], k=k, m=cfg["m"]),
-                by_label["high"].share,
-            )
+            {
+                "k": k,
+                "lam_low": by_label["low"].lam,
+                "lam_high": by_label["high"].lam,
+                "q_low": by_label["low"].q,
+                "q_high": by_label["high"].q,
+                "ratio": disparity_ratio(cfg["p_low"], cfg["p_high"], k=k, m=cfg["m"]),
+                "share_high": by_label["high"].share,
+            }
         )
     return rows
 
@@ -166,18 +167,14 @@ def figure_panels(
                 "system false-alert probability vs attribute count",
                 f"fixed p={_PANEL_A['p']}, m={_PANEL_A['m']}, n={_PANEL_A['n']}; "
                 f"Monte Carlo mode={_PANEL_A['mode']} at runs per point below",
-                "columns: k, lam, m, n, analytic, estimate, std_error, z_score",
             ],
-            ["k", "lam", "m", "n", "analytic", "estimate", "std_error", "z_score"],
             _panel_a_rows(runs, seed, workers),
         ),
         "panel_b.csv": (
             [
                 "system false-alert probability vs population size",
                 f"fixed k={_PANEL_B['k']}, p={_PANEL_B['p']}, m={_PANEL_B['m']}",
-                "columns: n, q, prob, lower, upper, log_complement",
             ],
-            ["n", "q", "prob", "lower", "upper", "log_complement"],
             _panel_b_rows(),
         ),
         "panel_c.csv": (
@@ -185,9 +182,7 @@ def figure_panels(
                 "unreliability vs time under geometric attribute growth",
                 f"k0={_PANEL_C['k0']}, gamma={_PANEL_C['gamma']}, p={_PANEL_C['p']}, "
                 f"m={_PANEL_C['m']}, n={_PANEL_C['n']}",
-                "columns: t, lam, q, expected, prob",
             ],
-            ["t", "lam", "q", "expected", "prob"],
             _panel_c_rows(),
         ),
         "panel_d.csv": (
@@ -195,16 +190,15 @@ def figure_panels(
                 "two-group disparity vs shared attribute count",
                 f"p_low={_PANEL_D['p_low']}, p_high={_PANEL_D['p_high']}, "
                 f"m={_PANEL_D['m']}, group_size={_PANEL_D['group_size']}",
-                "columns: k, lam_low, lam_high, q_low, q_high, ratio, share_high",
             ],
-            ["k", "lam_low", "lam_high", "q_low", "q_high", "ratio", "share_high"],
             _panel_d_rows(),
         ),
     }
 
     checksums: dict[str, str] = {}
-    for name, (comments, header, rows) in panel_specs.items():
-        checksums[name] = write_text(out / name, render_csv(comments, header, rows))
+    for name, (comments, rows) in panel_specs.items():
+        text = render_csv([*comments, f"columns: {', '.join(rows[0])}"], rows)
+        checksums[name] = write_text(out / name, text)
 
     from . import __version__
 

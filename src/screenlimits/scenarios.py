@@ -48,7 +48,7 @@ from .simulate import (
     simulate_system,
 )
 from .system import ScreeningConfig, phase_scan, system_risk
-from .tableio import format_cell, render_csv, render_json, write_artifact
+from .tableio import format_cell, render_rows, write_artifact
 from .tails import log_poisson_tail, poisson_tail, tail_estimate, threshold_for_ratio
 
 __all__ = [
@@ -396,22 +396,15 @@ def render_result(scenario: Scenario, result: ScenarioResult, fmt: str) -> str:
     """Render a result as CSV (with comment headers) or pretty JSON."""
     if fmt not in _FORMATS:
         raise SchemaError(f"format must be one of {_FORMATS}, got {fmt!r}")
-    header = list(result.rows[0])
-    rows = [list(row.values()) for row in result.rows]
-    if fmt == "json":
-        return render_json(
-            {
-                "name": scenario.name,
-                "kind": scenario.kind,
-                "parameters": result.parameters,
-                "columns": header,
-                "rows": rows,
-                "summary": result.summary,
-            }
-        )
     comments = [f"scenario: {scenario.name}", f"kind: {scenario.kind}", *result.comments]
     comments += [f"{key} = {format_cell(value)}" for key, value in result.summary.items()]
-    return render_csv(comments, header, rows)
+    head = {
+        "name": scenario.name,
+        "kind": scenario.kind,
+        "parameters": result.parameters,
+        "summary": result.summary,
+    }
+    return render_rows(fmt, result.rows, comments, head)
 
 
 def run_scenario(

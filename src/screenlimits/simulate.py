@@ -14,7 +14,6 @@ taking chunks from one queue. A plan of one chunk never uses a thread.
 Modes:
     binomial-exact     draw the k-attribute match count per individual
     poisson-approx     draw Poisson counts (or Binomial(n, q) at system level)
-    analytic-composite one Bernoulli(1 - (1-q)^n) per trial, for huge n
     copula-correlated  correlated attributes via a latent Gaussian copula
 
 Person poisson-approx, for 0 < k p <= 30 and 1 <= m <= k p + 10 sqrt(k p + 1),
@@ -64,7 +63,6 @@ from .tails import binomial_tail, poisson_tail
 __all__ = [
     "MODE_BINOMIAL",
     "MODE_POISSON",
-    "MODE_COMPOSITE",
     "MODE_COPULA",
     "SimPlan",
     "SimReport",
@@ -79,10 +77,9 @@ __all__ = [
 
 MODE_BINOMIAL = "binomial-exact"
 MODE_POISSON = "poisson-approx"
-MODE_COMPOSITE = "analytic-composite"
 MODE_COPULA = "copula-correlated"
 
-_MODES = (MODE_BINOMIAL, MODE_POISSON, MODE_COMPOSITE, MODE_COPULA)
+_MODES = (MODE_BINOMIAL, MODE_POISSON, MODE_COPULA)
 
 # Fixed trial chunk size; part of the determinism contract.
 _CHUNK = 8192
@@ -411,6 +408,11 @@ def _map_tasks(fn, items: list[tuple], workers: int) -> list:
     return out
 
 
+def _count(plan: SimPlan, chunk: int, workers: int, tally) -> list:
+    """[tally(j, size) for each chunk j of the plan's runs], in chunk order."""
+    return _map_tasks(tally, list(enumerate(_chunk_sizes(plan.runs, chunk))), workers)
+
+
 def _finish(alerts: int, plan: SimPlan, analytic: float) -> SimReport:
     estimate = alerts / plan.runs
     se = sqrt(estimate * (1.0 - estimate) / plan.runs)
@@ -441,12 +443,11 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
             f"per-person simulation supports {MODE_BINOMIAL!r} and "
             f"{MODE_POISSON!r}, got {plan.mode!r}"
         )
-    sizes = _chunk_sizes(plan.runs, _CHUNK)
     if plan.mode == MODE_BINOMIAL:
         analytic = binomial_tail(plan.k, plan.p, plan.m)
         cuts = _inversion_cuts(plan.k, plan.p, plan.m)
 
-        def worker(j: int, size: int) -> int:
+        def tally(j: int, size: int) -> int:
             return int(_binomial_alerts(plan.seed, j, plan.k, plan.p, plan.m, size, cuts).sum())
 
     else:
@@ -458,11 +459,10 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
         analytic = poisson_tail(lam, plan.m)
         cut = _poisson_cut(lam, plan.m)
 
-        def worker(j: int, size: int) -> int:
+        def tally(j: int, size: int) -> int:
             return int(_poisson_alerts(plan.seed, j, lam, plan.m, size, cut).sum())
 
-    alerts = sum(_map_tasks(worker, list(enumerate(sizes)), workers))
-    return _finish(alerts, plan, analytic)
+    return _finish(sum(_count(plan, _CHUNK, workers, tally)), plan, analytic)
 
 
 def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
@@ -470,9 +470,8 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
 
     binomial-exact simulates every individual's match count directly and is
     budget-capped at 1e9 individual draws; poisson-approx draws the alert
-    count as Binomial(n, q_poisson) per trial; analytic-composite draws one
-    Bernoulli(1 - (1-q)^n) per trial and is the intended route for n beyond
-    the exact budget.
+    count as Binomial(n, q_poisson), one value per trial, and is the route
+    for n beyond the exact budget.
     """
     if plan.mode == MODE_COPULA:
         raise DomainError("use simulate_correlated for copula plans")
@@ -482,38 +481,23 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
             raise BudgetError(
                 f"exact mode needs n*runs = {total_draws:.2e} individual "
                 f"draws (> {_DRAW_BUDGET:.0e}); reduce runs or use "
-                f"mode={MODE_COMPOSITE!r}"
+                f"mode={MODE_POISSON!r}"
             )
         q = binomial_tail(plan.k, plan.p, plan.m)
-        analytic, _ = system_probability(q, plan.n)
+        # each run is a row of n individuals, about 2M draws per chunk
+        law, row = (plan.k, plan.p, plan.m), (plan.n,)
         chunk = max(1, min(_CHUNK, (1 << 21) // plan.n))
-        sizes = _chunk_sizes(plan.runs, chunk)
-        cuts = _inversion_cuts(plan.k, plan.p, plan.m)
-
-        def worker(j: int, size: int) -> int:
-            shape = (size, plan.n)
-            return int(_binomial_alerts(plan.seed, j, plan.k, plan.p, plan.m, shape, cuts).sum())
-
-    elif plan.mode == MODE_POISSON:
+    else:
+        # each run draws its alert count as Bin(n, q) and alerts when it is >= 1
         q = poisson_tail(as_float("k", plan.k) * plan.p, plan.m)
-        analytic, _ = system_probability(q, plan.n)
-        sizes = _chunk_sizes(plan.runs, _CHUNK)
-        cuts = _inversion_cuts(plan.n, q, 1)
+        law, row, chunk = (plan.n, q, 1), (), _CHUNK
+    analytic, _ = system_probability(q, plan.n)
+    cuts = _inversion_cuts(*law)
 
-        def worker(j: int, size: int) -> int:
-            return int(_binomial_alerts(plan.seed, j, plan.n, q, 1, size, cuts).sum())
+    def tally(j: int, size: int) -> int:
+        return int(_binomial_alerts(plan.seed, j, *law, (size, *row), cuts).sum())
 
-    else:  # MODE_COMPOSITE
-        q = binomial_tail(plan.k, plan.p, plan.m)
-        analytic, _ = system_probability(q, plan.n)
-        sizes = _chunk_sizes(plan.runs, _CHUNK)
-
-        def worker(j: int, size: int) -> int:
-            rng = _chunk_rng(plan.seed, j)
-            return int((rng.random(size) < analytic).sum())
-
-    alerts = sum(_map_tasks(worker, list(enumerate(sizes)), workers))
-    return _finish(alerts, plan, analytic)
+    return _finish(sum(_count(plan, chunk, workers, tally)), plan, analytic)
 
 
 def _latent_counts(
@@ -570,35 +554,17 @@ def simulate_correlated(
     threshold = float(ndtri(plan.p))
     analytic = binomial_tail(plan.k, plan.p, plan.m)
     chunk = max(1, min(4096, (1 << 20) // plan.k))
-    sizes = _chunk_sizes(plan.runs, chunk)
 
-    def worker(j: int, size: int) -> tuple[int, int, int]:
-        rng = _chunk_rng(plan.seed, j)
-        counts = _latent_counts(rng, size, plan.k, threshold, corr)
-        return (
-            int((counts >= plan.m).sum()),
-            int(counts.sum()),
-            int((counts * counts).sum()),
-        )
+    def tally(j: int, size: int) -> tuple[int, int, int]:
+        counts = _latent_counts(_chunk_rng(plan.seed, j), size, plan.k, threshold, corr)
+        return int((counts >= plan.m).sum()), int(counts.sum()), int((counts * counts).sum())
 
-    parts = _map_tasks(worker, list(enumerate(sizes)), workers)
-    alerts = sum(part[0] for part in parts)
-    total = sum(part[1] for part in parts)
-    total_sq = sum(part[2] for part in parts)
+    alerts, total, total_sq = map(sum, zip(*_count(plan, chunk, workers, tally)))
     base = _finish(alerts, plan, analytic)
     n_tr = plan.runs
     mean_count = total / n_tr
     var_count = (total_sq - n_tr * mean_count * mean_count) / (n_tr - 1) if n_tr > 1 else 0.0
-    return CorrelatedSimReport(
-        estimate=base.estimate,
-        std_error=base.std_error,
-        runs=base.runs,
-        analytic=base.analytic,
-        abs_error=base.abs_error,
-        z_score=base.z_score,
-        mean_count=mean_count,
-        count_variance=var_count,
-    )
+    return CorrelatedSimReport(**vars(base), mean_count=mean_count, count_variance=var_count)
 
 
 def measure_binary_correlation(

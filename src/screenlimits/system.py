@@ -11,7 +11,7 @@ of the population-size phase transition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, expm1, log1p, pi, sqrt
+from math import exp, expm1, inf, isfinite, log1p, pi, sqrt
 
 from .errors import DomainError, RangeOverflowError, as_float, check_int, check_positive, check_unit
 from .tails import chernoff_upper, poisson_tail, rate_function, robbins_lower, threshold_for_ratio
@@ -170,14 +170,24 @@ def system_risk(config: ScreeningConfig) -> SystemRisk:
 
 
 def critical_population(lam: float, c: float) -> CriticalPopulation:
-    """Critical population scales for a tail operating point (lam, c > 1)."""
+    """Critical population scales for a tail operating point (lam, c > 1).
+
+    Raises:
+        RangeOverflowError: If the refined scale, the largest, overflows a double.
+    """
     check_positive("lam", lam)
     if not (c > 1.0):
         raise DomainError(f"critical population needs c > 1, got {c}")
     exponent = lam * rate_function(c)
+    try:
+        refined = sqrt(2.0 * pi * c * lam) * exp(exponent + 1.0 / (12.0 * c * lam))
+    except OverflowError:
+        refined = inf
+    if not isfinite(refined):
+        raise RangeOverflowError(f"critical population overflows a double at lam={lam}, c={c}")
     growth = exp(exponent)
     return CriticalPopulation(
-        refined=sqrt(2.0 * pi * c * lam) * exp(exponent + 1.0 / (12.0 * c * lam)),
+        refined=refined,
         sqrt_lambda_scale=sqrt(lam) * growth,
         rough_scale=growth,
         exponent=exponent,

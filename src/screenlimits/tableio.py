@@ -17,6 +17,7 @@ __all__ = [
     "format_cell",
     "render_csv",
     "render_json",
+    "render_rows",
     "write_text",
     "write_json",
     "write_artifact",
@@ -34,21 +35,30 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def render_csv(comments: list[str], header: list[str], rows: list) -> str:
-    """CSV text with '#' comment lines, a header row, and data rows."""
+def render_csv(comments: list[str], rows: list[dict]) -> str:
+    """CSV text: '#' comment lines, the first row's keys as header, the rows."""
     buf = io.StringIO()
     for line in comments:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([format_cell(v) for v in row])
+        writer.writerow([format_cell(v) for v in row.values()])
     return buf.getvalue()
 
 
 def render_json(payload) -> str:
     """Sorted, two-space-indented JSON text with a trailing newline."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def render_rows(fmt: str, rows: list[dict], comments: list[str], head: dict) -> str:
+    """Rows that map the same columns: CSV under `comments`, or the JSON
+    object {**head, "columns": [...], "rows": [[...], ...]}."""
+    if fmt == "json":
+        values = [list(row.values()) for row in rows]
+        return render_json({**head, "columns": list(rows[0]), "rows": values})
+    return render_csv(comments, rows)
 
 
 def write_text(path: Path, text: str) -> str:

@@ -17,12 +17,14 @@ Everything here is scalar math on floats; no arrays, no state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, exp, expm1, fsum, isfinite, lgamma, log, log1p, pi, sqrt
+from math import ceil, comb, exp, expm1, fsum, inf, isfinite, lgamma, log, log1p, pi, sqrt
 from sys import float_info
 
 from scipy.special import gammainc
 
-from .errors import BudgetError, DomainError, as_float, check_int, check_positive, check_unit
+from .errors import (
+    BudgetError, DomainError, RangeOverflowError, as_float, check_int, check_positive, check_unit,
+)
 
 __all__ = [
     "TailEstimate",
@@ -96,13 +98,14 @@ def rate_function(c: float) -> float:
     exponential decay rate of Pr(Pois(lam) >= c*lam) for c > 1.
 
     Args:
-        c: Positive ratio of threshold to mean.
+        c: Positive ratio of threshold to mean; inf gives the limit inf.
 
     Raises:
         DomainError: If c <= 0.
     """
     check_positive("c", c)
-    return c * log(c) - c + 1.0
+    # at c = inf, c ln c - c would read inf - inf
+    return inf if c == inf else c * log(c) - c + 1.0
 
 
 def poisson_tail(lam: float, m: int) -> float:
@@ -238,7 +241,11 @@ def robbins_lower(lam: float, c: float) -> float:
 
 
 def tail_estimate(lam: float, m: int) -> TailEstimate:
-    """Exact tail plus both sandwich bounds at an integer threshold m > lam."""
+    """Exact tail plus both sandwich bounds at an integer threshold m > lam.
+
+    Raises:
+        RangeOverflowError: If c = m / lam, and so lam D(c), overflows a double.
+    """
     check_positive("lam", lam)
     check_int("threshold m", m, 0)
     if not (m > lam):
@@ -246,6 +253,8 @@ def tail_estimate(lam: float, m: int) -> TailEstimate:
             f"sandwich bounds exist only for m > lam, got m={m}, lam={lam}"
         )
     c = as_float("threshold m", m) / lam
+    if c == inf:
+        raise RangeOverflowError(f"ratio c = m / lam overflows a double: m={m}, lam={lam}")
     return TailEstimate(
         exact=poisson_tail(lam, m),
         chernoff_upper=chernoff_upper(lam, m),

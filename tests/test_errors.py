@@ -42,7 +42,12 @@ from screenlimits.simulate import (
     simulate_per_person,
     simulate_system,
 )
-from screenlimits.system import ScreeningConfig, system_probability, system_risk
+from screenlimits.system import (
+    ScreeningConfig,
+    critical_population,
+    system_probability,
+    system_risk,
+)
 from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
@@ -170,6 +175,19 @@ HUGE_INTEGERS = {
 @pytest.mark.parametrize("call", HUGE_INTEGERS.values(), ids=HUGE_INTEGERS)
 def test_integers_beyond_the_double_range_overflow_cleanly(call):
     with pytest.raises(RangeOverflowError, match="exceeds the double range"):
+        call()
+
+
+# finite inputs whose result does not fit a double
+OVERFLOWING_RESULTS = {
+    "critical_population": lambda: critical_population(1e4, 3.0),
+    "disparity_ratio": lambda: disparity_ratio(1e-6, 0.5, 10**4, 4000),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWING_RESULTS.values(), ids=OVERFLOWING_RESULTS)
+def test_results_beyond_the_double_range_overflow_cleanly(call):
+    with pytest.raises(RangeOverflowError, match="overflows a double"):
         call()
 
 

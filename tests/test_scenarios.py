@@ -188,6 +188,41 @@ class TestExitCodes:
         assert lines[0].startswith("error[domain]:")
 
     @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("bayes", {**VALID["bayes"]["parameters"], "q": 5e-324}),
+            ("bayes", {**VALID["bayes"]["parameters"], "q": 1e-320}),
+            ("tail", {"lambda": 5e-324, "m": 15}),
+        ],
+        ids=["bayes-q-underflows", "bayes-n-crit-inf", "tail-ratio-inf"],
+    )
+    def test_subnormal_input_is_three(self, command, params, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": command, "parameters": params})
+        assert main([command, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[domain]:")
+
+    def test_subnormal_p_bounds_are_numbers(self, tmp_path, capsys):
+        doc = {"kind": "system", "parameters": {**VALID["system"]["parameters"], "p": 5e-324}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["system", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        header, row = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert dict(zip(header, row))["lower"] == "0.0"
+
+    def test_retired_mode_is_three(self, tmp_path, capsys):
+        params = {**VALID["simulate"]["parameters"], "mode": "analytic-composite"}
+        cfg = write_config(tmp_path, {"kind": "simulate", "parameters": params})
+        assert main(["simulate", "--config", cfg]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[domain]: mode must be one of")
+
+    @pytest.mark.parametrize(
         "params",
         [
             {"k": 1e300, "p": 0.01, "c": 2.0, "k_eff": 10.0},
@@ -261,7 +296,7 @@ class TestExitCodes:
 
 
 # One numeric parameter of a valid config gets one of these values.
-FUZZ_VALUES = (0, -1, 1e-300, 1e300, 10**300, 0.5, 2)
+FUZZ_VALUES = (0, -1, 1e-300, 5e-324, 1e300, 10**300, 0.5, 2)
 
 
 def _numeric_paths(node, path=()):
@@ -296,8 +331,10 @@ FUZZ_SLOTS = [
 ]
 
 
+# Every (slot, value) pair, 52 x 8: hypothesis draws no pair twice, so this
+# many examples reach each of them.
 @settings(
-    max_examples=400,
+    max_examples=len(FUZZ_SLOTS) * len(FUZZ_VALUES),
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],

@@ -5,6 +5,7 @@ import statistics
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from screenlimits.datasets import figure_panels
 from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
 from screenlimits.simulate import (
     MODE_BINOMIAL,
-    MODE_COMPOSITE,
     MODE_COPULA,
     MODE_POISSON,
     LatentCorrelation,
@@ -89,13 +89,6 @@ class TestSystem:
         assert 0.3 < rep.estimate < 0.8
         assert within_3se(rep)
 
-    def test_composite_mode(self):
-        cfg = ScreeningConfig(k=200, p=0.01, n=50, m=6)
-        plan = SimPlan.for_config(cfg, runs=20000, seed=5, mode=MODE_COMPOSITE)
-        rep = simulate_system(plan)
-        assert 0.3 < rep.estimate < 0.8
-        assert within_3se(rep)
-
     def test_single_person_system_matches_per_person(self):
         plan = SimPlan(k=30, p=0.1, m=6, n=1, runs=10**4, seed=99, mode=MODE_BINOMIAL)
         as_system = simulate_system(plan)
@@ -103,7 +96,7 @@ class TestSystem:
         assert as_system.estimate == as_person.estimate
         assert as_system.analytic == pytest.approx(as_person.analytic, rel=1e-12)
 
-    @pytest.mark.parametrize("mode", [MODE_BINOMIAL, MODE_POISSON, MODE_COMPOSITE])
+    @pytest.mark.parametrize("mode", [MODE_BINOMIAL, MODE_POISSON])
     def test_analytic_is_system_probability(self, mode):
         plan = SimPlan(k=100, p=0.01, m=3, n=40, runs=100, seed=1, mode=mode)
         tail = poisson_tail(1.0, 3) if mode == MODE_POISSON else binomial_tail(100, 0.01, 3)
@@ -116,12 +109,14 @@ class TestSystem:
         with pytest.raises(BudgetError):
             simulate_system(plan)
 
-    def test_budget_does_not_gate_composite(self):
-        plan = SimPlan(
-            k=100, p=0.01, m=5, n=10**6, runs=10**6, seed=0, mode=MODE_COMPOSITE
-        )
-        rep = simulate_system(plan)
+    def test_budget_error_names_the_poisson_route(self):
+        exact = SimPlan(k=100, p=0.01, m=5, n=10**6, runs=10**4, seed=0, mode=MODE_BINOMIAL)
+        with pytest.raises(BudgetError, match="mode='poisson-approx'"):
+            simulate_system(exact)
+        rep = simulate_system(replace(exact, mode=MODE_POISSON))
+        assert rep.runs == 10**4
         assert rep.estimate == pytest.approx(1.0)
+        assert rep.analytic == system_probability(poisson_tail(1.0, 5), 10**6)[0]
 
 
 class TestDeterminism:

@@ -68,6 +68,10 @@ class TestRateFunction:
             with pytest.raises(DomainError):
                 rate_function(bad)
 
+    def test_limit_at_infinity(self):
+        # m / lam past the double range: the bounds fall to 0, not nan
+        assert rate_function(math.inf) == math.inf
+
     def test_derivative_is_log(self):
         h = 1e-6
         for c in (0.3, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0):
@@ -90,6 +94,10 @@ class TestPoissonTail:
 
     def test_total_mass_at_zero(self):
         assert poisson_tail(5.0, 0) == 1.0
+
+    def test_subnormal_mean_rounds_to_zero(self):
+        # m / lam is inf here, and the tail ~1e-4664 rounds to 0.0
+        assert poisson_tail(1e-310, 15) == 0.0
 
     def test_cohort_values(self):
         assert poisson_tail(2.0, 3) == pytest.approx(0.323, abs=1e-3)
