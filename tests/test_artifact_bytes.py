@@ -3,11 +3,12 @@
 Every `--out` artifact of each scenario kind (CSV and JSON, each with its
 `<name>.manifest.json`), of `golden` and of `figures --runs 5000 --seed 0`
 is pinned by hash, so a refactor of the scenario, rendering or manifest code
-must leave every byte unchanged. Some configs take a second branch of their
-kind (a ratio threshold, a threshold below the mean, an analytic-only
-lifetime, each effective-dimension source, each simulation target, and
-each of numpy's binomial samplers: inversion, BTPE past a mean of 30, and
-the p > 0.5 reflection).
+must leave every byte unchanged. Each set is also written over stale files,
+longer and shorter than every artifact, and must come out the same. Some
+configs take a second branch of their kind (a ratio threshold, a threshold
+below the mean, an analytic-only lifetime, each effective-dimension source,
+each simulation target, and each of numpy's binomial samplers: inversion,
+BTPE past a mean of 30, and the p > 0.5 reflection).
 
 Recorded with numpy 2.4.6 and scipy 1.17.1 on CPython 3.11. A numpy or
 scipy upgrade that moves the last digit of a kernel may change a hash; such
@@ -312,6 +313,11 @@ EXPECTED_FIGURES = {
 }
 
 
+# Junk written over every output path, manifests included, before a rerun:
+# longer than any artifact (the writer must cut it) or shorter than every one.
+STALE = {"longer": b"stale bytes\n" * 8192, "shorter": b"stale\n"}
+
+
 def _digests(directory) -> dict[str, str]:
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -319,24 +325,58 @@ def _digests(directory) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_scenario_artifacts(case, tmp_path, capsys):
+def _fill_stale(directory, names, stale):
+    directory.mkdir()
+    for name in names:
+        (directory / name).write_bytes(STALE[stale])
+
+
+def _assert_rewritten(directory, expected):
+    assert _digests(directory) == expected
+    sizes = [path.stat().st_size for path in directory.iterdir()]
+    assert len(STALE["shorter"]) < min(sizes) and max(sizes) < len(STALE["longer"])
+
+
+def _write_scenario(case, tmp_path, out):
     command, parameters, extra = CASES[case]
     config = tmp_path / "config.json"
     kind = "phase" if command == "phase-scan" else command
     config.write_text(json.dumps({"name": case, "kind": kind, "parameters": parameters}))
-    out = tmp_path / "out"
     for fmt in ("csv", "json"):
         argv = [command, "--config", str(config), "--format", fmt, "--out", str(out / f"{case}.{fmt}")]
         assert main(argv + list(extra)) == 0
+
+
+def _write_golden(out):
+    for fmt in ("csv", "json"):
+        assert main(["golden", "--format", fmt, "--out", str(out / f"golden.{fmt}")]) == 1
+
+
+def _write_figures(out):
+    assert main(["figures", "--out", str(out), "--runs", "5000", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_scenario_artifacts(case, tmp_path, capsys):
+    out = tmp_path / "out"
+    _write_scenario(case, tmp_path, out)
     capsys.readouterr()
     assert _digests(out) == EXPECTED[case]
 
 
+@pytest.mark.parametrize("stale", sorted(STALE))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_scenario_artifacts_over_stale_files(case, stale, tmp_path, capsys):
+    out = tmp_path / "out"
+    _fill_stale(out, EXPECTED[case], stale)
+    _write_scenario(case, tmp_path, out)
+    capsys.readouterr()
+    _assert_rewritten(out, EXPECTED[case])
+
+
 def test_golden_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
-    for fmt in ("csv", "json"):
-        assert main(["golden", "--format", fmt, "--out", str(out / f"golden.{fmt}")]) == 1
+    _write_golden(out)
     capsys.readouterr()
     with (out / "golden.csv").open(newline="") as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
@@ -344,8 +384,26 @@ def test_golden_artifacts(tmp_path, capsys):
     assert _digests(out) == EXPECTED_GOLDEN
 
 
+@pytest.mark.parametrize("stale", sorted(STALE))
+def test_golden_artifacts_over_stale_files(stale, tmp_path, capsys):
+    out = tmp_path / "out"
+    _fill_stale(out, EXPECTED_GOLDEN, stale)
+    _write_golden(out)
+    capsys.readouterr()
+    _assert_rewritten(out, EXPECTED_GOLDEN)
+
+
 def test_figure_artifacts(tmp_path, capsys):
     out = tmp_path / "figures"
-    assert main(["figures", "--out", str(out), "--runs", "5000", "--seed", "0"]) == 0
+    _write_figures(out)
     capsys.readouterr()
     assert _digests(out) == EXPECTED_FIGURES
+
+
+@pytest.mark.parametrize("stale", sorted(STALE))
+def test_figure_artifacts_over_stale_files(stale, tmp_path, capsys):
+    out = tmp_path / "figures"
+    _fill_stale(out, EXPECTED_FIGURES, stale)
+    _write_figures(out)
+    capsys.readouterr()
+    _assert_rewritten(out, EXPECTED_FIGURES)

@@ -294,6 +294,29 @@ class TestExitCodes:
         if code:
             assert errors[0].startswith({3: "error[domain]:", 4: "error[budget]:"}[code])
 
+    @pytest.mark.parametrize(
+        "command, out, reason",
+        [
+            ("tail", "dir", "Is a directory"),
+            ("golden", "dir", "Is a directory"),
+            ("tail", "file/x.csv", "File exists"),
+            ("figures", "file", "File exists"),
+        ],
+        ids=["tail-into-dir", "golden-into-dir", "tail-below-file", "figures-into-file"],
+    )
+    def test_unwritable_out_is_two(self, command, out, reason, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("keep\n", encoding="utf-8")
+        argv = [command, "--out", str(tmp_path / out)]
+        if command == "tail":
+            argv += ["--config", write_config(tmp_path, VALID["tail"])]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[schema]: cannot write ")
+        assert lines[0].endswith(reason)
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "keep\n"
+
 
 # One numeric parameter of a valid config gets one of these values.
 FUZZ_VALUES = (0, -1, 1e-300, 5e-324, 1e300, 10**300, 0.5, 2)
