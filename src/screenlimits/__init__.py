@@ -18,11 +18,7 @@ from .bayes import (
     RegimeVerdict,
     bayes_critical_population,
     classify_regime,
-    likelihood_ratio,
-    posterior_odds,
     ppv,
-    ppv_exact,
-    prior_odds,
     sparse_ppv,
 )
 from .cohorts import (
@@ -31,7 +27,6 @@ from .cohorts import (
     CohortRisk,
     DominanceReport,
     GroupRisk,
-    amplification_window,
     cohort_system_risk,
     disparity_ratio,
     dominance_decomposition,
@@ -42,13 +37,9 @@ from .effdim import (
     SpatialCorrelation,
     TemporalCorrelation,
     adjusted_limits,
-    design_effect,
-    k_eff_from_design_effect,
     k_eff_spatial,
     k_eff_temporal,
-    k_eff_temporal_geometric,
     k_eff_temporal_rough,
-    variance_with_design_effect,
 )
 from .errors import (
     AlreadyUnreliableError,
@@ -78,8 +69,6 @@ from .simulate import (
     LatentCorrelation,
     SimPlan,
     SimReport,
-    latent_rho_for_binary,
-    measure_binary_correlation,
     simulate_correlated,
     simulate_per_person,
     simulate_system,
@@ -99,7 +88,6 @@ from .tails import (
     TailEstimate,
     binomial_tail,
     chernoff_upper,
-    lecam_bound,
     log_poisson_tail,
     overlap_probability,
     poisson_tail,

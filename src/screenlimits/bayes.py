@@ -1,4 +1,4 @@
-"""Posterior reliability of an alert: PPV, FDR, odds, and evidence regimes.
+"""Posterior reliability of an alert: PPV, FDR, and evidence regimes.
 
 An alert carries very different weight depending on how many innocent people
 can produce one. With r true positives in a population of n, per-person
@@ -27,11 +27,7 @@ __all__ = [
     "REGIME_TRANSITIONAL",
     "REGIME_COLLAPSED",
     "ppv",
-    "ppv_exact",
     "sparse_ppv",
-    "likelihood_ratio",
-    "prior_odds",
-    "posterior_odds",
     "bayes_critical_population",
     "classify_regime",
 ]
@@ -96,15 +92,6 @@ class RegimeVerdict:
     frequentist_reliable: bool
 
 
-def ppv_exact(pi: float, s: float, q: float) -> float:
-    """Exact Bayes PPV = s*pi / (s*pi + q*(1-pi)) for base rate pi."""
-    check_unit("pi", pi, "[0, 1]")
-    denom = s * pi + q * (1.0 - pi)
-    if denom == 0.0:
-        raise DomainError("no alerts possible: s*pi + q*(1-pi) = 0")
-    return s * pi / denom
-
-
 def sparse_ppv(rs: float, nq: float) -> float:
     """Sparse-regime approximation rs / (rs + nq)."""
     if not (rs >= 0.0 and nq >= 0.0):
@@ -129,28 +116,6 @@ def ppv(ctx: BayesContext) -> PosteriorSummary:
         fdr=ctx.q * (1.0 - pi) / denom,
         sparse_ppv=sparse_ppv(ctx.r * ctx.s, ctx.n * ctx.q),
     )
-
-
-def likelihood_ratio(s: float, q: float) -> float:
-    """Alert likelihood ratio s / q."""
-    check_positive("s", s)
-    check_positive("q", q)
-    return s / q
-
-
-def prior_odds(pi: float) -> float:
-    """Prior odds pi / (1 - pi); +inf at pi = 1 by convention."""
-    check_unit("pi", pi, "(0, 1]")
-    if pi == 1.0:
-        return inf
-    return pi / (1.0 - pi)
-
-
-def posterior_odds(lr: float, prior: float) -> float:
-    """Posterior odds = likelihood ratio times prior odds."""
-    check_positive("likelihood ratio", lr)
-    check_positive("prior odds", prior)
-    return lr * prior
 
 
 def bayes_critical_population(r: float, s: float, alpha: float, q: float) -> float:

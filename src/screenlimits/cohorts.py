@@ -10,9 +10,10 @@ quantifies the disparity between two match probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, expm1, log1p
+from math import exp, expm1
 
 from .errors import DomainError, RangeOverflowError, as_float, check_int, check_unit
+from .system import system_probability
 from .tails import log_poisson_tail, poisson_tail
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "cohort_system_risk",
     "dominance_decomposition",
     "disparity_ratio",
-    "amplification_window",
 ]
 
 
@@ -106,18 +106,19 @@ def _group_stats(profile: CohortProfile, k: int, m: int) -> list[tuple[CohortGro
     for g in profile.groups:
         lam = attributes * g.p
         q = poisson_tail(lam, m)
-        out.append((g, lam, q, g.size * q))
+        out.append((g, lam, q, as_float("group size", g.size) * q))
     return out
 
 
 def cohort_system_risk(profile: CohortProfile, k: int, m: int) -> CohortRisk:
-    """Exact cohort-wide false-alert probability with group breakdown."""
+    """Exact cohort-wide false-alert probability with group breakdown.
+
+    Each group's n_g ln(1 - q_g) comes from `system_probability`; a group
+    with q_g = 1 contributes -inf, so the result is exactly 1.0.
+    """
     stats = _group_stats(profile, k, m)
     total_mass = sum(mass for _, _, _, mass in stats)
-    if any(q >= 1.0 for _, _, q, _ in stats):
-        exact = 1.0
-    else:
-        exact = -expm1(sum(g.size * log1p(-q) for g, _, q, _ in stats))
+    exact = -expm1(sum(system_probability(q, g.size)[1] for g, _, q, _ in stats))
     rows = tuple(
         GroupRisk(
             label=g.label,
@@ -179,16 +180,3 @@ def disparity_ratio(p1: float, p2: float, k: int, m: int) -> float:
     except OverflowError:
         raise RangeOverflowError(f"disparity ratio e^{log_ratio:g} overflows a double") from None
 
-
-def amplification_window(p1: float, p2: float, m: int) -> tuple[float, float]:
-    """Attribute-count window (m/p2, m/p1) where group 2 is critical first.
-
-    Inside this k-window the higher-probability group has crossed its
-    analytic threshold (lam_2 >= m) while the lower one has not, so the
-    disparity between the groups is maximal.
-    """
-    if not (0.0 < p1 < p2 < 1.0):
-        raise DomainError(f"need 0 < p1 < p2 < 1, got p1={p1}, p2={p2}")
-    check_int("m", m, 1)
-    threshold = as_float("m", m)
-    return (threshold / p2, threshold / p1)

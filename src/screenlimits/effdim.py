@@ -2,9 +2,13 @@
 
 When the k per-person attributes are positively correlated, the variance of
 the match count inflates by a design effect and the information content drops
-to an effective number of independent attributes k_eff < k. All adjusted
-limits derived from k_eff are heuristic indications, not guaranteed bounds:
-the exponential forms are exact only for independent attributes.
+to an effective number of independent attributes k_eff < k. k_eff comes from
+a spatial region (area over correlation patch), from a serial autocorrelation
+(Bartlett-Wilks sum, or the long-memory shorthand k / (2 tau)), or is given
+directly; `adjusted_limits` recomputes the tail exponent and the critical
+population at it. All adjusted limits derived from k_eff are heuristic
+indications, not guaranteed bounds: the exponential forms are exact only for
+independent attributes.
 """
 
 from __future__ import annotations
@@ -22,12 +26,8 @@ __all__ = [
     "SpatialCorrelation",
     "TemporalCorrelation",
     "CorrelationAdjusted",
-    "design_effect",
-    "variance_with_design_effect",
-    "k_eff_from_design_effect",
     "k_eff_spatial",
     "k_eff_temporal",
-    "k_eff_temporal_geometric",
     "k_eff_temporal_rough",
     "adjusted_limits",
 ]
@@ -85,38 +85,6 @@ class CorrelationAdjusted:
     adjusted_n_crit: float
 
 
-def design_effect(rho_row_sums: list[float] | tuple[float, ...], k: int) -> float:
-    """DEFF = sum of off-diagonal correlations divided by k."""
-    check_int("k", k, 1)
-    if len(rho_row_sums) != k:
-        raise DomainError(f"need one row sum per observation, got {len(rho_row_sums)} for k={k}")
-    return sum(rho_row_sums) / k
-
-
-def variance_with_design_effect(k: int, p: float, deff: float) -> float:
-    """Var(Y) = k p (1-p) (1 + DEFF) for the correlated match count."""
-    check_int("k", k, 1)
-    check_unit("p", p)
-    _check_deff(deff)
-    return as_float("k", k) * p * (1.0 - p) * (1.0 + deff)
-
-
-def k_eff_from_design_effect(k: int, deff: float) -> float:
-    """Variance-matched effective sample size k / (1 + DEFF).
-
-    Nonnegative DEFF (nonnegative average correlation) implies k_eff <= k.
-    """
-    check_int("k", k, 1)
-    _check_deff(deff)
-    return as_float("k", k) / (1.0 + deff)
-
-
-def _check_deff(deff: float) -> None:
-    """Raise DomainError unless DEFF > -1, the range a variance allows."""
-    if not (deff > -1.0):
-        raise DomainError(f"DEFF must exceed -1, got {deff}")
-
-
 def k_eff_spatial(corr: SpatialCorrelation) -> float:
     """Spatial effective dimension A / (2 pi xi^2).
 
@@ -166,14 +134,6 @@ def k_eff_temporal(corr: TemporalCorrelation) -> float:
     if denom <= 1.0:
         return float(k)
     return k / denom
-
-
-def k_eff_temporal_geometric(k: int, tau: float) -> float:
-    """Closed geometric-sum form k (1 - e^{-1/tau}) / (1 + e^{-1/tau})."""
-    check_int("k", k, 1)
-    check_positive("tau", tau)
-    r = exp(-1.0 / tau)
-    return as_float("k", k) * (1.0 - r) / (1.0 + r)
 
 
 def k_eff_temporal_rough(k: int, tau: float) -> float:

@@ -23,7 +23,9 @@ exceeds a cut-off found once per plan. Outside that regime a chunk draws
 rng.poisson(k p) >= m. The exchangeable copula draws one shared normal s per
 run and the count as Bin(k, Phi((t - sqrt(rho) s) / sqrt(1 - rho))), the law
 of k latent threshold crossings given s; AR(1) draws all k latent normals.
-Both copula kinds count k draws per run against the draw budget.
+Both copula kinds count k draws per run against the draw budget, and both
+report the mean and variance of the count, whose excess over k p (1 - p) is
+the design effect of the binary correlation the latent rho induces.
 
 Binomial draws only ever feed an alert test count >= m. Where numpy samples
 the binomial by inversion (0 < p <= 1/2, n p <= 30), it reads one Philox
@@ -54,7 +56,6 @@ from .errors import (
     RangeOverflowError,
     as_float,
     check_int,
-    check_positive,
     check_unit,
 )
 from .system import ScreeningConfig, system_probability
@@ -71,8 +72,6 @@ __all__ = [
     "simulate_per_person",
     "simulate_system",
     "simulate_correlated",
-    "measure_binary_correlation",
-    "latent_rho_for_binary",
 ]
 
 MODE_BINOMIAL = "binomial-exact"
@@ -566,57 +565,3 @@ def simulate_correlated(
     var_count = (total_sq - n_tr * mean_count * mean_count) / (n_tr - 1) if n_tr > 1 else 0.0
     return CorrelatedSimReport(**vars(base), mean_count=mean_count, count_variance=var_count)
 
-
-def measure_binary_correlation(
-    k: int,
-    p: float,
-    corr: LatentCorrelation,
-    draws: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Empirical mean pairwise correlation of the binary indicators.
-
-    Moment-matched from a pilot sample: with Y the match count,
-    rho_bar = (Var(Y) - k p(1-p)) / (k (k-1) p(1-p)), using the empirical
-    p. This is the binary-scale correlation that feeds design_effect.
-    """
-    if k < 2:
-        raise DomainError("pairwise correlation needs k >= 2")
-    plan = SimPlan(k=k, p=p, m=k + 1, runs=draws, seed=seed, mode=MODE_COPULA)
-    rep = simulate_correlated(plan, corr)
-    p_hat = rep.mean_count / k
-    bern_var = p_hat * (1.0 - p_hat)
-    if bern_var == 0.0:
-        raise DomainError("pilot sample degenerate: empirical p is 0 or 1")
-    return (rep.count_variance - k * bern_var) / (k * (k - 1) * bern_var)
-
-
-def latent_rho_for_binary(
-    k: int,
-    p: float,
-    rho_binary: float,
-    draws: int = 100_000,
-    seed: int = 0,
-    tol: float = 0.005,
-) -> float:
-    """Latent exchangeable rho whose pilot-measured binary rho hits a target.
-
-    Plain bisection against measure_binary_correlation; the mapping is
-    monotone. Accuracy is limited by pilot noise, hence the loose default
-    tolerance.
-    """
-    check_unit("target binary rho", rho_binary)
-    check_positive("tol", tol)
-    lo, hi = 0.0, 0.999
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        got = measure_binary_correlation(
-            k, p, LatentCorrelation(kind="exchangeable", rho=mid), draws, seed
-        )
-        if abs(got - rho_binary) <= tol:
-            return mid
-        if got < rho_binary:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -15,7 +15,10 @@ here fsyncs and no durability is promised: a write cut short leaves a torn
 artifact, which shows as a sha256 mismatch against its manifest.
 
 A path that cannot be created or written is a SchemaError, "cannot write
-<path>: <reason>", which the CLI reports as exit 2.
+<path>: <reason>", which the CLI reports as exit 2. So is an existing
+`write_artifact` target that is not a regular file (a directory, a device
+such as /dev/stdout, a pipe): its manifest would land beside it, under /dev
+for a device.
 """
 
 from __future__ import annotations
@@ -138,11 +141,18 @@ def write_artifact(
     The manifest records the scenario name and kind, the resolved
     parameters, the seed, the package version, the output's file name and
     the sha256 of its bytes. It is returned as written.
+
+    Raises:
+        SchemaError: If `out` exists and is not a regular file, before
+            anything is written.
     """
     from . import __version__
 
     out = Path(out)
     make_dir(out.parent)
+    # is_file first: a rerun into an existing artifact costs one stat
+    if not out.is_file() and out.exists():
+        raise SchemaError(f"cannot write {out}: not a regular file")
     digest = write_text(out, text)
     manifest = {
         "scenario": scenario,

@@ -9,7 +9,7 @@ statistic reaches a threshold m:
 * a Chernoff upper bound exp(-lambda * D(m/lambda)) and a Robbins-Stirling
   lower bound that sandwich the exact tail in the c > 1 regime,
 * the hypergeometric probability that a random s-subset hits a fixed t-subset
-  (list-overlap false match), and Le Cam's bound on the binomial-Poisson gap.
+  (list-overlap false match), in min(s, t) steps.
 
 Everything here is scalar math on floats; no arrays, no state.
 """
@@ -17,7 +17,7 @@ Everything here is scalar math on floats; no arrays, no state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, exp, expm1, fsum, inf, isfinite, lgamma, log, log1p, pi, sqrt
+from math import ceil, exp, expm1, fsum, inf, isfinite, lgamma, log, log1p, pi, sqrt
 from sys import float_info
 
 from scipy.special import gammainc
@@ -37,7 +37,7 @@ __all__ = [
     "robbins_lower",
     "tail_estimate",
     "overlap_probability",
-    "lecam_bound",
+    "threshold_for_ratio",
 ]
 
 # Relative truncation target for the log-space tail series.
@@ -46,7 +46,7 @@ _SERIES_RTOL = 1e-18
 # Most terms a tail series may sum before the kernel gives up with a
 # BudgetError: ~1-2 s of interpreter time. The log-space Poisson series at
 # lam = 1e12, m = lam + 1 needs 7.4e6 terms; the exact binomial sum needs
-# k - m + 1 terms.
+# k - m + 1 terms; the overlap product min(s, t).
 _MAX_TERMS = 10**7
 
 
@@ -267,27 +267,29 @@ def tail_estimate(lam: float, m: int) -> TailEstimate:
 def overlap_probability(inp: OverlapInput) -> float:
     """Probability a uniformly random s-subset intersects a fixed t-subset.
 
-    Complement of the hypergeometric zero-intersection term:
-    1 - prod_{l=0}^{s-1} (1 - t / (V - l)), accumulated in log space.
-    Returns exactly 1.0 when s > V - t (pigeonhole) and 0.0 when either
-    list is empty.
+    Complement of the hypergeometric zero-intersection term
+    C(V-t, s) / C(V, s) = C(V-s, t) / C(V, t), so the product
+    1 - prod_{l=0}^{min(s,t)-1} (1 - max(s, t) / (V - l)) runs over the
+    shorter list, accumulated in log space. Returns exactly 1.0 when
+    s > V - t (pigeonhole) and 0.0 when either list is empty.
+
+    Raises:
+        BudgetError: If min(s, t) exceeds _MAX_TERMS, before any term.
     """
     v, t, s = inp.domain_size, inp.person_items, inp.suspicious_items
     if t == 0 or s == 0:
         return 0.0
     if s > v - t:
         return 1.0
+    short, long = min(s, t), max(s, t)
+    if short > _MAX_TERMS:
+        raise BudgetError(
+            f"overlap product at s={s}, t={t} has {short} terms, more than {_MAX_TERMS:g}"
+        )
     log_miss = 0.0
-    for el in range(s):
-        log_miss += log1p(-t / (v - el))
+    for el in range(short):
+        log_miss += log1p(-long / (v - el))
     return -expm1(log_miss)
-
-
-def lecam_bound(k: int, p: float) -> float:
-    """Le Cam bound 2 k p^2 on total variation between Bin(k,p) and Pois(kp)."""
-    check_int("k", k, 0)
-    check_unit("p", p, "[0, 1]")
-    return 2.0 * as_float("k", k) * p * p
 
 
 def threshold_for_ratio(lam: float, c: float) -> int:
@@ -304,19 +306,3 @@ def threshold_for_ratio(lam: float, c: float) -> int:
     # the fuzz guard keeps a product landing on an integer from rounding up
     return int(ceil(target - 1e-9))
 
-
-def exact_overlap_fraction(v: int, t: int, s: int) -> float:
-    """Exact comb-based overlap probability 1 - C(V-t, s)/C(V, s).
-
-    Integer-combinatorics route; complements overlap_probability as an
-    independently computed cross-check for moderate V.
-    """
-    inp = OverlapInput(domain_size=v, person_items=t, suspicious_items=s)
-    if t == 0 or s == 0:
-        return 0.0
-    if s > v - t:
-        return 1.0
-    return 1.0 - comb(v - t, s) / comb(v, s)
-
-
-__all__ += ["threshold_for_ratio", "exact_overlap_fraction"]

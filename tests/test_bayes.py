@@ -1,4 +1,4 @@
-"""Posterior reliability: PPV, FDR, odds algebra, regimes."""
+"""Posterior reliability: PPV, FDR, sparse approximation, regimes."""
 
 import math
 import random
@@ -14,11 +14,7 @@ from screenlimits.bayes import (
     BayesContext,
     bayes_critical_population,
     classify_regime,
-    likelihood_ratio,
-    posterior_odds,
     ppv,
-    ppv_exact,
-    prior_odds,
     sparse_ppv,
 )
 from screenlimits.errors import DomainError
@@ -46,10 +42,9 @@ class TestComplementarity:
     )
     @settings(max_examples=300, deadline=None)
     def test_exact_quotients(self, pi, s, q):
-        p = ppv_exact(pi, s, q)
-        fdr = q * (1.0 - pi) / (s * pi + q * (1.0 - pi))
-        assert abs(p + fdr - 1.0) <= 1e-15
-        assert 0.0 <= p <= 1.0
+        post = ppv(BayesContext(r=pi * 10**9, s=s, alpha=0.5, q=q, n=10**9))
+        assert abs(post.ppv + post.fdr - 1.0) <= 1e-15
+        assert 0.0 <= post.ppv <= 1.0
 
 
 class TestWorkedExample:
@@ -61,40 +56,6 @@ class TestWorkedExample:
         post = ppv(ctx)
         assert post.ppv == pytest.approx(9.0 / 235.0, rel=0.01)
         assert post.sparse_ppv == pytest.approx(post.ppv, rel=0.001)
-
-    def test_odds_route_agrees(self):
-        q = poisson_tail(5.0, 15)
-        pi = 10.0 / 10**6
-        odds = posterior_odds(likelihood_ratio(0.9, q), prior_odds(pi))
-        assert odds == pytest.approx(0.0398, abs=0.0005)
-        assert odds / (1.0 + odds) == pytest.approx(0.0383, abs=0.0005)
-        assert odds / (1.0 + odds) == pytest.approx(ppv_exact(pi, 0.9, q), rel=1e-12)
-
-
-class TestOddsAlgebra:
-    def test_strong_evidence_example(self):
-        odds = posterior_odds(likelihood_ratio(1.0, 1e-12), prior_odds(1e-6))
-        assert odds == pytest.approx(1e6, rel=1e-5)
-
-    def test_unit_likelihood_ratio_preserves_prior(self):
-        prior = prior_odds(0.3)
-        assert posterior_odds(1.0, prior) == prior
-
-    def test_prior_odds_edge(self):
-        assert prior_odds(0.5) == pytest.approx(1.0, rel=1e-15)
-        assert prior_odds(1.0) == math.inf
-        with pytest.raises(DomainError):
-            prior_odds(0.0)
-
-    @given(
-        pi=st.floats(min_value=1e-9, max_value=0.99),
-        s=st.floats(min_value=0.01, max_value=1.0),
-        q=st.floats(min_value=1e-12, max_value=0.9),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_odds_and_quotient_agree(self, pi, s, q):
-        odds = posterior_odds(likelihood_ratio(s, q), prior_odds(pi))
-        assert odds / (1.0 + odds) == pytest.approx(ppv_exact(pi, s, q), rel=1e-12)
 
 
 class TestSparseApproximation:
@@ -111,11 +72,9 @@ class TestSparseApproximation:
             s = rng.uniform(0.1, 1.0)
             q = rng.uniform(1e-8, 1e-3)
             n = rng.randrange(10**5, 10**9)
-            pi = r / n
-            exact = ppv_exact(pi, s, q)
-            approx = sparse_ppv(r * s, n * q)
+            post = ppv(BayesContext(r=r, s=s, alpha=0.5, q=q, n=n))
             # the approximation drops a pi-sized term in the denominator
-            assert abs(exact - approx) <= 2.0 * pi + 1e-15
+            assert abs(post.ppv - post.sparse_ppv) <= 2.0 * r / n + 1e-15
 
     def test_critical_population_example(self):
         n_crit = bayes_critical_population(10.0, 0.9, 0.5, 2.26e-4)
@@ -201,13 +160,10 @@ class TestRegimes:
 
 class TestEdgesAndValidation:
     def test_certain_prior(self):
-        assert ppv_exact(1.0, 0.9, 0.3) == 1.0
+        assert ppv(BayesContext(r=100.0, s=0.9, alpha=0.5, q=0.3, n=100)).ppv == 1.0
 
     def test_zero_false_alerts(self):
-        assert ppv_exact(0.01, 0.9, 0.0) == 1.0
-
-    def test_zero_prior(self):
-        assert ppv_exact(0.0, 0.9, 0.3) == 0.0
+        assert ppv(BayesContext(r=1.0, s=0.9, alpha=0.5, q=0.0, n=100)).ppv == 1.0
 
     def test_context_validation(self):
         with pytest.raises(DomainError):
@@ -223,10 +179,6 @@ class TestEdgesAndValidation:
 
     def test_degenerate_quotients(self):
         with pytest.raises(DomainError):
-            ppv_exact(0.0, 0.9, 0.0)
-        with pytest.raises(DomainError):
             sparse_ppv(0.0, 0.0)
-        with pytest.raises(DomainError):
-            likelihood_ratio(0.9, 0.0)
         with pytest.raises(DomainError):
             bayes_critical_population(10.0, 0.9, 0.5, 0.0)

@@ -8,7 +8,6 @@ import pytest
 from screenlimits.cohorts import (
     CohortGroup,
     CohortProfile,
-    amplification_window,
     cohort_system_risk,
     disparity_ratio,
     dominance_decomposition,
@@ -212,20 +211,3 @@ class TestDisparity:
         with pytest.raises(DomainError):
             disparity_ratio(0.01, 0.01, k=100, m=3)
 
-
-class TestAmplificationWindow:
-    def test_reference_window(self):
-        lo, hi = amplification_window(0.005, 0.02, m=7)
-        assert lo == pytest.approx(350.0)
-        assert hi == pytest.approx(1400.0)
-
-    def test_endpoints_hit_thresholds(self):
-        lo, hi = amplification_window(0.005, 0.02, m=7)
-        assert lo * 0.02 == pytest.approx(7.0, rel=1e-12)
-        assert hi * 0.005 == pytest.approx(7.0, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            amplification_window(0.02, 0.005, m=7)
-        with pytest.raises(DomainError):
-            amplification_window(0.005, 0.02, m=0)

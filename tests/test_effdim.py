@@ -9,61 +9,26 @@ from screenlimits.effdim import (
     SpatialCorrelation,
     TemporalCorrelation,
     adjusted_limits,
-    design_effect,
-    k_eff_from_design_effect,
     k_eff_spatial,
     k_eff_temporal,
-    k_eff_temporal_geometric,
     k_eff_temporal_rough,
-    variance_with_design_effect,
 )
 from screenlimits import effdim
 from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
-from screenlimits.simulate import (
-    MODE_COPULA,
-    LatentCorrelation,
-    SimPlan,
-    latent_rho_for_binary,
-    simulate_correlated,
-)
+from screenlimits.simulate import MODE_COPULA, LatentCorrelation, SimPlan, simulate_correlated
 from screenlimits.tails import rate_function
+from test_simulate import binary_correlation
 
 
 class TestDesignEffect:
-    def test_independent(self):
-        assert design_effect([0.0, 0.0, 0.0], 3) == 0.0
-
-    def test_uniform_half(self):
-        # every off-diagonal correlation 0.5: row sums are each 1.0 at k=3
-        assert design_effect([1.0, 1.0, 1.0], 3) == pytest.approx(1.0, rel=1e-15)
-
-    def test_exchangeable(self):
-        # rho = 0.1 between all pairs at k = 10: each row sums to 0.9
-        k, rho = 10, 0.1
-        row = (k - 1) * rho
-        deff = design_effect([row] * k, k)
-        assert deff == pytest.approx(0.9, rel=1e-12)
-        assert k_eff_from_design_effect(k, deff) == pytest.approx(k / 1.9, rel=1e-12)
-
-    def test_variance_formula(self):
-        var = variance_with_design_effect(10, 0.2, 0.9)
-        assert var == pytest.approx(10 * 0.2 * 0.8 * 1.9, rel=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            design_effect([0.0], 2)
-        with pytest.raises(DomainError):
-            k_eff_from_design_effect(10, -1.0)
-        with pytest.raises(DomainError):
-            variance_with_design_effect(10, 0.0, 0.5)
-
     def test_simulated_variance_matches_design_effect(self):
         # draw correlated binary vectors and check the inflated variance
-        k, p, rho_binary = 10, 0.2, 0.1
-        latent = latent_rho_for_binary(k, p, rho_binary, draws=200_000, seed=3)
+        # Var(Y) = k p (1 - p) (1 + DEFF), DEFF = (k - 1) rho_binary
+        k, p, latent = 10, 0.2, 0.2
         plan = SimPlan(k=k, p=p, m=3, runs=200_000, seed=11, mode=MODE_COPULA)
         rep = simulate_correlated(plan, LatentCorrelation(kind="exchangeable", rho=latent))
-        predicted = variance_with_design_effect(k, p, (k - 1) * rho_binary)
+        deff = (k - 1) * binary_correlation(p, latent)
+        predicted = k * p * (1.0 - p) * (1.0 + deff)
         assert rep.count_variance == pytest.approx(predicted, rel=0.05)
 
 
@@ -111,13 +76,11 @@ class TestTemporal:
         k_eff = k_eff_temporal(TemporalCorrelation(k=100, tau=0.1))
         assert k_eff == pytest.approx(100.0, rel=0.01)
 
-    def test_geometric_form_tracks_full_sum(self):
-        # for tau well separated from both 1 and k the three forms agree
+    def test_rough_form_tracks_full_sum(self):
+        # for tau well separated from both 1 and k the two forms agree
         for k, tau in ((200, 5.0), (400, 10.0), (1000, 20.0)):
             full = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
-            geom = k_eff_temporal_geometric(k, tau)
             rough = k_eff_temporal_rough(k, tau)
-            assert geom == pytest.approx(full, rel=0.05), (k, tau)
             assert rough == pytest.approx(full, rel=0.20), (k, tau)
 
     def test_explicit_rho_matches_tau(self):

@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from screenlimits.bayes import BayesContext, ppv_exact, sparse_ppv
+from screenlimits.bayes import BayesContext, sparse_ppv
 from screenlimits.cohorts import (
     CohortGroup,
     CohortProfile,
-    amplification_window,
     cohort_system_risk,
     disparity_ratio,
     dominance_decomposition,
@@ -17,11 +16,7 @@ from screenlimits.datasets import figure_panels
 from screenlimits.effdim import (
     TemporalCorrelation,
     adjusted_limits,
-    design_effect,
-    k_eff_from_design_effect,
-    k_eff_temporal_geometric,
     k_eff_temporal_rough,
-    variance_with_design_effect,
 )
 from screenlimits.errors import DomainError, RangeOverflowError, ScreenLimitsError
 from screenlimits.lifetime import (
@@ -36,8 +31,6 @@ from screenlimits.simulate import (
     MODE_COPULA,
     LatentCorrelation,
     SimPlan,
-    latent_rho_for_binary,
-    measure_binary_correlation,
     simulate_correlated,
     simulate_per_person,
     simulate_system,
@@ -51,9 +44,8 @@ from screenlimits.system import (
 from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
-    exact_overlap_fraction,
-    lecam_bound,
     log_poisson_tail,
+    overlap_probability,
     poisson_tail,
     tail_estimate,
 )
@@ -74,11 +66,12 @@ INTEGER_ARGUMENTS = {
     "tail_estimate.m": lambda x: tail_estimate(5.0, x),
     "binomial_tail.k": lambda x: binomial_tail(x, 0.1, 3),
     "binomial_tail.m": lambda x: binomial_tail(10, 0.1, x),
-    "lecam_bound.k": lambda x: lecam_bound(x, 0.1),
     "OverlapInput.domain_size": lambda x: OverlapInput(x, 2, 3),
     "OverlapInput.person_items": lambda x: OverlapInput(10, x, 3),
     "OverlapInput.suspicious_items": lambda x: OverlapInput(10, 2, x),
-    "exact_overlap_fraction.v": lambda x: exact_overlap_fraction(x, 2, 3),
+    "overlap_probability.suspicious_items": lambda x: overlap_probability(
+        OverlapInput(10**400, 2, x)
+    ),
     "ScreeningConfig.k": lambda x: ScreeningConfig(k=x, p=0.005, n=10, m=3),
     "ScreeningConfig.n": lambda x: ScreeningConfig(k=100, p=0.005, n=x, m=3),
     "ScreeningConfig.m": lambda x: ScreeningConfig(k=100, p=0.005, n=10, m=x),
@@ -95,13 +88,8 @@ INTEGER_ARGUMENTS = {
     "dominance_decomposition.m": lambda x: dominance_decomposition(PROFILE, 100, x),
     "disparity_ratio.k": lambda x: disparity_ratio(0.01, 0.02, x, 3),
     "disparity_ratio.m": lambda x: disparity_ratio(0.01, 0.02, 100, x),
-    "amplification_window.m": lambda x: amplification_window(0.01, 0.02, x),
     "BayesContext.n": lambda x: BayesContext(r=1.0, s=0.5, alpha=0.5, q=0.1, n=x),
     "TemporalCorrelation.k": lambda x: TemporalCorrelation(k=x, tau=2.0),
-    "design_effect.k": lambda x: design_effect([0.0], x),
-    "variance_with_design_effect.k": lambda x: variance_with_design_effect(x, 0.1, 0.5),
-    "k_eff_from_design_effect.k": lambda x: k_eff_from_design_effect(x, 0.5),
-    "k_eff_temporal_geometric.k": lambda x: k_eff_temporal_geometric(x, 2.0),
     "k_eff_temporal_rough.k": lambda x: k_eff_temporal_rough(x, 2.0),
     "adjusted_limits.k": lambda x: adjusted_limits(x, 0.1, 2.0, 1.0),
     "SimPlan.k": lambda x: plan(k=x),
@@ -114,11 +102,6 @@ INTEGER_ARGUMENTS = {
     "simulate_correlated.workers": lambda x: simulate_correlated(
         plan(MODE_COPULA), EXCHANGEABLE, workers=x
     ),
-    "measure_binary_correlation.k": lambda x: measure_binary_correlation(x, 0.3, EXCHANGEABLE),
-    "measure_binary_correlation.draws": lambda x: measure_binary_correlation(
-        4, 0.3, EXCHANGEABLE, draws=x
-    ),
-    "latent_rho_for_binary.seed": lambda x: latent_rho_for_binary(4, 0.3, 0.1, seed=x),
     "figure_panels.runs": lambda x: figure_panels("figs", runs=x),
     "figure_panels.seed": lambda x: figure_panels("figs", seed=x),
     "figure_panels.workers": lambda x: figure_panels("figs", workers=x),
@@ -147,21 +130,7 @@ NAN_ARGUMENTS = {
     "lambda_at.t": lambda: lambda_at(MODEL, math.nan),
     "sparse_ppv.rs": lambda: sparse_ppv(math.nan, 1.0),
     "sparse_ppv.nq": lambda: sparse_ppv(1.0, math.nan),
-    "k_eff_from_design_effect.deff": lambda: k_eff_from_design_effect(10, math.nan),
 }
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
-def test_latent_rho_tolerance_must_be_positive(tol):
-    # nan and negative tolerances used to run all 40 pilot bisections
-    with pytest.raises(DomainError, match="tol must be positive"):
-        latent_rho_for_binary(4, 0.3, 0.1, draws=1000, tol=tol)
-
-
-@pytest.mark.parametrize("deff", [math.nan, -1.0, -2.0])
-def test_design_effect_variance_needs_deff_above_minus_one(deff):
-    with pytest.raises(DomainError, match="DEFF must exceed -1"):
-        variance_with_design_effect(10, 0.1, deff)
 
 
 # integers that pass check_int but do not fit a double
@@ -169,6 +138,9 @@ HUGE_INTEGERS = {
     "poisson_tail.m": lambda: poisson_tail(5.0, 10**400),
     "binomial_tail.k": lambda: binomial_tail(10**400, 0.1, 3),
     "system_risk.k": lambda: system_risk(ScreeningConfig(k=10**400, p=0.005, n=10, m=3)),
+    "cohort_system_risk.size": lambda: cohort_system_risk(
+        CohortProfile((CohortGroup("a", 10**400, 0.01),)), k=100, m=3
+    ),
 }
 
 
@@ -216,7 +188,10 @@ MESSAGES = [
     (lambda: plan(seed=-1), "seed must be a 64-bit unsigned integer, got -1"),
     (lambda: poisson_tail(-1.0, 3), "lam must be positive, got -1.0"),
     (lambda: ScreeningConfig(k=100, p=1.0, n=10, m=3), "p must lie strictly in (0, 1), got 1.0"),
-    (lambda: ppv_exact(2.0, 0.5, 0.1), "pi must lie in [0, 1], got 2.0"),
+    (
+        lambda: BayesContext(r=1.0, s=0.5, alpha=0.5, q=2.0, n=10),
+        "q must lie in [0, 1], got 2.0",
+    ),
     (lambda: BayesContext(r=1.0, s=0.0, alpha=0.5, q=0.1, n=10), "s must lie in (0, 1], got 0.0"),
 ]
 

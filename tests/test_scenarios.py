@@ -5,6 +5,7 @@ import copy
 import csv
 import hashlib
 import json
+import os
 import time
 
 import pytest
@@ -297,16 +298,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, out, reason",
         [
-            ("tail", "dir", "Is a directory"),
-            ("golden", "dir", "Is a directory"),
+            ("tail", "dir", "not a regular file"),
+            ("golden", "dir", "not a regular file"),
             ("tail", "file/x.csv", "File exists"),
             ("figures", "file", "File exists"),
+            ("tail", "null", "not a regular file"),
         ],
-        ids=["tail-into-dir", "golden-into-dir", "tail-below-file", "figures-into-file"],
+        ids=[
+            "tail-into-dir",
+            "golden-into-dir",
+            "tail-below-file",
+            "figures-into-file",
+            "tail-into-device",
+        ],
     )
     def test_unwritable_out_is_two(self, command, out, reason, tmp_path, capsys):
         (tmp_path / "dir").mkdir()
         (tmp_path / "file").write_text("keep\n", encoding="utf-8")
+        # a device target without writing under /dev: the manifest would land
+        # beside the link
+        (tmp_path / "null").symlink_to(os.devnull)
         argv = [command, "--out", str(tmp_path / out)]
         if command == "tail":
             argv += ["--config", write_config(tmp_path, VALID["tail"])]
@@ -316,6 +327,7 @@ class TestExitCodes:
         assert lines[0].startswith("error[schema]: cannot write ")
         assert lines[0].endswith(reason)
         assert (tmp_path / "file").read_text(encoding="utf-8") == "keep\n"
+        assert not list(tmp_path.glob("*.manifest.json"))
 
 
 # One numeric parameter of a valid config gets one of these values.

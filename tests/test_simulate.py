@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri, owens_t
 
 from screenlimits import simulate
 from screenlimits.cli import main
@@ -20,8 +21,6 @@ from screenlimits.simulate import (
     MODE_POISSON,
     LatentCorrelation,
     SimPlan,
-    latent_rho_for_binary,
-    measure_binary_correlation,
     simulate_correlated,
     simulate_per_person,
     simulate_system,
@@ -32,6 +31,16 @@ from screenlimits.tails import binomial_tail, poisson_tail
 
 def within_3se(report, slack: float = 0.0) -> bool:
     return report.abs_error <= 3.0 * report.std_error + slack
+
+
+def binary_correlation(p: float, rho: float) -> float:
+    """Correlation of two indicators 1{Z_i <= Phi^-1(p)} whose latent normals
+    have correlation rho: (Phi2(h, h; rho) - p^2) / (p (1 - p)), h = Phi^-1(p),
+    with the orthant Phi2(h, h; rho) = Phi(h) - 2 T(h, sqrt((1 - rho) / (1 + rho)))
+    written through Owen's T."""
+    h = ndtri(p)
+    both = ndtr(h) - 2.0 * owens_t(h, math.sqrt((1.0 - rho) / (1.0 + rho)))
+    return float((both - p * p) / (p * (1.0 - p)))
 
 
 class TestPerPerson:
@@ -284,8 +293,6 @@ class TestCorrelated:
         plan = SimPlan(k=10**6, p=0.1, m=3, runs=1001, seed=0, mode=MODE_COPULA)
         with pytest.raises(BudgetError, match="k\\*runs"):
             simulate_correlated(plan, corr)
-        with pytest.raises(BudgetError):
-            measure_binary_correlation(10**12, 0.3, corr)
 
     def test_copula_requires_copula_mode(self):
         plan = SimPlan(k=10, p=0.2, m=3, runs=100, seed=0, mode=MODE_BINOMIAL)
@@ -293,21 +300,17 @@ class TestCorrelated:
             simulate_correlated(plan, LatentCorrelation(kind="exchangeable", rho=0.2))
 
     def test_measured_binary_correlation(self):
-        # latent 0.3 compresses to a weaker binary correlation at p = 0.2
-        measured = measure_binary_correlation(
-            10, 0.2, LatentCorrelation(kind="exchangeable", rho=0.3), draws=200_000, seed=4
-        )
-        assert measured == pytest.approx(0.164, abs=0.02)
+        # latent 0.3 compresses to a weaker binary correlation at p = 0.2;
+        # moment-matched from the count variance with the empirical p
+        k, corr = 10, LatentCorrelation(kind="exchangeable", rho=0.3)
+        plan = SimPlan(k=k, p=0.2, m=k + 1, runs=200_000, seed=4, mode=MODE_COPULA)
+        rep = simulate_correlated(plan, corr)
+        p_hat = rep.mean_count / k
+        bern_var = p_hat * (1.0 - p_hat)
+        measured = (rep.count_variance - k * bern_var) / (k * (k - 1) * bern_var)
+        assert binary_correlation(0.2, 0.3) == pytest.approx(0.1634, abs=1e-4)
+        assert measured == pytest.approx(binary_correlation(0.2, 0.3), abs=0.02)
         assert 0.0 < measured < 0.3
-
-    def test_latent_calibration_round_trip(self):
-        target = 0.15
-        latent = latent_rho_for_binary(8, 0.3, target, draws=100_000, seed=9)
-        measured = measure_binary_correlation(
-            8, 0.3, LatentCorrelation(kind="exchangeable", rho=latent), draws=200_000, seed=10
-        )
-        assert measured == pytest.approx(target, abs=0.02)
-        assert latent > target
 
 
 class TestPlanValidation:

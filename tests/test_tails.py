@@ -1,14 +1,16 @@
 """Tail primitives against independent oracles and closed-form targets."""
 
 import math
-from fractions import Fraction
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath import expm1 as mp_expm1
 from mpmath import gammainc as mp_gammainc
 from mpmath import log as mp_log
+from mpmath import loggamma as mp_loggamma
 
 from screenlimits import tails
 from screenlimits.errors import BudgetError, DomainError
@@ -16,8 +18,6 @@ from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
     chernoff_upper,
-    exact_overlap_fraction,
-    lecam_bound,
     log_poisson_tail,
     overlap_probability,
     poisson_tail,
@@ -26,6 +26,7 @@ from screenlimits.tails import (
     tail_estimate,
     threshold_for_ratio,
 )
+from test_acceptance import _comb_overlap as comb_overlap
 
 
 def enum_binomial_tail(k: int, p: float, m: int) -> float:
@@ -38,13 +39,24 @@ def enum_binomial_tail(k: int, p: float, m: int) -> float:
     return math.fsum(terms)
 
 
-def comb_overlap(v: int, t: int, s: int) -> float:
-    """Exact rational 1 - C(V-t, s) / C(V, s)."""
-    if t == 0 or s == 0:
-        return 0.0
-    if s > v - t:
-        return 1.0
-    return float(1 - Fraction(math.comb(v - t, s), math.comb(v, s)))
+def mp_overlap(v: int, t: int, s: int):
+    """40-digit 1 - C(V-t, s) / C(V, s) through mpmath's loggamma."""
+    with mp.workdps(40):
+        log_miss = (
+            mp_loggamma(v - t + 1) + mp_loggamma(v - s + 1)
+            - mp_loggamma(v + 1) - mp_loggamma(v - s - t + 1)
+        )
+        return -mp_expm1(log_miss)
+
+
+def best_time(call, repeats: int = 5) -> float:
+    """Fastest of `repeats` wall-clock timings of call(), in seconds."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 def mp_poisson_tail(lam: float, m: int):
@@ -190,8 +202,9 @@ class TestBinomialTail:
         assert binomial_tail(10, 0.3, 11) == 0.0
 
     def test_close_to_poisson(self):
+        # Le Cam: the total variation gap is at most 2 k p^2
         gap = abs(binomial_tail(1000, 0.005, 15) - poisson_tail(5.0, 15))
-        assert gap <= lecam_bound(1000, 0.005)
+        assert gap <= 2 * 1000 * 0.005 * 0.005
 
     def test_rejects_bad_p(self):
         for bad in (-0.1, 1.1):
@@ -305,10 +318,30 @@ class TestOverlap:
                     got = overlap_probability(OverlapInput(v, t, s))
                     assert abs(got - comb_overlap(v, t, s)) <= 1e-12, (v, t, s)
 
-    def test_package_comb_helper_agrees(self):
-        assert exact_overlap_fraction(100, 10, 5) == pytest.approx(
-            comb_overlap(100, 10, 5), abs=1e-15
-        )
+    @pytest.mark.parametrize(
+        "v, t, s", [(10**18, 3, 10**17), (10**18, 10**17, 3)], ids=["long-s", "long-t"]
+    )
+    def test_huge_list_in_min_s_t_steps(self, v, t, s):
+        inp = OverlapInput(v, t, s)
+        got = overlap_probability(inp)
+        assert got == pytest.approx(float(mp_overlap(v, t, s)), rel=1e-12)
+        assert best_time(lambda: overlap_probability(inp)) < 1e-3
+
+    def test_term_limit_before_the_loop(self):
+        inp = OverlapInput(10**18, 10**8, 10**8)
+
+        def budget_error():
+            with pytest.raises(BudgetError):
+                overlap_probability(inp)
+
+        assert best_time(budget_error) < 1e-3
+
+    def test_term_limit_boundary(self, monkeypatch):
+        want = overlap_probability(OverlapInput(100, 10, 5))
+        monkeypatch.setattr(tails, "_MAX_TERMS", 5)
+        assert overlap_probability(OverlapInput(100, 10, 5)) == want
+        with pytest.raises(BudgetError):
+            overlap_probability(OverlapInput(100, 6, 10))
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -334,13 +367,11 @@ class TestOverlap:
 
 
 class TestLeCam:
-    def test_closed_form(self):
-        assert lecam_bound(1000, 0.005) == pytest.approx(0.05, rel=1e-12)
-        assert lecam_bound(123, 0.0) == 0.0
+    # Le Cam: total variation between Bin(k, p) and Pois(kp) is at most 2 k p^2
 
     def test_bounds_tail_gap_exhaustively(self):
         k, p = 200, 0.01
-        bound = lecam_bound(k, p)
+        bound = 2 * k * p * p
         assert bound == pytest.approx(0.04, rel=1e-12)
         lam = k * p
         worst = max(
@@ -350,7 +381,7 @@ class TestLeCam:
 
     def test_bounds_tail_gap_on_grid(self):
         for k, p in ((50, 0.02), (500, 0.004), (1000, 0.005)):
-            bound = lecam_bound(k, p)
+            bound = 2 * k * p * p
             lam = k * p
             for m in range(0, 30):
                 assert abs(binomial_tail(k, p, m) - poisson_tail(lam, m)) <= bound
