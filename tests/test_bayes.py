@@ -1,4 +1,4 @@
-"""Posterior reliability: PPV, FDR, sparse approximation, regimes."""
+"""Posterior reliability: PPV, FDR, odds algebra, sparse approximation, regimes."""
 
 import math
 import random
@@ -19,6 +19,12 @@ from screenlimits.bayes import (
 )
 from screenlimits.errors import DomainError
 from screenlimits.tails import poisson_tail, rate_function
+
+
+def odds_ppv(pi: float, s: float, q: float) -> float:
+    """PPV by the odds route: posterior odds = (s / q) * pi / (1 - pi)."""
+    odds = (s / q) * (pi / (1.0 - pi))
+    return odds / (1.0 + odds)
 
 
 class TestComplementarity:
@@ -56,6 +62,39 @@ class TestWorkedExample:
         post = ppv(ctx)
         assert post.ppv == pytest.approx(9.0 / 235.0, rel=0.01)
         assert post.sparse_ppv == pytest.approx(post.ppv, rel=0.001)
+
+    def test_odds_route_agrees(self):
+        q = poisson_tail(5.0, 15)
+        post = ppv(BayesContext(r=10.0, s=0.9, alpha=0.5, q=q, n=10**6))
+        assert post.ppv / post.fdr == pytest.approx(0.0398, abs=0.0005)
+        assert post.ppv == pytest.approx(0.0383, abs=0.0005)
+        assert post.ppv == pytest.approx(odds_ppv(10.0 / 10**6, 0.9, q), rel=1e-12)
+
+
+class TestOddsAlgebra:
+    # PPV / FDR is the posterior odds: likelihood ratio s/q times prior odds
+    def test_strong_evidence_example(self):
+        post = ppv(BayesContext(r=1.0, s=1.0, alpha=0.5, q=1e-12, n=10**6))
+        assert post.ppv / post.fdr == pytest.approx(1e6, rel=1e-5)
+
+    def test_unit_likelihood_ratio_preserves_prior(self):
+        post = ppv(BayesContext(r=30.0, s=0.4, alpha=0.5, q=0.4, n=100))
+        assert post.ppv == pytest.approx(0.3, rel=1e-15)
+        assert post.fdr == pytest.approx(0.7, rel=1e-15)
+
+    @given(
+        pi=st.floats(min_value=1e-9, max_value=0.99),
+        s=st.floats(min_value=0.01, max_value=1.0),
+        q=st.floats(min_value=1e-12, max_value=0.9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_odds_and_quotient_agree(self, pi, s, q):
+        ctx = BayesContext(r=pi * 10**9, s=s, alpha=0.5, q=q, n=10**9)
+        post = ppv(ctx)
+        assert post.ppv == pytest.approx(odds_ppv(ctx.r / ctx.n, s, q), rel=1e-12)
+        assert post.ppv / post.fdr == pytest.approx(
+            (s / q) * (ctx.r / ctx.n) / (1.0 - ctx.r / ctx.n), rel=1e-12
+        )
 
 
 class TestSparseApproximation:

@@ -1,10 +1,11 @@
 """The one input policy: integer, positive and unit-interval arguments."""
 
 import math
+import re
 
 import pytest
 
-from screenlimits.bayes import BayesContext, sparse_ppv
+from screenlimits.bayes import BayesContext, bayes_critical_population, sparse_ppv
 from screenlimits.cohorts import (
     CohortGroup,
     CohortProfile,
@@ -14,6 +15,7 @@ from screenlimits.cohorts import (
 )
 from screenlimits.datasets import figure_panels
 from screenlimits.effdim import (
+    SpatialCorrelation,
     TemporalCorrelation,
     adjusted_limits,
     k_eff_temporal_rough,
@@ -38,16 +40,21 @@ from screenlimits.simulate import (
 from screenlimits.system import (
     ScreeningConfig,
     critical_population,
+    phase_scan,
     system_probability,
     system_risk,
 )
 from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
+    chernoff_upper,
     log_poisson_tail,
     overlap_probability,
     poisson_tail,
+    rate_function,
+    robbins_lower,
     tail_estimate,
+    threshold_for_ratio,
 )
 
 MODEL = GrowthModel(k0=100.0, gamma=1.5, p=0.01)
@@ -131,6 +138,116 @@ NAN_ARGUMENTS = {
     "sparse_ppv.rs": lambda: sparse_ppv(math.nan, 1.0),
     "sparse_ppv.nq": lambda: sparse_ppv(1.0, math.nan),
 }
+
+
+def argument(entry: str) -> str:
+    """The argument an entry names: "binomial_tail.p" -> "p", "BayesContext.s=0" -> "s"."""
+    return entry.split(".")[1].split("=")[0]
+
+
+# float arguments that must be positive, or exceed a bound of at least zero
+POSITIVE_ARGUMENTS = {
+    "rate_function.c": lambda x: rate_function(x),
+    "poisson_tail.lam": lambda x: poisson_tail(x, 3),
+    "log_poisson_tail.lam": lambda x: log_poisson_tail(x, 3),
+    "tail_estimate.lam": lambda x: tail_estimate(x, 30),
+    "chernoff_upper.lam": lambda x: chernoff_upper(x, 30.0),
+    "chernoff_upper.m": lambda x: chernoff_upper(5.0, x),
+    "robbins_lower.lam": lambda x: robbins_lower(x, 2.0),
+    "robbins_lower.c": lambda x: robbins_lower(5.0, x),
+    "threshold_for_ratio.lam": lambda x: threshold_for_ratio(x, 2.0),
+    "threshold_for_ratio.c": lambda x: threshold_for_ratio(5.0, x),
+    "ScreeningConfig.c": lambda x: ScreeningConfig(k=100, p=0.005, n=10, c=x),
+    "critical_population.lam": lambda x: critical_population(x, 2.0),
+    "critical_population.c": lambda x: critical_population(5.0, x),
+    "phase_scan.c": lambda x: phase_scan([5.0], x, 0.5),
+    "phase_scan.alpha": lambda x: phase_scan([5.0], 2.0, x),
+    "phase_scan.lam": lambda x: phase_scan([x], 2.0, 0.5),
+    "GrowthModel.k0": lambda x: GrowthModel(k0=x, gamma=1.5, p=0.01),
+    "GrowthModel.gamma": lambda x: GrowthModel(k0=100.0, gamma=x, p=0.01),
+    "critical_time_corrected.criterion_level": lambda x: critical_time_corrected(
+        MODEL, 20, 10, x
+    ),
+    "SpatialCorrelation.area": lambda x: SpatialCorrelation(area=x, xi=1.0),
+    "SpatialCorrelation.xi": lambda x: SpatialCorrelation(area=10.0, xi=x),
+    "TemporalCorrelation.tau": lambda x: TemporalCorrelation(k=10, tau=x),
+    "k_eff_temporal_rough.tau": lambda x: k_eff_temporal_rough(10, x),
+    "adjusted_limits.c": lambda x: adjusted_limits(100, 0.1, x, 10.0),
+    "adjusted_limits.k_eff": lambda x: adjusted_limits(100, 0.1, 2.0, x),
+    "BayesContext.r": lambda x: BayesContext(r=x, s=0.5, alpha=0.5, q=0.1, n=10),
+    "bayes_critical_population.r": lambda x: bayes_critical_population(x, 0.9, 0.5, 1e-4),
+    "bayes_critical_population.q": lambda x: bayes_critical_population(10.0, 0.9, 0.5, x),
+}
+
+NOT_POSITIVE = {"nan": math.nan, "0.0": 0.0, "-inf": -math.inf}
+
+
+@pytest.mark.parametrize("value", NOT_POSITIVE.values(), ids=NOT_POSITIVE)
+@pytest.mark.parametrize("entry", POSITIVE_ARGUMENTS)
+def test_positive_arguments_reject_nan_zero_and_negatives(entry, value):
+    with pytest.raises(DomainError, match=rf"\b{re.escape(argument(entry))}\b"):
+        POSITIVE_ARGUMENTS[entry](value)
+
+
+# probabilities, each checked against [0, 1], (0, 1] or (0, 1)
+UNIT_ARGUMENTS = {
+    "binomial_tail.p": lambda x: binomial_tail(10, x, 3),
+    "ScreeningConfig.p": lambda x: ScreeningConfig(k=100, p=x, n=10, m=3),
+    "GrowthModel.p": lambda x: GrowthModel(k0=100.0, gamma=1.5, p=x),
+    "adjusted_limits.p": lambda x: adjusted_limits(100, x, 2.0, 10.0),
+    "BayesContext.s": lambda x: BayesContext(r=1.0, s=x, alpha=0.5, q=0.1, n=10),
+    "BayesContext.alpha": lambda x: BayesContext(r=1.0, s=0.5, alpha=x, q=0.1, n=10),
+    "BayesContext.q": lambda x: BayesContext(r=1.0, s=0.5, alpha=0.5, q=x, n=10),
+    "bayes_critical_population.s": lambda x: bayes_critical_population(10.0, x, 0.5, 1e-4),
+    "bayes_critical_population.alpha": lambda x: bayes_critical_population(10.0, 0.9, x, 1e-4),
+    "CohortGroup.p": lambda x: CohortGroup(label="a", size=10, p=x),
+    "disparity_ratio.p1": lambda x: disparity_ratio(x, 0.02, 100, 3),
+    "disparity_ratio.p2": lambda x: disparity_ratio(0.01, x, 100, 3),
+    "SimPlan.p": lambda x: plan(p=x),
+}
+
+OUTSIDE_UNIT = {"nan": math.nan, "-0.5": -0.5, "1.5": 1.5}
+
+
+@pytest.mark.parametrize("value", OUTSIDE_UNIT.values(), ids=OUTSIDE_UNIT)
+@pytest.mark.parametrize("entry", UNIT_ARGUMENTS)
+def test_unit_arguments_reject_values_outside_the_interval(entry, value):
+    with pytest.raises(DomainError, match=rf"\b{re.escape(argument(entry))}\b"):
+        UNIT_ARGUMENTS[entry](value)
+
+
+# the ends each check leaves out: 0 or 1 of an open interval, 1 of "c > 1"
+EXCLUDED_ENDS = {
+    "ScreeningConfig.p=0": lambda: ScreeningConfig(k=100, p=0.0, n=10, m=3),
+    "ScreeningConfig.p=1": lambda: ScreeningConfig(k=100, p=1.0, n=10, m=3),
+    "GrowthModel.p=0": lambda: GrowthModel(k0=100.0, gamma=1.5, p=0.0),
+    "GrowthModel.p=1": lambda: GrowthModel(k0=100.0, gamma=1.5, p=1.0),
+    "adjusted_limits.p=0": lambda: adjusted_limits(100, 0.0, 2.0, 10.0),
+    "adjusted_limits.p=1": lambda: adjusted_limits(100, 1.0, 2.0, 10.0),
+    "CohortGroup.p=0": lambda: CohortGroup(label="a", size=10, p=0.0),
+    "CohortGroup.p=1": lambda: CohortGroup(label="a", size=10, p=1.0),
+    "BayesContext.s=0": lambda: BayesContext(r=1.0, s=0.0, alpha=0.5, q=0.1, n=10),
+    "BayesContext.alpha=0": lambda: BayesContext(r=1.0, s=0.5, alpha=0.0, q=0.1, n=10),
+    "BayesContext.alpha=1": lambda: BayesContext(r=1.0, s=0.5, alpha=1.0, q=0.1, n=10),
+    "bayes_critical_population.s=0": lambda: bayes_critical_population(10.0, 0.0, 0.5, 1e-4),
+    "bayes_critical_population.alpha=1": lambda: bayes_critical_population(10.0, 0.9, 1.0, 1e-4),
+    "disparity_ratio.p1=p2": lambda: disparity_ratio(0.02, 0.02, 100, 3),
+    "simulate_correlated.p=0": lambda: simulate_correlated(plan(MODE_COPULA, p=0.0), EXCHANGEABLE),
+    "simulate_correlated.p=1": lambda: simulate_correlated(plan(MODE_COPULA, p=1.0), EXCHANGEABLE),
+    "robbins_lower.c=1": lambda: robbins_lower(5.0, 1.0),
+    "ScreeningConfig.c=1": lambda: ScreeningConfig(k=100, p=0.005, n=10, c=1.0),
+    "critical_population.c=1": lambda: critical_population(5.0, 1.0),
+    "phase_scan.c=1": lambda: phase_scan([5.0], 1.0, 0.5),
+    "adjusted_limits.c=1": lambda: adjusted_limits(100, 0.1, 1.0, 10.0),
+    "GrowthModel.gamma=1": lambda: GrowthModel(k0=100.0, gamma=1.0, p=0.01),
+    "chernoff_upper.m=lam": lambda: chernoff_upper(5.0, 5.0),
+}
+
+
+@pytest.mark.parametrize("entry", EXCLUDED_ENDS)
+def test_excluded_interval_ends_are_rejected(entry):
+    with pytest.raises(DomainError, match=rf"\b{re.escape(argument(entry))}\b"):
+        EXCLUDED_ENDS[entry]()
 
 
 # integers that pass check_int but do not fit a double

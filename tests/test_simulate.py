@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, owens_t
 
 from screenlimits import simulate
@@ -311,6 +312,19 @@ class TestCorrelated:
         assert binary_correlation(0.2, 0.3) == pytest.approx(0.1634, abs=1e-4)
         assert measured == pytest.approx(binary_correlation(0.2, 0.3), abs=0.02)
         assert 0.0 < measured < 0.3
+
+    def test_latent_calibration_round_trip(self):
+        # pick the latent rho whose binary correlation is the target, then
+        # measure that target back from the simulated counts
+        k, p, target = 8, 0.3, 0.15
+        latent = brentq(lambda rho: binary_correlation(p, rho) - target, 0.0, 0.99, xtol=1e-12)
+        plan = SimPlan(k=k, p=p, m=k + 1, runs=200_000, seed=10, mode=MODE_COPULA)
+        rep = simulate_correlated(plan, LatentCorrelation(kind="exchangeable", rho=latent))
+        p_hat = rep.mean_count / k
+        bern_var = p_hat * (1.0 - p_hat)
+        measured = (rep.count_variance - k * bern_var) / (k * (k - 1) * bern_var)
+        assert measured == pytest.approx(target, abs=0.02)
+        assert latent > target
 
 
 class TestPlanValidation:
