@@ -53,7 +53,6 @@ from .errors import (
 from .golden import GoldenCheck, all_pass, golden_report, render_table
 from .lifetime import (
     GrowthModel,
-    GrowthPoint,
     LifetimeReport,
     critical_time_analytic,
     critical_time_corrected,
@@ -74,12 +73,11 @@ from .simulate import (
     simulate_system,
 )
 from .system import (
-    CriticalPopulation,
-    PhaseScanPoint,
     ScreeningConfig,
     SystemRisk,
     critical_population,
     phase_scan,
+    population_risk,
     system_probability,
     system_risk,
 )

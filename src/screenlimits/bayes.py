@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf, isfinite
 
-from .errors import DomainError, RangeOverflowError, check_int, check_positive, check_unit
+from .errors import DomainError, RangeOverflowError, as_float, check_int, check_positive, check_unit
 
 __all__ = [
     "BayesContext",
@@ -107,14 +107,15 @@ def ppv(ctx: BayesContext) -> PosteriorSummary:
     FDR is computed as its own quotient q(1-pi) / (s pi + q(1-pi)) rather
     than as 1 - PPV, so the exact complementarity identity is a real check.
     """
-    pi = ctx.r / ctx.n
+    n = as_float("n", ctx.n)
+    pi = ctx.r / n
     denom = ctx.s * pi + ctx.q * (1.0 - pi)
     if denom == 0.0:
         raise DomainError("no alerts possible: s*pi + q*(1-pi) = 0")
     return PosteriorSummary(
         ppv=ctx.s * pi / denom,
         fdr=ctx.q * (1.0 - pi) / denom,
-        sparse_ppv=sparse_ppv(ctx.r * ctx.s, ctx.n * ctx.q),
+        sparse_ppv=sparse_ppv(ctx.r * ctx.s, n * ctx.q),
     )
 
 
@@ -145,7 +146,7 @@ def classify_regime(ctx: BayesContext) -> RegimeVerdict:
     evidential when nq <= 0.1 * rs, collapsed when nq >= 10 * rs,
     transitional in between (nq == rs is transitional).
     """
-    nq = ctx.n * ctx.q
+    nq = as_float("n", ctx.n) * ctx.q
     rs = ctx.r * ctx.s
     if nq <= _EVIDENTIAL_CUT * rs:
         regime = REGIME_EVIDENTIAL

@@ -14,7 +14,6 @@ Panels:
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from pathlib import Path
 
 from .cohorts import CohortGroup, CohortProfile, cohort_system_risk, disparity_ratio
@@ -91,23 +90,17 @@ def _panel_a_rows(runs: int, seed: int, workers: int) -> list[dict]:
     ]
 
 
+_PANEL_B_COLUMNS = ("n", "q", "prob", "lower", "upper", "log_complement")
+_PANEL_C_COLUMNS = ("lam", "q", "expected", "prob")
+
+
 def _panel_b_rows() -> list[dict]:
+    cfg = _PANEL_B
     rows = []
-    for x in _PANEL_B["log10_n"]:
+    for x in cfg["log10_n"]:
         n = max(1, round(10.0**x))
-        risk = system_risk(
-            ScreeningConfig(k=_PANEL_B["k"], p=_PANEL_B["p"], n=n, m=_PANEL_B["m"])
-        )
-        rows.append(
-            {
-                "n": n,
-                "q": risk.per_person_q,
-                "prob": risk.prob_at_least_one,
-                "lower": risk.lower_bound,
-                "upper": risk.upper_bound,
-                "log_complement": risk.log_complement,
-            }
-        )
+        risk = system_risk(ScreeningConfig(k=cfg["k"], p=cfg["p"], n=n, m=cfg["m"]))
+        rows.append({c: getattr(risk, c) for c in _PANEL_B_COLUMNS})
     return rows
 
 
@@ -117,7 +110,10 @@ def _panel_c_rows() -> list[dict]:
     steps = round(cfg["t_max"] / cfg["t_step"])
     times = [j * cfg["t_step"] for j in range(steps + 1)]
     series = unreliability_series(model, cfg["m"], cfg["n"], times)
-    return [asdict(pt) for pt in series]
+    return [
+        {"t": t, **{c: getattr(risk, c) for c in _PANEL_C_COLUMNS}}
+        for t, risk in zip(times, series)
+    ]
 
 
 def _panel_d_rows() -> list[dict]:

@@ -81,7 +81,6 @@ class CorrelationAdjusted:
     k_eff: float
     reduction_factor: float
     adjusted_exponent: float
-    adjusted_tail_lower: float
     adjusted_n_crit: float
 
 
@@ -107,10 +106,12 @@ def k_eff_temporal(corr: TemporalCorrelation) -> float:
     denominator does not exceed 1 (net negative correlation).
 
     Raises:
+        RangeOverflowError: If k exceeds the double range.
         BudgetError: If the tau sum has more than tails._MAX_TERMS nonzero
             terms.
     """
     k = corr.k
+    size = as_float("k", k)
     stop = k
     if corr.tau is not None:
         tau = corr.tau
@@ -132,8 +133,8 @@ def k_eff_temporal(corr: TemporalCorrelation) -> float:
         rho = lambda h: seq[h - 1]  # noqa: E731
     denom = 1.0 + 2.0 * sum(rho(h) * (1.0 - h / k) for h in range(1, stop))
     if denom <= 1.0:
-        return float(k)
-    return k / denom
+        return size
+    return size / denom
 
 
 def k_eff_temporal_rough(k: int, tau: float) -> float:
@@ -144,12 +145,11 @@ def k_eff_temporal_rough(k: int, tau: float) -> float:
 
 
 def adjusted_limits(k: int, p: float, c: float, k_eff: float) -> CorrelationAdjusted:
-    """Heuristic tail and critical-population limits at dimension k_eff.
+    """Heuristic tail exponent and critical population at dimension k_eff.
 
-    adjusted_exponent = k_eff * p * D(c); the tail indication is
-    exp(-exponent) and the critical population indication is
-    sqrt(k p) * exp(exponent). All three are labeled heuristic wherever
-    they are emitted.
+    adjusted_exponent = k_eff * p * D(c) and the critical population
+    indication is sqrt(k p) * exp(exponent). Both are labeled heuristic
+    wherever they are emitted.
 
     Raises:
         DomainError: If k_eff > k (negative net correlation would be needed
@@ -180,6 +180,5 @@ def adjusted_limits(k: int, p: float, c: float, k_eff: float) -> CorrelationAdju
         k_eff=k_eff,
         reduction_factor=k_eff / k,
         adjusted_exponent=exponent,
-        adjusted_tail_lower=exp(-exponent),
         adjusted_n_crit=n_crit,
     )

@@ -87,7 +87,7 @@ def golden_report(tol_scale: float = 1.0) -> list[GoldenCheck]:
     checks.append(
         _check(
             "alerts-n1e6-lam5-m15",
-            risk.expected_false_alerts,
+            risk.expected,
             226.0,
             tol_scale,
             tol_abs=1.0,
@@ -233,7 +233,7 @@ def golden_report(tol_scale: float = 1.0) -> list[GoldenCheck]:
     checks.append(
         _check(
             "critical-population-lam50",
-            critical_population(50.0, 1.5).sqrt_lambda_scale,
+            critical_population(50.0, 1.5),
             1560.0,
             tol_scale,
             tol_rel=0.05,
@@ -242,7 +242,7 @@ def golden_report(tol_scale: float = 1.0) -> list[GoldenCheck]:
     checks.append(
         _check(
             "critical-population-lam7.3",
-            critical_population(7.3, 12.0 / 7.3).sqrt_lambda_scale,
+            critical_population(7.3, 12.0 / 7.3),
             9.5,
             tol_scale,
             tol_rel=0.05,

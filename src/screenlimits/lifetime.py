@@ -4,7 +4,8 @@ The per-person mean match count grows geometrically, lam(t) = k0 * p *
 gamma^t, as the attribute space expands. A fixed alert threshold m therefore
 has a finite useful life: the analytic horizon T* where lam(T*) = m, and an
 earlier population-corrected horizon where the expected number of innocent
-alerts n * q(t) first reaches a criterion level (default 1).
+alerts n * q(t) first reaches a criterion level (default 1). The series of
+population risks along a time grid comes from `system.population_risk`.
 """
 
 from __future__ import annotations
@@ -13,16 +14,15 @@ from dataclasses import dataclass
 from math import exp, log, sqrt
 
 from .errors import (
-    AlreadyUnreliableError, BracketError, DomainError, as_float, check_int,
+    AlreadyUnreliableError, BracketError, DomainError, RangeOverflowError, as_float, check_int,
     check_positive, check_unit
 )
-from .system import system_probability
+from .system import SystemRisk, population_risk
 from .tails import poisson_tail
 
 __all__ = [
     "GrowthModel",
     "LifetimeReport",
-    "GrowthPoint",
     "lambda_at",
     "critical_time_analytic",
     "critical_time_corrected",
@@ -81,27 +81,13 @@ class LifetimeReport:
     criterion_level: float
 
 
-@dataclass(frozen=True, slots=True)
-class GrowthPoint:
-    """One time-series row: (t, lam, q, expected alerts, system prob)."""
-
-    t: float
-    lam: float
-    q: float
-    expected: float
-    prob: float
-
-
 def lambda_at(model: GrowthModel, t: float) -> float:
     """Mean match count at time t, with an explicit overflow guard."""
     if not (t >= 0.0):
         raise DomainError(f"t must be nonnegative, got {t}")
     exponent = log(model.k0 * model.p) + t * log(model.gamma)
     if exponent > 700.0:
-        raise DomainError(
-            f"lam(t) overflows double precision at t={t} "
-            f"(exponent {exponent:.1f})"
-        )
+        raise RangeOverflowError(f"lam(t) overflows a double at t={t} (exponent {exponent:.1f})")
     return exp(exponent)
 
 
@@ -184,14 +170,8 @@ def unreliability_series(
     m: int,
     n: int,
     times: list[float] | tuple[float, ...],
-) -> list[GrowthPoint]:
-    """Time series of (lam, q, n*q, system prob) rows along `times`."""
+) -> list[SystemRisk]:
+    """Population risk of n people at threshold m at each of `times`."""
     check_int("m", m, 1)
     check_int("n", n, 1)
-    rows = []
-    for t in times:
-        lam = lambda_at(model, t)
-        q = poisson_tail(lam, m)
-        prob, _ = system_probability(q, n)
-        rows.append(GrowthPoint(t=t, lam=lam, q=q, expected=n * q, prob=prob))
-    return rows
+    return [population_risk(lambda_at(model, t), m, n) for t in times]

@@ -38,7 +38,7 @@ from .effdim import (
     k_eff_spatial,
     k_eff_temporal,
 )
-from .errors import SchemaError
+from .errors import SchemaError, check_positive
 from .lifetime import GrowthModel, critical_time_analytic, critical_time_corrected
 from .simulate import (
     LatentCorrelation,
@@ -147,14 +147,16 @@ def _tail(p: dict):
     if _exactly_one(p, ("m", "c")) == "c":
         p["m"] = threshold_for_ratio(p["lambda"], p.pop("c"))
     lam, m = p["lambda"], p["m"]
+    check_positive("lam", lam)
+    c = m / lam
     # below the mean there is no large-deviation sandwich to report
-    est = tail_estimate(lam, m) if m > lam else None
+    est = tail_estimate(lam, m) if c > 1.0 else None
     exact = est.exact if est is not None else poisson_tail(lam, m)
     log_exact = est.log_exact if est is not None else log_poisson_tail(lam, m)
     row = {
         "lam": lam,
         "m": m,
-        "c": m / lam,
+        "c": c,
         "exact": exact,
         "chernoff_upper": getattr(est, "chernoff_upper", ""),
         "robbins_lower": getattr(est, "robbins_lower", ""),
@@ -164,31 +166,23 @@ def _tail(p: dict):
     return ["upper-tail probability with sandwich bounds"], [row], {}
 
 
+_SYSTEM_COLUMNS = ("n", "m", "lam", "q", "expected", "prob", "lower", "upper", "log_complement")
+_PHASE_COLUMNS = ("lam", "n", "m", "q", "prob", "lower", "upper")
+
+
 def _system(p: dict):
     _exactly_one(p, ("m", "c"))
     config = ScreeningConfig(k=p["k"], p=p["p"], n=p["n"], m=p.get("m"), c=p.pop("c", None))
     risk = system_risk(config)
-    p["m"] = config.threshold
-    row = {
-        "k": config.k,
-        "p": config.p,
-        "n": config.n,
-        "m": config.threshold,
-        "lam": config.lam,
-        "q": risk.per_person_q,
-        "expected": risk.expected_false_alerts,
-        "prob": risk.prob_at_least_one,
-        "lower": risk.lower_bound,
-        "upper": risk.upper_bound,
-        "log_complement": risk.log_complement,
-    }
+    p["m"] = risk.m
+    row = {"k": config.k, "p": config.p, **{c: getattr(risk, c) for c in _SYSTEM_COLUMNS}}
     return ["system-level false-alert probability with bounds"], [row], {}
 
 
 def _phase(p: dict):
     points = phase_scan(p["lambdas"], p["c"], p["alpha"])
     comment = f"population phase scan at alpha={format_cell(p['alpha'])}, c={format_cell(p['c'])}"
-    return [comment], [asdict(pt) for pt in points], {}
+    return [comment], [{c: getattr(pt, c) for c in _PHASE_COLUMNS} for pt in points], {}
 
 
 def _lifetime(p: dict):

@@ -58,7 +58,7 @@ from .errors import (
     check_int,
     check_unit,
 )
-from .system import ScreeningConfig, system_probability
+from .system import system_probability
 from .tails import binomial_tail, poisson_tail
 
 __all__ = [
@@ -130,21 +130,6 @@ class SimPlan:
         check_int("seed", self.seed, 0, 2**64 - 1)
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-
-    @classmethod
-    def for_config(
-        cls, config: ScreeningConfig, runs: int, seed: int, mode: str
-    ) -> "SimPlan":
-        """Build a plan from a validated deployment configuration."""
-        return cls(
-            k=config.k,
-            p=config.p,
-            m=config.threshold,
-            n=config.n,
-            runs=runs,
-            seed=seed,
-            mode=mode,
-        )
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """Population-level false-alert risk for a screening deployment.
 
 A deployment screens n independent innocent individuals, each of whom trips
-the per-person test with probability q = Pr(Pois(k*p) >= m). This module
-computes the exact probability that at least one innocent person alerts,
-sandwich bounds derived from the per-person tail bounds, the critical
-population scale at which false alerts become expected, and a sharpness scan
-of the population-size phase transition.
+the per-person test with probability q = Pr(Pois(lam) >= m). `population_risk`
+is the one builder of that record: q, the expected false alerts n * q, the
+exact probability that at least one innocent person alerts, and sandwich
+bounds derived from the per-person tail bounds. Configurations, phase scans
+and lifetime series all report through it. The module also gives the critical
+population scale at which false alerts become expected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, expm1, inf, isfinite, log1p, pi, sqrt
+from math import exp, expm1, inf, isfinite, log1p, sqrt
 
 from .errors import DomainError, RangeOverflowError, as_float, check_int, check_positive, check_unit
 from .tails import chernoff_upper, poisson_tail, rate_function, robbins_lower, threshold_for_ratio
@@ -19,9 +20,8 @@ from .tails import chernoff_upper, poisson_tail, rate_function, robbins_lower, t
 __all__ = [
     "ScreeningConfig",
     "SystemRisk",
-    "CriticalPopulation",
-    "PhaseScanPoint",
     "system_probability",
+    "population_risk",
     "system_risk",
     "critical_population",
     "phase_scan",
@@ -79,49 +79,23 @@ class ScreeningConfig:
 
 @dataclass(frozen=True)
 class SystemRisk:
-    """System-level false-alert summary for one configuration.
+    """False-alert summary for n people at mean lam and threshold m.
 
+    Fields are named as the output columns: q is the per-person tail,
+    expected is n * q, prob is 1 - (1 - q)^n within [lower, upper].
     `log_complement` is n * ln(1 - q), always finite and informative even
-    when `prob_at_least_one` saturates to 1.0 in double precision.
+    when `prob` saturates to 1.0 in double precision.
     """
-
-    per_person_q: float
-    expected_false_alerts: float
-    prob_at_least_one: float
-    lower_bound: float
-    upper_bound: float
-    log_complement: float
-
-
-@dataclass(frozen=True)
-class CriticalPopulation:
-    """Population scales at which false alerts become near-certain.
-
-    Attributes:
-        refined: sqrt(2 pi c lam) * exp(lam D(c) + 1/(12 c lam)), the
-            Stirling-matched reciprocal of the tail lower bound.
-        sqrt_lambda_scale: sqrt(lam) * exp(lam D(c)), the headline scale.
-        rough_scale: exp(lam D(c)) alone.
-        exponent: lam * D(c).
-    """
-
-    refined: float
-    sqrt_lambda_scale: float
-    rough_scale: float
-    exponent: float
-
-
-@dataclass(frozen=True)
-class PhaseScanPoint:
-    """One row of a population phase-transition scan."""
 
     lam: float
-    n: int
     m: int
+    n: int
     q: float
+    expected: float
     prob: float
     lower: float
     upper: float
+    log_complement: float
 
 
 def system_probability(q: float, n: int) -> tuple[float, float]:
@@ -137,68 +111,65 @@ def system_probability(q: float, n: int) -> tuple[float, float]:
     return -expm1(log_comp), log_comp
 
 
-def _risk(lam: float, m: int, n: int) -> SystemRisk:
-    """Exact risk and sandwich bounds for n people at mean lam, threshold m."""
+def population_risk(lam: float, m: int, n: int) -> SystemRisk:
+    """Exact risk and sandwich bounds for n people at mean lam, threshold m.
+
+    The exact value is 1 - (1 - q)^n from `system_probability`. Bounds pair
+    the per-person tail bounds with 1 - e^{-nq} on the lower side and
+    1 - e^{-n q/(1-q)} on the upper side. They need c = m / lam > 1 in double
+    precision; otherwise (at or below the mean, or m = lam + 1 past lam ~ 9e15)
+    they degrade to the trivial [0, 1].
+    """
     q = poisson_tail(lam, m)
     prob, log_comp = system_probability(q, n)
-    if m > lam:
-        lower = -expm1(-n * robbins_lower(lam, m / lam))
+    c = m / lam
+    if c > 1.0:
+        lower = -expm1(-n * robbins_lower(lam, c))
         q_up = chernoff_upper(lam, m)
         upper = 1.0 if q_up >= 1.0 else min(1.0, -expm1(-n * q_up / (1.0 - q_up)))
     else:
         lower, upper = 0.0, 1.0
     return SystemRisk(
-        per_person_q=q,
-        expected_false_alerts=n * q,
-        prob_at_least_one=prob,
-        lower_bound=lower,
-        upper_bound=upper,
+        lam=lam,
+        m=m,
+        n=n,
+        q=q,
+        expected=n * q,
+        prob=prob,
+        lower=lower,
+        upper=upper,
         log_complement=log_comp,
     )
 
 
 def system_risk(config: ScreeningConfig) -> SystemRisk:
-    """Exact system false-alert probability with sandwich bounds.
-
-    The exact value is 1 - (1 - q)^n from `system_probability`. Bounds pair
-    the per-person tail bounds with 1 - e^{-nq} on the lower side and
-    1 - e^{-n q/(1-q)} on the upper side; when the threshold does not exceed
-    the mean (no large-deviation regime) the bounds degrade to the trivial
-    [0, 1].
-    """
-    return _risk(config.lam, config.threshold, config.n)
+    """`population_risk` of one deployment configuration."""
+    return population_risk(config.lam, config.threshold, config.n)
 
 
-def critical_population(lam: float, c: float) -> CriticalPopulation:
-    """Critical population scales for a tail operating point (lam, c > 1).
+def critical_population(lam: float, c: float) -> float:
+    """Critical population scale sqrt(lam) * exp(lam D(c)) at (lam, c > 1).
 
     Raises:
-        RangeOverflowError: If the refined scale, the largest, overflows a double.
+        RangeOverflowError: If the scale overflows a double.
     """
     check_positive("lam", lam)
     if not (c > 1.0):
         raise DomainError(f"critical population needs c > 1, got {c}")
-    exponent = lam * rate_function(c)
     try:
-        refined = sqrt(2.0 * pi * c * lam) * exp(exponent + 1.0 / (12.0 * c * lam))
+        scale = sqrt(lam) * exp(lam * rate_function(c))
     except OverflowError:
-        refined = inf
-    if not isfinite(refined):
+        scale = inf
+    if not isfinite(scale):
         raise RangeOverflowError(f"critical population overflows a double at lam={lam}, c={c}")
-    growth = exp(exponent)
-    return CriticalPopulation(
-        refined=refined,
-        sqrt_lambda_scale=sqrt(lam) * growth,
-        rough_scale=growth,
-        exponent=exponent,
-    )
+    return scale
 
 
 def phase_scan(
     lambda_values: list[float] | tuple[float, ...],
     c: float,
     alpha: float,
-) -> list[PhaseScanPoint]:
+) -> list[SystemRisk]:
     """Scan the population phase transition at exponent fraction alpha.
 
     For each lam, the population is set to n = round(sqrt(lam) *
@@ -213,7 +184,7 @@ def phase_scan(
     if not (c > 1.0):
         raise DomainError(f"phase scan needs c > 1, got {c}")
     check_positive("alpha", alpha)
-    points: list[PhaseScanPoint] = []
+    points: list[SystemRisk] = []
     for lam in lambda_values:
         check_positive("lam values", lam)
         exponent = alpha * lam * rate_function(c)
@@ -229,17 +200,5 @@ def phase_scan(
                 f"{PHASE_SCAN_MAX_POPULATION:.0e} at lam={lam}, alpha={alpha}"
             )
         n = max(1, round(n_real))
-        m = threshold_for_ratio(lam, c)
-        risk = _risk(lam, m, n)
-        points.append(
-            PhaseScanPoint(
-                lam=lam,
-                n=n,
-                m=m,
-                q=risk.per_person_q,
-                prob=risk.prob_at_least_one,
-                lower=risk.lower_bound,
-                upper=risk.upper_bound,
-            )
-        )
+        points.append(population_risk(lam, threshold_for_ratio(lam, c), n))
     return points

@@ -243,16 +243,19 @@ def robbins_lower(lam: float, c: float) -> float:
 def tail_estimate(lam: float, m: int) -> TailEstimate:
     """Exact tail plus both sandwich bounds at an integer threshold m > lam.
 
+    The bounds need the ratio c = m / lam to exceed 1 in double precision,
+    which m = lam + 1 does not once lam passes ~9e15.
+
     Raises:
         RangeOverflowError: If c = m / lam, and so lam D(c), overflows a double.
     """
     check_positive("lam", lam)
     check_int("threshold m", m, 0)
-    if not (m > lam):
-        raise DomainError(
-            f"sandwich bounds exist only for m > lam, got m={m}, lam={lam}"
-        )
     c = as_float("threshold m", m) / lam
+    if not (c > 1.0):
+        raise DomainError(
+            f"sandwich bounds exist only for m / lam > 1, got m={m}, lam={lam}"
+        )
     if c == inf:
         raise RangeOverflowError(f"ratio c = m / lam overflows a double: m={m}, lam={lam}")
     return TailEstimate(
@@ -296,13 +299,14 @@ def threshold_for_ratio(lam: float, c: float) -> int:
     """Integer threshold m = ceil(c * lam), robust to float fuzz at integers.
 
     Raises:
-        DomainError: If lam or c is not positive, or c * lam is not finite.
+        DomainError: If lam or c is not positive.
+        RangeOverflowError: If c * lam overflows a double.
     """
     check_positive("lam", lam)
     check_positive("c", c)
     target = c * lam
     if not isfinite(target):
-        raise DomainError(f"threshold c*lam overflows a double: lam={lam}, c={c}")
+        raise RangeOverflowError(f"threshold c*lam overflows a double: lam={lam}, c={c}")
     # the fuzz guard keeps a product landing on an integer from rounding up
     return int(ceil(target - 1e-9))
 

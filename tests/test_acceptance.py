@@ -55,7 +55,7 @@ def test_criterion_01_headline_tail(capsys):
     q = poisson_tail(5.0, 15)
     risk = system_risk(ScreeningConfig(k=1000, p=0.005, n=10**6, m=15))
     ok_q = abs(q - 2.26e-4) <= 0.01 * 2.26e-4
-    ok_alerts = abs(risk.expected_false_alerts - 226.0) <= 1.0
+    ok_alerts = abs(risk.expected - 226.0) <= 1.0
     ok_log = abs(risk.log_complement - (-226.0)) <= 1.0
     elapsed = time.perf_counter() - t0
     ok = ok_q and ok_alerts and ok_log and elapsed < 1.0
@@ -63,7 +63,7 @@ def test_criterion_01_headline_tail(capsys):
         capsys,
         1,
         ok,
-        f"q={q:.4e}, alerts={risk.expected_false_alerts:.2f}, "
+        f"q={q:.4e}, alerts={risk.expected:.2f}, "
         f"log-complement={risk.log_complement:.2f} in {elapsed:.2f}s",
     )
     assert ok_q and ok_alerts and ok_log

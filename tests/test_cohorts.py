@@ -79,8 +79,8 @@ class TestCohortSystemRisk:
         profile = CohortProfile(groups=(CohortGroup(label="only", size=5000, p=0.01),))
         cohort = cohort_system_risk(profile, k=200, m=6)
         system = system_risk(ScreeningConfig(k=200, p=0.01, n=5000, m=6))
-        assert cohort.exact == pytest.approx(system.prob_at_least_one, rel=1e-15)
-        assert cohort.total_mass == pytest.approx(system.expected_false_alerts, rel=1e-15)
+        assert cohort.exact == pytest.approx(system.prob, rel=1e-15)
+        assert cohort.total_mass == pytest.approx(system.expected, rel=1e-15)
 
     def test_brute_force_oracle(self):
         profile = CohortProfile(

@@ -137,9 +137,6 @@ class TestAdjustedLimits:
         assert adj.adjusted_exponent == pytest.approx(0.0346, abs=0.0002)
         assert adj.adjusted_n_crit == pytest.approx(7.32, abs=0.01)
         assert adj.reduction_factor == pytest.approx(64.0 / 10_000, rel=1e-15)
-        assert adj.adjusted_tail_lower == pytest.approx(
-            math.exp(-adj.adjusted_exponent), rel=1e-15
-        )
 
     def test_sparse_year(self):
         adj = adjusted_limits(k=365, p=0.02, c=12.0 / 7.3, k_eff=6.0)

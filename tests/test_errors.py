@@ -5,7 +5,13 @@ import re
 
 import pytest
 
-from screenlimits.bayes import BayesContext, bayes_critical_population, sparse_ppv
+from screenlimits.bayes import (
+    BayesContext,
+    bayes_critical_population,
+    classify_regime,
+    ppv,
+    sparse_ppv,
+)
 from screenlimits.cohorts import (
     CohortGroup,
     CohortProfile,
@@ -18,6 +24,7 @@ from screenlimits.effdim import (
     SpatialCorrelation,
     TemporalCorrelation,
     adjusted_limits,
+    k_eff_temporal,
     k_eff_temporal_rough,
 )
 from screenlimits.errors import DomainError, RangeOverflowError, ScreenLimitsError
@@ -250,6 +257,8 @@ def test_excluded_interval_ends_are_rejected(entry):
         EXCLUDED_ENDS[entry]()
 
 
+HUGE_BAYES = BayesContext(r=1.0, s=1.0, alpha=0.5, q=0.1, n=10**400)
+
 # integers that pass check_int but do not fit a double
 HUGE_INTEGERS = {
     "poisson_tail.m": lambda: poisson_tail(5.0, 10**400),
@@ -258,6 +267,9 @@ HUGE_INTEGERS = {
     "cohort_system_risk.size": lambda: cohort_system_risk(
         CohortProfile((CohortGroup("a", 10**400, 0.01),)), k=100, m=3
     ),
+    "k_eff_temporal.k": lambda: k_eff_temporal(TemporalCorrelation(k=10**400, tau=5.0)),
+    "ppv.n": lambda: ppv(HUGE_BAYES),
+    "classify_regime.n": lambda: classify_regime(HUGE_BAYES),
 }
 
 
@@ -271,6 +283,8 @@ def test_integers_beyond_the_double_range_overflow_cleanly(call):
 OVERFLOWING_RESULTS = {
     "critical_population": lambda: critical_population(1e4, 3.0),
     "disparity_ratio": lambda: disparity_ratio(1e-6, 0.5, 10**4, 4000),
+    "lambda_at": lambda: lambda_at(MODEL, 2000.0),
+    "threshold_for_ratio": lambda: threshold_for_ratio(1e308, 10.0),
 }
 
 

@@ -167,9 +167,10 @@ class TestUnreliabilitySeries:
     def test_rows_match_components(self):
         times = [0.0, 1.0, 2.0, 3.0, 4.0]
         rows = unreliability_series(UNIT_MEAN, 5, 10, times)
-        assert [r.t for r in rows] == times
-        for r in rows:
-            assert r.lam == pytest.approx(lambda_at(UNIT_MEAN, r.t), rel=1e-14)
+        assert len(rows) == len(times)
+        for t, r in zip(times, rows):
+            assert (r.m, r.n) == (5, 10)
+            assert r.lam == pytest.approx(lambda_at(UNIT_MEAN, t), rel=1e-14)
             assert r.q == pytest.approx(poisson_tail(r.lam, 5), rel=1e-14)
             assert r.expected == r.q * 10
             assert r.prob == pytest.approx(1.0 - (1.0 - r.q) ** 10, rel=1e-10)

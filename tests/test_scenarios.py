@@ -99,6 +99,15 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert out.startswith("# scenario: tail")
 
+    def test_threshold_one_past_a_huge_mean_is_zero(self, tmp_path, capsys):
+        # m / lam rounds to 1.0 at lam = 5e16, m = lam + 1: trivial bounds, not an error
+        params = {"k": 10**17, "p": 0.5, "n": 1, "m": 5 * 10**16 + 1}
+        cfg = write_config(tmp_path, {"kind": "system", "parameters": params})
+        assert main(["system", "--config", cfg]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        (row,) = csv.DictReader(lines)
+        assert float(row["lower"]) <= float(row["prob"]) <= float(row["upper"])
+
     def test_schema_error_is_two(self, tmp_path, capsys):
         doc = {"kind": "tail", "parameters": {"lambda": 5.0, "m": 15, "bogus": 1}}
         cfg = write_config(tmp_path, doc)

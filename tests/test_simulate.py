@@ -84,17 +84,16 @@ class TestPerPerson:
 class TestSystem:
     def test_exact_mode_with_slack_for_saturation(self):
         cfg = ScreeningConfig(k=100, p=0.01, n=10**4, m=5)
-        plan = SimPlan.for_config(cfg, runs=5000, seed=23, mode=MODE_BINOMIAL)
+        plan = SimPlan(k=100, p=0.01, m=5, n=10**4, runs=5000, seed=23, mode=MODE_BINOMIAL)
         rep = simulate_system(plan)
         assert rep.analytic == pytest.approx(
-            system_risk(cfg).prob_at_least_one, rel=1e-12
+            system_risk(cfg).prob, rel=1e-12
         )
         assert rep.abs_error <= 3.0 * rep.std_error + 1e-12
 
     def test_poisson_mode(self):
         # n = 50 keeps the probability mid-range so the z-score is meaningful
-        cfg = ScreeningConfig(k=200, p=0.01, n=50, m=6)
-        plan = SimPlan.for_config(cfg, runs=20000, seed=5, mode=MODE_POISSON)
+        plan = SimPlan(k=200, p=0.01, m=6, n=50, runs=20000, seed=5, mode=MODE_POISSON)
         rep = simulate_system(plan)
         assert 0.3 < rep.estimate < 0.8
         assert within_3se(rep)
@@ -143,8 +142,7 @@ class TestDeterminism:
             assert simulate_per_person(plan, workers=workers) == serial
 
     def test_worker_invariance_system(self):
-        cfg = ScreeningConfig(k=100, p=0.01, n=200, m=4)
-        plan = SimPlan.for_config(cfg, runs=20_000, seed=987, mode=MODE_BINOMIAL)
+        plan = SimPlan(k=100, p=0.01, m=4, n=200, runs=20_000, seed=987, mode=MODE_BINOMIAL)
         serial = simulate_system(plan, workers=1)
         assert simulate_system(plan, workers=4) == serial
 
@@ -346,12 +344,6 @@ class TestPlanValidation:
         assert SimPlan(k=10, p=0.1, m=2, runs=10**9, seed=0, mode=MODE_POISSON).runs == 10**9
         with pytest.raises(BudgetError):
             SimPlan(k=10, p=0.1, m=2, runs=10**9 + 1, seed=0, mode=MODE_POISSON)
-
-    def test_for_config_copies_fields(self):
-        cfg = ScreeningConfig(k=120, p=0.02, n=500, c=2.5)
-        plan = SimPlan.for_config(cfg, runs=1000, seed=3, mode=MODE_POISSON)
-        assert (plan.k, plan.p, plan.n) == (120, 0.02, 500)
-        assert plan.m == cfg.threshold
 
 
 class _PoolBuilt(Exception):
