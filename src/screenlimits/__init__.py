@@ -29,7 +29,6 @@ from .cohorts import (
     GroupRisk,
     cohort_system_risk,
     disparity_ratio,
-    dominance_decomposition,
 )
 from .datasets import figure_panels
 from .effdim import (

@@ -3,18 +3,20 @@
 Groups with different per-attribute match probabilities p_g experience
 exponentially different false-alert rates at a common threshold, because the
 tail exponent lam_g * D(m/lam_g) moves with lam_g = k * p_g. This module
-breaks system risk down by group, identifies the dominant group, and
-quantifies the disparity between two match probabilities.
+breaks system risk down by group, each group one `population_risk` record,
+identifies the dominant group in the same pass, and quantifies the disparity
+between two match probabilities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, expm1
+from operator import attrgetter
 
 from .errors import DomainError, RangeOverflowError, as_float, check_int, check_unit
-from .system import system_probability
-from .tails import log_poisson_tail, poisson_tail
+from .system import SystemRisk, population_risk
+from .tails import log_poisson_tail
 
 __all__ = [
     "CohortGroup",
@@ -23,7 +25,6 @@ __all__ = [
     "CohortRisk",
     "DominanceReport",
     "cohort_system_risk",
-    "dominance_decomposition",
     "disparity_ratio",
 ]
 
@@ -57,16 +58,31 @@ class CohortProfile:
             raise DomainError(f"group labels must be unique, got {labels}")
 
 
-@dataclass(frozen=True, slots=True)
-class GroupRisk:
-    """Per-group risk row: mass is the expected false alerts n_g * q_g."""
+@dataclass(frozen=True)
+class GroupRisk(SystemRisk):
+    """One group's `population_risk` at lam = k p_g over its n_g people.
+
+    `share` is the group's part of the cohort's expected false alerts.
+    """
 
     label: str
-    size: int
-    lam: float
-    q: float
-    mass: float
     share: float
+
+
+@dataclass(frozen=True, slots=True)
+class DominanceReport:
+    """Single-group approximation of the cohort system risk.
+
+    main_term = 1 - exp(-M) for the largest mass M; correction_bound is
+    the first-order error bound (sum of other masses) * exp(-M). Ties on the
+    largest mass resolve to the first group in input order.
+    """
+
+    dominant_label: str
+    dominant_mass: float
+    other_mass: float
+    main_term: float
+    correction_bound: float
 
 
 @dataclass(frozen=True)
@@ -81,82 +97,42 @@ class CohortRisk:
     poisson_approx: float
     total_mass: float
     groups: tuple[GroupRisk, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DominanceReport:
-    """Single-group approximation of the cohort system risk.
-
-    main_term = 1 - exp(-M) for the largest mass M; correction_bound is
-    the first-order error bound (sum of other masses) * exp(-M).
-    """
-
-    dominant_label: str
-    dominant_mass: float
-    other_mass: float
-    main_term: float
-    correction_bound: float
-
-
-def _group_stats(profile: CohortProfile, k: int, m: int) -> list[tuple[CohortGroup, float, float, float]]:
-    check_int("k", k, 1)
-    check_int("m", m, 1)
-    attributes = as_float("k", k)
-    out = []
-    for g in profile.groups:
-        lam = attributes * g.p
-        q = poisson_tail(lam, m)
-        out.append((g, lam, q, as_float("group size", g.size) * q))
-    return out
+    dominance: DominanceReport
 
 
 def cohort_system_risk(profile: CohortProfile, k: int, m: int) -> CohortRisk:
     """Exact cohort-wide false-alert probability with group breakdown.
 
-    Each group's n_g ln(1 - q_g) comes from `system_probability`; a group
-    with q_g = 1 contributes -inf, so the result is exactly 1.0.
+    Each group is `population_risk(k p_g, m, n_g)`; the exact value sums
+    their n_g ln(1 - q_g), so a group with q_g = 1 makes it exactly 1.0.
     """
-    stats = _group_stats(profile, k, m)
-    total_mass = sum(mass for _, _, _, mass in stats)
-    exact = -expm1(sum(system_probability(q, g.size)[1] for g, _, q, _ in stats))
-    rows = tuple(
+    check_int("k", k, 1)
+    check_int("m", m, 1)
+    attributes = as_float("k", k)
+    risks = [population_risk(attributes * g.p, m, g.size) for g in profile.groups]
+    total_mass = sum(r.expected for r in risks)
+    groups = tuple(
         GroupRisk(
+            **vars(r),
             label=g.label,
-            size=g.size,
-            lam=lam,
-            q=q,
-            mass=mass,
-            share=mass / total_mass if total_mass > 0.0 else 0.0,
+            share=r.expected / total_mass if total_mass > 0.0 else 0.0,
         )
-        for g, lam, q, mass in stats
+        for g, r in zip(profile.groups, risks)
     )
+    best = max(groups, key=attrgetter("expected"))
+    other = sum(g.expected for g in groups if g is not best)
     return CohortRisk(
-        exact=exact,
+        exact=-expm1(sum(r.log_complement for r in risks)),
         poisson_approx=-expm1(-total_mass),
         total_mass=total_mass,
-        groups=rows,
-    )
-
-
-def dominance_decomposition(profile: CohortProfile, k: int, m: int) -> DominanceReport:
-    """Dominant-group term and its correction bound.
-
-    Ties on the maximal mass resolve to the first group in input order.
-    """
-    stats = _group_stats(profile, k, m)
-    best_idx = 0
-    best_mass = stats[0][3]
-    for i, (_, _, _, mass) in enumerate(stats[1:], start=1):
-        if mass > best_mass:
-            best_idx, best_mass = i, mass
-    other = sum(mass for i, (_, _, _, mass) in enumerate(stats) if i != best_idx)
-    main = -expm1(-best_mass)
-    return DominanceReport(
-        dominant_label=stats[best_idx][0].label,
-        dominant_mass=best_mass,
-        other_mass=other,
-        main_term=main,
-        correction_bound=other * exp(-best_mass),
+        groups=groups,
+        dominance=DominanceReport(
+            dominant_label=best.label,
+            dominant_mass=best.expected,
+            other_mass=other,
+            main_term=-expm1(-best.expected),
+            correction_bound=other * exp(-best.expected),
+        ),
     )
 
 

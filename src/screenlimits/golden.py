@@ -138,7 +138,7 @@ def golden_report(tol_scale: float = 1.0) -> list[GoldenCheck]:
     checks.append(
         _check(
             "cohort-alerts-low",
-            by_label["low"].mass,
+            by_label["low"].expected,
             1400.0,
             tol_scale,
             tol_rel=0.01,
@@ -151,7 +151,7 @@ def golden_report(tol_scale: float = 1.0) -> list[GoldenCheck]:
     checks.append(
         _check(
             "cohort-alerts-high",
-            by_label["high"].mass,
+            by_label["high"].expected,
             32300.0,
             tol_scale,
             tol_rel=0.01,

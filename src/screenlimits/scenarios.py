@@ -24,12 +24,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .bayes import BayesContext, bayes_critical_population, classify_regime, ppv
-from .cohorts import (
-    CohortGroup,
-    CohortProfile,
-    cohort_system_risk,
-    dominance_decomposition,
-)
+from .cohorts import CohortGroup, CohortProfile, cohort_system_risk
 from .effdim import (
     HEURISTIC_NOTE,
     SpatialCorrelation,
@@ -216,16 +211,15 @@ def _cohort(p: dict):
         groups=tuple(CohortGroup(label=g["label"], size=g["n"], p=g["p"]) for g in p["groups"])
     )
     risk = cohort_system_risk(profile, k=p["k"], m=p["m"])
-    dom = dominance_decomposition(profile, k=p["k"], m=p["m"])
     rows = [
-        {"label": g.label, "n": g.size, "lam": g.lam, "q": g.q, "mass": g.mass, "share": g.share}
+        {"label": g.label, "n": g.n, "lam": g.lam, "q": g.q, "mass": g.expected, "share": g.share}
         for g in risk.groups
     ]
     summary = {
         "exact": risk.exact,
         "poisson_approx": risk.poisson_approx,
         "total_mass": risk.total_mass,
-        **asdict(dom),
+        **asdict(risk.dominance),
     }
     return ["per-group false-alert decomposition"], rows, summary
 

@@ -16,26 +16,26 @@ Modes:
     poisson-approx     draw Poisson counts (or Binomial(n, q) at system level)
     copula-correlated  correlated attributes via a latent Gaussian copula
 
-Person poisson-approx, for 0 < k p <= 30 and 1 <= m <= k p + 10 sqrt(k p + 1),
-decides each run from one raw Philox word: sequential-search inversion of
-Pois(k p) from that word's double counts to m exactly when the double
-exceeds a cut-off found once per plan. Outside that regime a chunk draws
-rng.poisson(k p) >= m. The exchangeable copula draws one shared normal s per
-run and the count as Bin(k, Phi((t - sqrt(rho) s) / sqrt(1 - rho))), the law
-of k latent threshold crossings given s; AR(1) draws all k latent normals.
-Both copula kinds count k draws per run against the draw budget, and both
-report the mean and variance of the count, whose excess over k p (1 - p) is
-the design effect of the binary correlation the latent rho induces.
+The exchangeable copula draws one shared normal s per run and the count as
+Bin(k, Phi((t - sqrt(rho) s) / sqrt(1 - rho))), the law of k latent
+threshold crossings given s; AR(1) draws all k latent normals. Both copula
+kinds count k draws per run against the draw budget, and both report the
+mean and variance of the count, whose excess over k p (1 - p) is the design
+effect of the binary correlation the latent rho induces.
 
-Binomial draws only ever feed an alert test count >= m. Where numpy samples
-the binomial by inversion (0 < p <= 1/2, n p <= 30), it reads one Philox
-double per value, and the alert is decided by comparing that same double
-with a cut-off computed once per plan. The comparison is made on the raw
-64-bit Philox words the doubles are made from, so the words alone give the
-alerts numpy's counts would. The kernel-equality grid in
-tests/test_simulate.py pins this to rng.binomial element by element: a
-numpy upgrade that changes its sampler fails that test loudly instead of
-moving a result.
+Binomial and Poisson draws only ever feed an alert test count >= m. Each
+law is built once per plan as raw-word cuts plus a fallback draw
+(`_binomial_law`, `_poisson_law`), and one kernel, `_alerts`, decides every
+chunk from them. Where the law is sampled by sequential-search inversion
+from one Philox double per value (numpy's binomial for 0 < p <= 1/2,
+n p <= 30; the Poisson walk for 0 < k p <= 30, 1 <= m <= k p +
+10 sqrt(k p + 1)), the count reaches m exactly when that double exceeds a
+cut-off, so the test is made on the raw 64-bit words the doubles are made
+from. A binomial chunk whose walk would have restarted, and every chunk
+outside the regime, draws from the fallback instead. The kernel-equality
+grids in tests/test_simulate.py pin this to rng.binomial and to a replay of
+the Poisson walk element by element: a numpy upgrade that changes its
+sampler fails them loudly instead of moving a result.
 """
 
 from __future__ import annotations
@@ -238,56 +238,6 @@ def _last_short_walk(terms: list[float]) -> float:
     return _double(lo)
 
 
-def _inversion_cuts(n: int, p: float, m: int) -> tuple[float, float] | None:
-    """Uniform cut-offs that decide Bin(n, p) >= m in numpy's inversion sampler.
-
-    numpy draws Bin(n, p) by inversion when 0 < p <= 1/2 and n p <= 30: one
-    double U per value, the double rng.random would return, and the count
-    reaches m exactly when U exceeds the first cut. Past the second cut the
-    count would pass numpy's bound and the walk would restart on a fresh
-    double. Returns None outside that regime, for m < 1 and for m beyond
-    the bound.
-
-    Raises:
-        RangeOverflowError: If n does not fit numpy's int64 binomial size.
-    """
-    if n > _INT64_MAX:
-        raise RangeOverflowError(f"binomial size n = {n:.3g} exceeds numpy's int64 limit")
-    n = int(n)
-    if not (0.0 < p <= 0.5 and n >= 1 and p * n <= 30.0 and m >= 1):
-        return None
-    q = 1.0 - p
-    mean = n * p
-    bound = int(min(float(n), mean + 10.0 * sqrt(mean * q + 1)))
-    if m > bound:
-        return None
-    # the px of numpy's random_binomial_inversion, in its float order
-    px = exp(n * log1p(-p))
-    terms = [px]
-    for x in range(1, bound + 1):
-        px = (float(n - x + 1) * p * px) / (x * q)
-        terms.append(px)
-    return _last_short_walk(terms[:m]), _last_short_walk(terms)
-
-
-def _poisson_cut(lam: float, m: int) -> float | None:
-    """Uniform cut-off above which a sequential-search Pois(lam) count is >= m.
-
-    The walk starts from px = e^-lam and steps px = px lam / x (Devroye 1986,
-    Non-Uniform Random Variate Generation, X.3). Returns None outside
-    0 < lam <= 30 and 1 <= m <= lam + 10 sqrt(lam + 1), where the walk could
-    grow long.
-    """
-    if not (0.0 < lam <= 30.0 and 1 <= m <= lam + 10.0 * sqrt(lam + 1.0)):
-        return None
-    px = exp(-lam)
-    terms = [px]
-    for x in range(1, m):
-        px = px * lam / x
-        terms.append(px)
-    return _last_short_walk(terms)
-
-
 def _word_cut(cut: float) -> int:
     """Smallest raw Philox word w whose double (w >> 11) * 2**-53 exceeds cut.
 
@@ -297,44 +247,94 @@ def _word_cut(cut: float) -> int:
     return max(0, floor(cut * 2.0**53) + 1) << 11
 
 
-def _binomial_alerts(
-    seed: int, j: int, n: int, p: float, m: int, shape, cuts: tuple[float, float] | None
-) -> np.ndarray:
-    """Exactly rng.binomial(n, p, shape) >= m on chunk j's stream.
+def _binomial_law(n: int, p: float, m: int):
+    """(word cuts or None, fallback draw) deciding Bin(n, p) >= m.
 
-    A 2-D shape is reduced along its rows by any(), one alert flag per row.
-    With cuts from _inversion_cuts the alerts are read off the raw words
-    behind the doubles numpy's sampler would have drawn; a row alerts when
-    its largest word does. If any of them would have restarted the walk,
-    numpy's stream shifts, so the chunk is drawn again by rng.binomial from
-    a fresh generator.
+    numpy draws Bin(n, p) by inversion when 0 < p <= 1/2 and n p <= 30: one
+    double U per value, the double rng.random would return, and the count
+    reaches m exactly when U exceeds the first cut. Past the second cut the
+    count would pass numpy's bound and the walk would restart on a fresh
+    double. The cuts are None outside that regime, for m < 1 and for m
+    beyond the bound.
+
+    Raises:
+        RangeOverflowError: If n does not fit numpy's int64 binomial size.
     """
+    if n > _INT64_MAX:
+        raise RangeOverflowError(f"binomial size n = {n:.3g} exceeds numpy's int64 limit")
+    n = int(n)
+
+    def draw(rng: np.random.Generator, shape) -> np.ndarray:
+        return rng.binomial(n, p, shape) >= m
+
+    if not (0.0 < p <= 0.5 and n >= 1 and p * n <= 30.0 and m >= 1):
+        return None, draw
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(float(n), mean + 10.0 * sqrt(mean * q + 1)))
+    if m > bound:
+        return None, draw
+    # the px of numpy's random_binomial_inversion, in its float order
+    px = exp(n * log1p(-p))
+    terms = [px]
+    for x in range(1, bound + 1):
+        px = (float(n - x + 1) * p * px) / (x * q)
+        terms.append(px)
+    return (_word_cut(_last_short_walk(terms[:m])), _word_cut(_last_short_walk(terms))), draw
+
+
+def _poisson_law(lam: float, m: int):
+    """(word cuts or None, fallback draw) deciding Pois(lam) >= m.
+
+    The sequential-search walk starts from px = e^-lam and steps
+    px = px lam / x (Devroye 1986, Non-Uniform Random Variate Generation,
+    X.3); it never restarts, so the cuts carry no restart word. They are None
+    outside 0 < lam <= 30 and 1 <= m <= lam + 10 sqrt(lam + 1), where the
+    walk could grow long.
+
+    Raises:
+        RangeOverflowError: If lam exceeds numpy's Poisson limit.
+    """
+    if lam > _POISSON_LAM_MAX:
+        raise RangeOverflowError(
+            f"Poisson mean k p = {lam:.3g} exceeds numpy's limit {_POISSON_LAM_MAX:.3g}"
+        )
+
+    def draw(rng: np.random.Generator, shape) -> np.ndarray:
+        return rng.poisson(lam, shape) >= m
+
+    if not (0.0 < lam <= 30.0 and 1 <= m <= lam + 10.0 * sqrt(lam + 1.0)):
+        return None, draw
+    px = exp(-lam)
+    terms = [px]
+    for x in range(1, m):
+        px = px * lam / x
+        terms.append(px)
+    return (_word_cut(_last_short_walk(terms)), None), draw
+
+
+def _alerts(seed: int, j: int, shape: tuple[int, ...], law) -> np.ndarray:
+    """The law's count >= m for chunk j's stream, one flag per row of `shape`.
+
+    A 2-D shape is reduced along its rows by any(). With word cuts a value
+    alerts when the raw Philox word behind the double numpy's sampler would
+    read reaches the alert word, and a row when its largest word does. If a
+    word reaches the restart word, numpy's walk would have restarted and
+    shifted the stream, so the chunk is drawn again by the fallback from a
+    fresh generator.
+    """
+    cuts, draw = law
     rng = _chunk_rng(seed, j)
     if cuts is not None:
-        alert_cut, restart_cut = cuts
+        alert, restart = cuts
         words = rng.bit_generator.random_raw(shape)
         if words.ndim == 2:
             words = words.max(axis=1)
-        if words.max() < _word_cut(restart_cut):
-            return words >= _word_cut(alert_cut)
+        if restart is None or words.max() < restart:
+            return words >= alert
         rng = _chunk_rng(seed, j)
-    alerts = rng.binomial(n, p, shape) >= m
+    alerts = draw(rng, shape)
     return alerts.any(axis=1) if alerts.ndim == 2 else alerts
-
-
-def _poisson_alerts(
-    seed: int, j: int, lam: float, m: int, size: int, cut: float | None
-) -> np.ndarray:
-    """Pois(lam) >= m for `size` runs of chunk j, one raw Philox word per run.
-
-    With a cut from _poisson_cut a run alerts when its word's double exceeds
-    the cut; the walk never restarts, so nothing is redrawn. Without one the
-    chunk draws rng.poisson(lam, size) >= m.
-    """
-    rng = _chunk_rng(seed, j)
-    if cut is None:
-        return rng.poisson(lam, size) >= m
-    return rng.bit_generator.random_raw(size) >= _word_cut(cut)
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -415,11 +415,22 @@ def _finish(alerts: int, plan: SimPlan, analytic: float) -> SimReport:
     )
 
 
+def _alert_report(
+    plan: SimPlan, workers: int, law, analytic: float, row: tuple[int, ...] = (), chunk: int = _CHUNK
+) -> SimReport:
+    """Report the share of runs in which `_alerts` flags the law, each run a (*row) block."""
+
+    def tally(j: int, size: int) -> int:
+        return int(_alerts(plan.seed, j, (size, *row), law).sum())
+
+    return _finish(sum(_count(plan, chunk, workers, tally)), plan, analytic)
+
+
 def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
     """Estimate the per-person alert probability Pr(count >= m).
 
     binomial-exact draws Bin(k, p) per trial; poisson-approx draws
-    Pois(k*p), from one raw word per trial where _poisson_cut gives a cut.
+    Pois(k*p), from one raw word per trial where _poisson_law gives cuts.
     The analytic reference matches the sampled law.
     """
     if plan.mode not in (MODE_BINOMIAL, MODE_POISSON):
@@ -429,24 +440,12 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
         )
     if plan.mode == MODE_BINOMIAL:
         analytic = binomial_tail(plan.k, plan.p, plan.m)
-        cuts = _inversion_cuts(plan.k, plan.p, plan.m)
-
-        def tally(j: int, size: int) -> int:
-            return int(_binomial_alerts(plan.seed, j, plan.k, plan.p, plan.m, size, cuts).sum())
-
+        law = _binomial_law(plan.k, plan.p, plan.m)
     else:
         lam = as_float("k", plan.k) * plan.p
-        if lam > _POISSON_LAM_MAX:
-            raise RangeOverflowError(
-                f"Poisson mean k p = {lam:.3g} exceeds numpy's limit {_POISSON_LAM_MAX:.3g}"
-            )
+        law = _poisson_law(lam, plan.m)
         analytic = poisson_tail(lam, plan.m)
-        cut = _poisson_cut(lam, plan.m)
-
-        def tally(j: int, size: int) -> int:
-            return int(_poisson_alerts(plan.seed, j, lam, plan.m, size, cut).sum())
-
-    return _finish(sum(_count(plan, _CHUNK, workers, tally)), plan, analytic)
+    return _alert_report(plan, workers, law, analytic)
 
 
 def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
@@ -476,12 +475,7 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
         q = poisson_tail(as_float("k", plan.k) * plan.p, plan.m)
         law, row, chunk = (plan.n, q, 1), (), _CHUNK
     analytic, _ = system_probability(q, plan.n)
-    cuts = _inversion_cuts(*law)
-
-    def tally(j: int, size: int) -> int:
-        return int(_binomial_alerts(plan.seed, j, *law, (size, *row), cuts).sum())
-
-    return _finish(sum(_count(plan, chunk, workers, tally)), plan, analytic)
+    return _alert_report(plan, workers, _binomial_law(*law), analytic, row, chunk)
 
 
 def _latent_counts(

@@ -105,9 +105,10 @@ def system_probability(q: float, n: int) -> tuple[float, float]:
     for tiny q and overflow-safe for n up to 1e12 and beyond.
     """
     check_int("n", n, 0)
+    size = as_float("n", n)
     if q >= 1.0:
         return 1.0, float("-inf")
-    log_comp = as_float("n", n) * log1p(-q)
+    log_comp = size * log1p(-q)
     return -expm1(log_comp), log_comp
 
 

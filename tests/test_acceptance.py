@@ -181,7 +181,7 @@ def test_criterion_05_cohort_disparity(capsys):
     risk = cohort_system_risk(profile, k=100, m=3)
     by_label = {g.label: g for g in risk.groups}
     q_low, q_high = by_label["low"].q, by_label["high"].q
-    alerts_low, alerts_high = by_label["low"].mass, by_label["high"].mass
+    alerts_low, alerts_high = by_label["low"].expected, by_label["high"].expected
     ratio = q_high / q_low
     # Pr(Pois(lam) >= 3) = 1 - e^-lam (1 + lam + lam^2/2) at lam = k*p = 0.5
     # and 2.0, written out so the targets do not go through poisson_tail.

@@ -8,12 +8,12 @@ import pytest
 from screenlimits.cohorts import (
     CohortGroup,
     CohortProfile,
+    GroupRisk,
     cohort_system_risk,
     disparity_ratio,
-    dominance_decomposition,
 )
 from screenlimits.errors import DomainError
-from screenlimits.system import ScreeningConfig, system_risk
+from screenlimits.system import ScreeningConfig, population_risk, system_risk
 from screenlimits.tails import poisson_tail
 
 # reference two-group profile: same size, one group with four times
@@ -65,8 +65,8 @@ class TestCohortSystemRisk:
         assert by_label["high"].lam == pytest.approx(2.0)
         assert by_label["low"].q == pytest.approx(0.014, abs=0.001)
         assert by_label["high"].q == pytest.approx(0.323, abs=0.001)
-        assert by_label["low"].mass == pytest.approx(1438.77, abs=0.01)
-        assert by_label["high"].mass == pytest.approx(32332.36, abs=0.01)
+        assert by_label["low"].expected == pytest.approx(1438.77, abs=0.01)
+        assert by_label["high"].expected == pytest.approx(32332.36, abs=0.01)
         assert by_label["high"].q / by_label["low"].q == pytest.approx(22.47, abs=0.01)
         assert risk.exact == 1.0
         assert risk.total_mass == pytest.approx(1438.77 + 32332.36, abs=0.05)
@@ -74,6 +74,26 @@ class TestCohortSystemRisk:
     def test_shares_sum_to_one(self):
         risk = cohort_system_risk(TWO_GROUPS, k=100, m=3)
         assert sum(g.share for g in risk.groups) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 100, 10**6])
+    @pytest.mark.parametrize("m", [1, 3, 40])
+    def test_groups_are_population_risk_records(self, k, m):
+        profile = CohortProfile(
+            groups=(
+                CohortGroup(label="a", size=1, p=1e-9),
+                CohortGroup(label="b", size=10**5, p=0.005),
+                CohortGroup(label="c", size=7, p=0.3),
+                CohortGroup(label="d", size=10**12, p=0.02),
+            )
+        )
+        risk = cohort_system_risk(profile, k=k, m=m)
+        for g, row in zip(profile.groups, risk.groups):
+            assert isinstance(row, GroupRisk)
+            want = population_risk(k * g.p, m, g.size)
+            assert {f: getattr(row, f) for f in vars(want)} == vars(want)
+            assert (row.label, row.share) == (g.label, row.expected / risk.total_mass)
+        assert math.fsum(g.share for g in risk.groups) == pytest.approx(1.0, rel=1e-12)
+        assert risk.dominance.dominant_mass == max(g.expected for g in risk.groups)
 
     def test_single_group_matches_system_risk(self):
         profile = CohortProfile(groups=(CohortGroup(label="only", size=5000, p=0.01),))
@@ -123,7 +143,7 @@ class TestCohortSystemRisk:
 
 class TestDominance:
     def test_reference_profile_dominated_by_high(self):
-        rep = dominance_decomposition(TWO_GROUPS, k=100, m=3)
+        rep = cohort_system_risk(TWO_GROUPS, k=100, m=3).dominance
         assert rep.dominant_label == "high"
         assert rep.main_term == pytest.approx(1.0)
         assert rep.correction_bound == pytest.approx(0.0, abs=1e-300)
@@ -135,7 +155,7 @@ class TestDominance:
                 CohortGroup(label="second", size=100, p=0.01),
             )
         )
-        rep = dominance_decomposition(profile, k=100, m=4)
+        rep = cohort_system_risk(profile, k=100, m=4).dominance
         assert rep.dominant_label == "first"
         assert rep.dominant_mass == rep.other_mass
 
@@ -162,8 +182,8 @@ class TestDominance:
                     CohortGroup(label="oth", size=size_other, p=p_dom * 0.8),
                 )
             )
-            rep = dominance_decomposition(profile, k, m)
-            exact = cohort_system_risk(profile, k, m).exact
+            risk = cohort_system_risk(profile, k, m)
+            rep, exact = risk.dominance, risk.exact
             if rep.other_mass * math.exp(-rep.dominant_mass) < 0.1:
                 assert abs(exact - rep.main_term) <= rep.correction_bound + 1e-12
                 checked += 1

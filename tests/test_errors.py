@@ -17,7 +17,6 @@ from screenlimits.cohorts import (
     CohortProfile,
     cohort_system_risk,
     disparity_ratio,
-    dominance_decomposition,
 )
 from screenlimits.datasets import figure_panels
 from screenlimits.effdim import (
@@ -98,8 +97,6 @@ INTEGER_ARGUMENTS = {
     "CohortGroup.size": lambda x: CohortGroup(label="a", size=x, p=0.01),
     "cohort_system_risk.k": lambda x: cohort_system_risk(PROFILE, x, 3),
     "cohort_system_risk.m": lambda x: cohort_system_risk(PROFILE, 100, x),
-    "dominance_decomposition.k": lambda x: dominance_decomposition(PROFILE, x, 3),
-    "dominance_decomposition.m": lambda x: dominance_decomposition(PROFILE, 100, x),
     "disparity_ratio.k": lambda x: disparity_ratio(0.01, 0.02, x, 3),
     "disparity_ratio.m": lambda x: disparity_ratio(0.01, 0.02, 100, x),
     "BayesContext.n": lambda x: BayesContext(r=1.0, s=0.5, alpha=0.5, q=0.1, n=x),
@@ -266,6 +263,11 @@ HUGE_INTEGERS = {
     "system_risk.k": lambda: system_risk(ScreeningConfig(k=10**400, p=0.005, n=10, m=3)),
     "cohort_system_risk.size": lambda: cohort_system_risk(
         CohortProfile((CohortGroup("a", 10**400, 0.01),)), k=100, m=3
+    ),
+    # q = 1 saturates the probability before n is ever multiplied in
+    "system_risk.n at q=1": lambda: system_risk(ScreeningConfig(k=100, p=0.5, n=10**400, m=1)),
+    "cohort_system_risk.size at q=1": lambda: cohort_system_risk(
+        CohortProfile((CohortGroup("a", 10**400, 0.5),)), k=100, m=1
     ),
     "k_eff_temporal.k": lambda: k_eff_temporal(TemporalCorrelation(k=10**400, tau=5.0)),
     "ppv.n": lambda: ppv(HUGE_BAYES),

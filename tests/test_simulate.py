@@ -173,7 +173,7 @@ class TestCalibration:
     def test_poisson_z_scores_calibrated_over_seeds(self):
         # person poisson-approx decides each run from one raw word
         plan_proto = dict(k=100, p=0.05, m=10, runs=20_000, mode=MODE_POISSON)
-        assert simulate._poisson_cut(100 * 0.05, 10) is not None
+        assert simulate._poisson_law(100 * 0.05, 10)[0] is not None
         hits = 0
         for seed in range(100):
             rep = simulate_per_person(SimPlan(seed=seed, **plan_proto))
@@ -496,8 +496,23 @@ def _grid_ps(n: int) -> list[float]:
     return sorted({min(p, 1.0) for p in ps})
 
 
+def _traced_law(monkeypatch, build, *args):
+    """(build(*args), the float cuts its bisections returned, in order)."""
+    seen = []
+    real = simulate._last_short_walk
+
+    def record(terms):
+        seen.append(real(terms))
+        return seen[-1]
+
+    monkeypatch.setattr(simulate, "_last_short_walk", record)
+    law = build(*args)
+    monkeypatch.setattr(simulate, "_last_short_walk", real)
+    return law, tuple(seen)
+
+
 class TestBinomialAlerts:
-    """_binomial_alerts must equal rng.binomial(n, p, shape) >= m bit for bit.
+    """_alerts on _binomial_law must equal rng.binomial(n, p, shape) >= m bit for bit.
 
     For a 2-D shape, that array reduced by any() along its rows.
     """
@@ -509,27 +524,33 @@ class TestBinomialAlerts:
             bound = _numpy_bound(n, p)
             for m in sorted({0, 1, bound, bound + 1, 40}):
                 seed, j = 1000 * i + m, i % 3
-                cuts = simulate._inversion_cuts(n, p, m)
-                got = simulate._binomial_alerts(seed, j, n, p, m, shape, cuts)
+                got = simulate._alerts(seed, j, shape, simulate._binomial_law(n, p, m))
                 want = simulate._chunk_rng(seed, j).binomial(n, p, shape) >= m
                 if want.ndim == 2:
                     want = want.any(axis=1)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), (n, p, m)
 
-    def test_regime(self):
+    def test_regime(self, monkeypatch):
+        def cuts(n, p, m):
+            return simulate._binomial_law(n, p, m)[0]
+
         edge = _inversion_edge(500)
-        assert simulate._inversion_cuts(500, edge, 5) is not None
-        assert simulate._inversion_cuts(500, math.nextafter(edge, math.inf), 5) is None
-        assert simulate._inversion_cuts(60, 0.5, 30) is not None
-        assert simulate._inversion_cuts(20, 0.6, 5) is None
-        assert simulate._inversion_cuts(20, 0.0, 1) is None
-        assert simulate._inversion_cuts(20, 0.1, 0) is None
+        assert cuts(500, edge, 5) is not None
+        assert cuts(500, math.nextafter(edge, math.inf), 5) is None
+        assert cuts(60, 0.5, 30) is not None
+        assert cuts(20, 0.6, 5) is None
+        assert cuts(20, 0.0, 1) is None
+        assert cuts(20, 0.1, 0) is None
         bound = _numpy_bound(20, 0.1)
-        assert simulate._inversion_cuts(20, 0.1, bound) is not None
-        assert simulate._inversion_cuts(20, 0.1, bound + 1) is None
-        alert_cut, restart_cut = simulate._inversion_cuts(200, 0.01, 8)
+        assert cuts(20, 0.1, bound) is not None
+        assert cuts(20, 0.1, bound + 1) is None
+        (words, _), (alert_cut, restart_cut) = _traced_law(
+            monkeypatch, simulate._binomial_law, 200, 0.01, 8
+        )
         assert 0.0 < alert_cut < restart_cut < 1.0
+        assert words == (simulate._word_cut(alert_cut), simulate._word_cut(restart_cut))
+        assert 0 < words[0] < words[1] < 2**64
 
     @pytest.mark.parametrize(
         "cut",
@@ -556,11 +577,11 @@ class TestBinomialAlerts:
         ]
         runs = [simulate_per_person, simulate_system, simulate_system]
         expected = [run(plan) for run, plan in zip(runs, plans)]
-        real_cuts = simulate._inversion_cuts
+        real_law = simulate._binomial_law
 
         def restart_everywhere(n, p, m):
-            alert_cut, _ = real_cuts(n, p, m)
-            return alert_cut, -1.0
+            (alert, _), draw = real_law(n, p, m)
+            return (alert, 0), draw
 
         rngs = []
         real_rng = simulate._chunk_rng
@@ -569,7 +590,7 @@ class TestBinomialAlerts:
             rngs.append((seed, j))
             return real_rng(seed, j)
 
-        monkeypatch.setattr(simulate, "_inversion_cuts", restart_everywhere)
+        monkeypatch.setattr(simulate, "_binomial_law", restart_everywhere)
         monkeypatch.setattr(simulate, "_chunk_rng", counted_rng)
         for run, plan, want in zip(runs, plans, expected):
             rngs.clear()
@@ -606,22 +627,25 @@ def _full_bisection(reaches) -> float:
 
 
 class TestPoissonAlerts:
-    """Person poisson-approx alerts: one raw word per run, or rng.poisson."""
+    """_alerts on _poisson_law: one raw word per run, or rng.poisson."""
 
     LAMS = [1e-4, 0.3, 1.0, 5.0, 12.5, 29.9, 30.0, math.nextafter(30.0, math.inf), 45.0]
 
     @pytest.mark.parametrize("lam", LAMS)
-    def test_matches_sequential_search_replay(self, lam):
+    def test_matches_sequential_search_replay(self, lam, monkeypatch):
         bound = math.floor(_poisson_bound(lam))
         for i, m in enumerate(sorted({0, 1, 2, 6, bound, bound + 1})):
             seed, j = 31 * i + 7, i % 3
-            cut = simulate._poisson_cut(lam, m)
-            assert (cut is not None) == (lam <= 30.0 and 1 <= m <= bound), (lam, m)
-            got = simulate._poisson_alerts(seed, j, lam, m, 2000, cut)
+            law, floats = _traced_law(monkeypatch, simulate._poisson_law, lam, m)
+            assert (law[0] is not None) == (lam <= 30.0 and 1 <= m <= bound), (lam, m)
+            got = simulate._alerts(seed, j, (2000,), law)
             rng = simulate._chunk_rng(seed, j)
-            if cut is None:
+            if law[0] is None:
                 want = rng.poisson(lam, 2000) >= m
             else:
+                # one alert word and no restart word: the walk never restarts
+                (cut,) = floats
+                assert law[0] == (simulate._word_cut(cut), None)
                 want = np.array([_poisson_replay(u, lam, m) for u in rng.random(2000)])
                 # the cut is the last double whose walk stops short; at the
                 # largest double below 1 no draw alerts
@@ -633,21 +657,21 @@ class TestPoissonAlerts:
 
     def test_per_person_uses_the_words(self):
         plan = SimPlan(k=1000, p=0.005, m=9, runs=20_000, seed=29, mode=MODE_POISSON)
-        cut = simulate._poisson_cut(5.0, 9)
+        (alert, _), _ = simulate._poisson_law(5.0, 9)
         sizes = simulate._chunk_sizes(plan.runs, simulate._CHUNK)
         words = np.concatenate(
             [simulate._chunk_rng(29, j).bit_generator.random_raw(size) for j, size in enumerate(sizes)]
         )
-        alerts = int((words >= simulate._word_cut(cut)).sum())
+        alerts = int((words >= alert).sum())
         assert simulate_per_person(plan, workers=2).estimate == alerts / plan.runs
 
-    def test_bracketed_cuts_equal_the_full_bisection(self):
+    def test_bracketed_cuts_equal_the_full_bisection(self, monkeypatch):
         rng = np.random.default_rng(8)
         for _ in range(600):
             n = int(10 ** rng.uniform(0, 9))
             p = min(0.5, 10 ** rng.uniform(-4, math.log10(30)) / n)
             m = int(rng.integers(1, max(1, _numpy_bound(n, p)) + 1))
-            got = simulate._inversion_cuts(n, p, m)
+            law, got = _traced_law(monkeypatch, simulate._binomial_law, n, p, m)
             q = 1.0 - p
             qn = math.exp(n * math.log1p(-p))
 
@@ -664,17 +688,20 @@ class TestPoissonAlerts:
             bound = _numpy_bound(n, p)
             want = tuple(_full_bisection(lambda u, s=s: reaches(u, s)) for s in (m, bound + 1))
             assert got == want, (n, p, m)
+            assert law[0] == tuple(simulate._word_cut(cut) for cut in want)
             lam = float(rng.uniform(1e-3, 30.0))
             m = int(rng.integers(1, math.floor(_poisson_bound(lam)) + 1))
             want = _full_bisection(lambda u: _poisson_replay(u, lam, m))
-            assert simulate._poisson_cut(lam, m) == want, (lam, m)
+            _, got = _traced_law(monkeypatch, simulate._poisson_law, lam, m)
+            assert got == (want,), (lam, m)
 
     @pytest.mark.parametrize("guess", [0.0, 1.0])
     def test_a_wrong_bracket_falls_back_to_the_full_range(self, guess, monkeypatch):
         # centre the bracket far from the cut: both end checks must catch it
-        want = simulate._inversion_cuts(305, 0.01, 6)
+        _, want = _traced_law(monkeypatch, simulate._binomial_law, 305, 0.01, 6)
         monkeypatch.setattr(simulate, "sum", lambda terms: guess, raising=False)
-        assert simulate._inversion_cuts(305, 0.01, 6) == want
+        _, got = _traced_law(monkeypatch, simulate._binomial_law, 305, 0.01, 6)
+        assert got == want
 
 
 class TestSamplerLimits:
