@@ -152,8 +152,11 @@ def figure_panels(
 
     Returns {"dir": str, "files": {name: sha256}}. Only panel_a consumes
     randomness; runs and seed are recorded in the manifest either way.
+
+    Raises:
+        DomainError: If seed lies outside [0, 2**64 - 1], before out_dir is made.
     """
-    check_int("seed", seed)
+    check_int("seed", seed, 0, 2**64 - 1)
     out = Path(out_dir)
     make_dir(out)
 

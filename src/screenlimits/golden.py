@@ -16,10 +16,12 @@ rather than widened, so the gap stays visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .bayes import REGIME_EVIDENTIAL, BayesContext, classify_regime
 from .cohorts import CohortGroup, CohortProfile, cohort_system_risk, disparity_ratio
 from .effdim import SpatialCorrelation, adjusted_limits, k_eff_spatial, k_eff_temporal_rough
+from .errors import DomainError
 from .lifetime import GrowthModel, critical_time_analytic
 from .system import ScreeningConfig, critical_population, system_risk
 from .tails import poisson_tail
@@ -77,7 +79,12 @@ def golden_report(tol_scale: float = 1.0) -> list[GoldenCheck]:
     tol_scale=0 turns every comparison exact, which makes the rows whose
     targets are rounded display values fail; that is the intended way to
     verify the harness actually compares numbers.
+
+    Raises:
+        DomainError: Unless 0 <= tol_scale < inf.
     """
+    if not (0.0 <= tol_scale < inf):
+        raise DomainError(f"tol_scale must lie in [0, inf), got {tol_scale}")
     checks: list[GoldenCheck] = []
 
     # Flagship single-rate deployment: k=1000, p=0.005, m=15, n=1e6.

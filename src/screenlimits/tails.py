@@ -296,7 +296,7 @@ def overlap_probability(inp: OverlapInput) -> float:
 
 
 def threshold_for_ratio(lam: float, c: float) -> int:
-    """Integer threshold m = ceil(c * lam), robust to float fuzz at integers.
+    """Integer threshold m = ceil(c * lam) >= 1, robust to float fuzz at integers.
 
     Raises:
         DomainError: If lam or c is not positive.
@@ -307,6 +307,7 @@ def threshold_for_ratio(lam: float, c: float) -> int:
     target = c * lam
     if not isfinite(target):
         raise RangeOverflowError(f"threshold c*lam overflows a double: lam={lam}, c={c}")
-    # the fuzz guard keeps a product landing on an integer from rounding up
-    return int(ceil(target - 1e-9))
+    # the fuzz guard keeps a product landing on an integer from rounding up;
+    # it must not take a product of at most 1e-9 down to 0, since c, lam > 0
+    return max(1, int(ceil(target - 1e-9)))
 

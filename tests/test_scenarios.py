@@ -108,6 +108,14 @@ class TestExitCodes:
         (row,) = csv.DictReader(lines)
         assert float(row["lower"]) <= float(row["prob"]) <= float(row["upper"])
 
+    def test_ratio_at_a_tiny_mean_uses_threshold_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "tail", "parameters": {"lambda": 1e-12, "c": 2.0}})
+        assert main(["tail", "--config", cfg, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        (row,) = [dict(zip(doc["columns"], values)) for values in doc["rows"]]
+        assert row["m"] == 1
+        assert row["exact"] == pytest.approx(1e-12, rel=1e-9)
+
     def test_schema_error_is_two(self, tmp_path, capsys):
         doc = {"kind": "tail", "parameters": {"lambda": 5.0, "m": 15, "bogus": 1}}
         cfg = write_config(tmp_path, doc)
@@ -637,6 +645,19 @@ class TestGoldenCommand:
         fail_lines = [line for line in out.splitlines() if " FAIL" in line]
         assert len(fail_lines) > 5
 
+    @pytest.mark.parametrize("scale", ["nan", "-1", "inf", "-inf", "-0.0001"])
+    def test_tolerance_scale_outside_its_range_is_a_domain_error(self, scale, tmp_path, capsys):
+        out = tmp_path / "golden.csv"
+        assert main(["golden", f"--tol-scale={scale}", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[domain]: tol_scale")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_tolerance_scale_compares_exactly(self, capsys):
+        assert main(["golden", "--tol-scale", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "tail-q-lam5-m15" in [line.split()[0] for line in out.splitlines() if " FAIL" in line]
+
     def test_file_output_with_manifest(self, tmp_path, capsys):
         out = tmp_path / "golden.csv"
         assert main(["golden", "--out", str(out)]) == 1
@@ -661,6 +682,20 @@ class TestFiguresCommand:
         for name, digest in manifest["files"].items():
             actual = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             assert actual == digest, name
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_a_domain_error(self, seed, tmp_path, capsys):
+        out_dir = tmp_path / "figs"
+        assert main(["figures", "--out", str(out_dir), "--runs", "1", f"--seed={seed}"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[domain]: seed")
+        assert not out_dir.exists()
+
+    def test_largest_seed_is_valid(self, tmp_path, capsys):
+        out_dir = tmp_path / "figs"
+        assert main(["figures", "--out", str(out_dir), "--runs", "1", "--seed", str(2**64 - 1)]) == 0
+        capsys.readouterr()
+        assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 2**64 - 1
 
     def test_quick_determinism(self, tmp_path, capsys):
         dir_a = tmp_path / "a"

@@ -45,6 +45,12 @@ class TestScreeningConfig:
 
 
 class TestSystemRisk:
+    def test_ratio_at_a_tiny_mean_uses_threshold_one(self):
+        risk = system_risk(ScreeningConfig(k=1, p=1e-12, n=1000, c=2.0))
+        assert risk.m == 1
+        assert risk.q == pytest.approx(1e-12, rel=1e-9)
+        assert risk.expected == pytest.approx(1e-9, rel=1e-9)
+
     def test_headline_example(self):
         risk = system_risk(ScreeningConfig(k=1000, p=0.005, n=10**6, m=15))
         assert risk.expected == pytest.approx(226.0, abs=1.0)
@@ -197,6 +203,11 @@ class TestPhaseScan:
         # k * p == lam exactly, so both paths see the same tail arguments
         for pt in phase_scan([25.0, 100.0, 400.0], 1.5, 1.0):
             assert pt == system_risk(ScreeningConfig(k=round(2 * pt.lam), p=0.5, n=pt.n, m=pt.m))
+
+    def test_tiny_mean_uses_threshold_one(self):
+        (pt,) = phase_scan([1e-12], 2.0, 1.0)
+        assert (pt.m, pt.n) == (1, 1)
+        assert pt.q == pytest.approx(1e-12, rel=1e-9)
 
     def test_tiny_alpha_limit(self):
         pt = phase_scan([25.0], 1.5, 1e-9)[0]

@@ -396,3 +396,9 @@ class TestThresholdForRatio:
     def test_fractional_rounds_up(self):
         assert threshold_for_ratio(5.0, 1.51) == 8
         assert threshold_for_ratio(1.0, 1.0000001) == 2
+
+    def test_product_inside_the_fuzz_is_one(self):
+        # c, lam > 0 make ceil(c lam) >= 1; the fuzz guard must not reach 0
+        assert threshold_for_ratio(1e-12, 2.0) == 1
+        assert threshold_for_ratio(5e-10, 2.0) == 1
+        assert threshold_for_ratio(5e-324, 1.5) == 1
