@@ -281,7 +281,8 @@ def _simulate(p: dict):
     if ("correlation" in p) != (target == "correlated"):
         raise SchemaError("'correlation' is required with target=correlated and valid only there")
     p.setdefault("n", 1)
-    workers = p.setdefault("workers", 1)
+    # workers sets wall-clock time only, so it stays out of the recorded parameters
+    workers = p.pop("workers", 1)
     plan = SimPlan(
         k=p["k"], p=p["p"], m=p["m"], runs=p["runs"], seed=p["seed"], mode=p["mode"], n=p["n"]
     )

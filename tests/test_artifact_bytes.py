@@ -225,45 +225,45 @@ EXPECTED = {
     },
     "simulate": {
         "simulate.csv": "2f54c95b47a9139d92448041342f67808109e1fcb5d963d3cab5b879168c7edd",
-        "simulate.csv.manifest.json": "293ec315b69d16ae255d2046dbb58ffe330460be3178c5bd73be6eeaf8b4f006",
-        "simulate.json": "dd6253e8ba287fe959734026737c6278e19f428ef45fac0f750d84989337d349",
-        "simulate.json.manifest.json": "5078f9f008ad9b012ffeedaf6da596b473f08c27ea6f30790b206c206d40b060",
+        "simulate.csv.manifest.json": "2d745c3cd2660161f3ac07a1af948a2c4e3300def07e0336cda4d1c528f0987e",
+        "simulate.json": "2537f55caae27a667e8a00005d6fb9b189c70fc3b04092e42a08937b5f3232e4",
+        "simulate.json.manifest.json": "dc471c806a0f149d16c66b6f78449edacd74b86019e9b341a518d40b5b30aa4d",
     },
     "simulate-correlated": {
         "simulate-correlated.csv": "3d7d39d1893d3553241000c578207eb097886a40dbefc4414aeea4907443641b",
-        "simulate-correlated.csv.manifest.json": "f78ee13adb0d0eebccc0513e25db954915a3be2086aae1e2e4d942f6ecc9a4d4",
-        "simulate-correlated.json": "103364171759c2df31c354c4f43724a9908c99bbe08e8e0b02ecff26bc7fb63d",
-        "simulate-correlated.json.manifest.json": "036c06e73dab9651977e2abb595c710b662df52793fa561b5a5a09d616074317",
+        "simulate-correlated.csv.manifest.json": "d8a3d4a6cdd4d694f29c56a3184b04de1873b051af923de459288f77517c8600",
+        "simulate-correlated.json": "b4d7afe885d2295633d27d69c713711fd72a2e65af08da5734c7ae9c276b5bf7",
+        "simulate-correlated.json.manifest.json": "fda753d011a901bd19b5e7453aa968dd234e2945d7fc78e68eae07622d389fb0",
     },
     "simulate-person-btpe": {
         "simulate-person-btpe.csv": "bba014db6dd8c566ef25f8f7f27f8646fe680fe72ea957980f06af21688662db",
-        "simulate-person-btpe.csv.manifest.json": "7d2679c69b97b60fd1c1fb3d56df4a92a7e488212b4f4ee872f0841f65fe99a4",
-        "simulate-person-btpe.json": "917c87265fb7d5486e0ab1d8f0bbcb11606d3d23241eb8b9b4afae8be0a45a55",
-        "simulate-person-btpe.json.manifest.json": "7fb3430fbfd804a00a4757eea286cf9e1ab98f38e3683147efae818db5c09387",
+        "simulate-person-btpe.csv.manifest.json": "e4a773402d3d7a347f9b818b8977b2505a08a20001b0c7e890729d2a6a9ab9a2",
+        "simulate-person-btpe.json": "9fbe57450c293bb9555d0c840ddf897e3edc24b00f853edde41c10a3c103b31d",
+        "simulate-person-btpe.json.manifest.json": "fad78f3cdd188717969882f18020defcc74985a4d8290ce5991c73d2a9a48315",
     },
     "simulate-person-high-p": {
         "simulate-person-high-p.csv": "a723edae9e197ee2aab287fe32f519bcd47866e4c41bbccc15ecf2a99c7398c5",
-        "simulate-person-high-p.csv.manifest.json": "e18544b921603ed5f6e3df44a55a31405ab8b3a4bd433dfd14d718a158f30c6f",
-        "simulate-person-high-p.json": "98d82266a83010c29c56ed0c3127aad2fe07546f9ee28a2a5d7854c9fca8ea23",
-        "simulate-person-high-p.json.manifest.json": "2fbcc6523e507adf27f8be8f35f911c6c30e675a9de649778643d472dab8ac7e",
+        "simulate-person-high-p.csv.manifest.json": "67518ad376ee95b49185433407cb0532fa4d3eb455f6a87f6deaf78d53a55022",
+        "simulate-person-high-p.json": "62007a70d010f78d3dc3e4ca10b14e10bb4f7cb8c669663385208deae4efc2b7",
+        "simulate-person-high-p.json.manifest.json": "8b476cad41337980eed07dc508b9b9aa7cff540c5181a64daa007c62c3cd4e4f",
     },
     "simulate-person-poisson": {
         "simulate-person-poisson.csv": "145d936de15f2f7090c8aebd7b73a2523d3e48a6bc47fcf0aa1f207d725d293e",
-        "simulate-person-poisson.csv.manifest.json": "7b488b3dee6d48bf9096ad432cdd52be7d01fbfad7a557f30a160d088c0ad693",
-        "simulate-person-poisson.json": "887f4c6d2a97e6b9d7d5408368083846ea9da5c0763a0ab0a079b14e2f261f06",
-        "simulate-person-poisson.json.manifest.json": "18bd4b51168d5d1c03f6664cefe5b887209df700b6e3b0971584f78fa7c80864",
+        "simulate-person-poisson.csv.manifest.json": "c2de4e8b6b9e7737c2c1210e22f1551621b074a7e8b22dc4867b0e5e3077905a",
+        "simulate-person-poisson.json": "cb73a729c7258d31b28f1bdfb0595895e62d63fe31ffa5b53fcb37456068968b",
+        "simulate-person-poisson.json.manifest.json": "5be901ae236d26f47f46a8ccb9d94acdf3488e876dbe15eb068e2e178d053e7a",
     },
     "simulate-system": {
         "simulate-system.csv": "b65d1fccd203a65bdfdb6626ef9ecc1415bf79bc909569e64844fa283acdc970",
-        "simulate-system.csv.manifest.json": "cfa4b6b1e864182daf09cfff247d79b6173236873296c31e1bc305e12e134927",
-        "simulate-system.json": "a18a72f1233639cbcd627a57171f22c049801e905c856a12300c97e1e5c1877c",
-        "simulate-system.json.manifest.json": "f9d63959735f268eef776cdc75ea2b020800a1809db97a902a004549b27a2bba",
+        "simulate-system.csv.manifest.json": "5d6d615e62501944657a09bfae397ac27bfeee556a6821a19d7cd24f232a1269",
+        "simulate-system.json": "76e2b9893a1f1f2593f1ceb6dc3c9a68e4326596c75f48a8d7236fd458a7c634",
+        "simulate-system.json.manifest.json": "d02db49f73bfde2029ae0a2a3aeee804efd40a62a62d75165e1b2f06b96253f2",
     },
     "simulate-system-exact": {
         "simulate-system-exact.csv": "905b18338e002d7b837a46f98f44888f46f2665430c6f11bbe2ba161ecf6e721",
-        "simulate-system-exact.csv.manifest.json": "a9b960d55f14f9310049b67a7089ded6ff63f1875277231144b0af990398e478",
-        "simulate-system-exact.json": "d225b114c818d1bd0e57f01de64e3fd1fc8d88781cbe2395303b957854b63bc5",
-        "simulate-system-exact.json.manifest.json": "e1912eeefccfe5771bff2cd54be7dcc05bd0330405f4cf87b78caa778fb4dc26",
+        "simulate-system-exact.csv.manifest.json": "1fb5e30511dcd8bdebf27063de90e055214506a05e6fd804ed61a157ffb83045",
+        "simulate-system-exact.json": "f595eda0d0a990f0b5ad1da395033c422af39712f8c5c922078cbfb485191f8a",
+        "simulate-system-exact.json.manifest.json": "7a0ef1c57ed22e7ec093ee639539c7f338d54560440954f88ff26d180ebed4f2",
     },
     "system": {
         "system.csv": "76eda4dd833a7a47d9a438454f76da6e3f628b4d3d0f59e572145043f68b8dc1",

@@ -506,6 +506,18 @@ class TestManifests:
         man_b = json.loads((out_b.parent / "run.csv.manifest.json").read_text())
         assert man_a == man_b
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_files_are_byte_identical_across_workers(self, fmt, tmp_path):
+        cfg = write_config(tmp_path, VALID["simulate"])
+        outs = [tmp_path / str(w) / f"run.{fmt}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            args = ["--out", str(out), "--format", fmt, "--workers", str(w)]
+            assert main(["simulate", "--config", cfg, *args]) == 0
+        for name in (f"run.{fmt}", f"run.{fmt}.manifest.json"):
+            assert (outs[0].parent / name).read_bytes() == (outs[1].parent / name).read_bytes(), name
+        manifest = json.loads((outs[0].parent / f"run.{fmt}.manifest.json").read_text())
+        assert "workers" not in manifest["parameters"]
+
     def test_simulate_manifest_records_seed(self, tmp_path):
         cfg = write_config(tmp_path, VALID["simulate"])
         out = tmp_path / "sim.csv"
