@@ -317,11 +317,11 @@ def _alerts(seed: int, j: int, shape: tuple[int, ...], law) -> np.ndarray:
     """The law's count >= m for chunk j's stream, one flag per row of `shape`.
 
     A 2-D shape is reduced along its rows by any(). With word cuts a value
-    alerts when the raw Philox word behind the double numpy's sampler would
-    read reaches the alert word, and a row when its largest word does. If a
-    word reaches the restart word, numpy's walk would have restarted and
-    shifted the stream, so the chunk is drawn again by the fallback from a
-    fresh generator.
+    alerts when the raw Philox word behind the double its inversion walk
+    reads reaches the alert word, and a row when its largest word does. If a
+    word reaches a binomial law's restart word, numpy's walk would have
+    restarted and shifted the stream, so the chunk is drawn again by the
+    fallback from a fresh generator.
     """
     cuts, draw = law
     rng = _chunk_rng(seed, j)
@@ -418,7 +418,7 @@ def _finish(alerts: int, plan: SimPlan, analytic: float) -> SimReport:
 def _alert_report(
     plan: SimPlan, workers: int, law, analytic: float, row: tuple[int, ...] = (), chunk: int = _CHUNK
 ) -> SimReport:
-    """Report the share of runs in which `_alerts` flags the law, each run a (*row) block."""
+    """The report of the runs `_alerts` flags under `law`; each run draws a block of shape `row`."""
 
     def tally(j: int, size: int) -> int:
         return int(_alerts(plan.seed, j, (size, *row), law).sum())
@@ -468,14 +468,14 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
             )
         q = binomial_tail(plan.k, plan.p, plan.m)
         # each run is a row of n individuals, about 2M draws per chunk
-        law, row = (plan.k, plan.p, plan.m), (plan.n,)
+        args, row = (plan.k, plan.p, plan.m), (plan.n,)
         chunk = max(1, min(_CHUNK, (1 << 21) // plan.n))
     else:
         # each run draws its alert count as Bin(n, q) and alerts when it is >= 1
         q = poisson_tail(as_float("k", plan.k) * plan.p, plan.m)
-        law, row, chunk = (plan.n, q, 1), (), _CHUNK
+        args, row, chunk = (plan.n, q, 1), (), _CHUNK
     analytic, _ = system_probability(q, plan.n)
-    return _alert_report(plan, workers, _binomial_law(*law), analytic, row, chunk)
+    return _alert_report(plan, workers, _binomial_law(*args), analytic, row, chunk)
 
 
 def _latent_counts(
