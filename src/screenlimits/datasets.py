@@ -153,13 +153,15 @@ def figure_panels(
     Returns {"dir": str, "files": {name: sha256}}. Only panel_a consumes
     randomness; runs and seed are recorded in the manifest either way.
 
+    Every panel is computed before out_dir is made, so a bad argument leaves
+    no directory behind.
+
     Raises:
-        DomainError: If seed lies outside [0, 2**64 - 1], before out_dir is made.
+        DomainError: If seed lies outside [0, 2**64 - 1], runs is below 1 or
+            workers outside [1, 32].
+        BudgetError: If panel A's runs exceed the draw budget.
     """
     check_int("seed", seed, 0, 2**64 - 1)
-    out = Path(out_dir)
-    make_dir(out)
-
     panel_specs = {
         "panel_a.csv": (
             [
@@ -194,6 +196,8 @@ def figure_panels(
         ),
     }
 
+    out = Path(out_dir)
+    make_dir(out)
     checksums: dict[str, str] = {}
     for name, (comments, rows) in panel_specs.items():
         text = render_csv([*comments, f"columns: {', '.join(rows[0])}"], rows)

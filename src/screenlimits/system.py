@@ -107,7 +107,8 @@ def system_probability(q: float, n: int) -> tuple[float, float]:
     check_int("n", n, 0)
     size = as_float("n", n)
     if q >= 1.0:
-        return 1.0, float("-inf")
+        # (1 - q)^0 is 1 even at q = 1
+        return (1.0, float("-inf")) if size else (0.0, 0.0)
     log_comp = size * log1p(-q)
     return -expm1(log_comp), log_comp
 

@@ -703,6 +703,21 @@ class TestFiguresCommand:
         assert len(err) == 1 and err[0].startswith("error[domain]: seed")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "args, code, error",
+        [
+            (["--runs", "0"], 3, "error[domain]: runs"),
+            (["--workers", "0"], 3, "error[domain]: workers"),
+            (["--runs", "3000000"], 4, "error[budget]: exact mode"),
+        ],
+    )
+    def test_bad_runs_or_workers_leave_no_directory(self, args, code, error, tmp_path, capsys):
+        out_dir = tmp_path / "new" / "x"
+        assert main(["figures", "--out", str(out_dir), *args]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(error)
+        assert not (tmp_path / "new").exists()
+
     def test_largest_seed_is_valid(self, tmp_path, capsys):
         out_dir = tmp_path / "figs"
         assert main(["figures", "--out", str(out_dir), "--runs", "1", "--seed", str(2**64 - 1)]) == 0

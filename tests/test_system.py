@@ -78,6 +78,10 @@ class TestSystemRisk:
         assert (risk.prob, risk.log_complement) == (prob, log_comp)
         assert system_probability(1.0, 10) == (1.0, -math.inf)
 
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_nobody_never_alerts(self, q):
+        assert system_probability(q, 0) == (0.0, 0.0)
+
     def test_expected_alerts_identity(self):
         cfg = ScreeningConfig(k=50, p=0.02, n=12345, m=4)
         risk = system_risk(cfg)
