@@ -1,11 +1,14 @@
 """Seeded Monte Carlo validation of the analytic false-alert formulas.
 
 Determinism contract: a report is a pure function of its plan. Trials are
-partitioned into fixed-size chunks and chunk j draws from an independent
-Philox stream keyed by (seed, j), so results are bit-identical across runs
-and across any degree of parallelism: chunk outputs are integer counts and
-integer sums, which combine identically in any order. The `workers` argument
-changes wall-clock time only, never the report.
+partitioned into chunks whose size depends only on the plan, and chunk j
+draws from an independent Philox stream keyed by (seed, j), so results are
+bit-identical across runs and across any degree of parallelism: chunk
+outputs are integer counts and integer sums, which combine identically in
+any order. The `workers` argument changes wall-clock time only, never the
+report. A binomial or Poisson alert chunk holds max(1, 2**18 // width) runs
+of `width` values each (n for exact system rows, else 1); a copula chunk
+holds max(1, min(4096, 2**20 // k)) runs.
 
 Workers: a call runs its chunks in the calling thread plus up to
 `workers - 1` helper threads of one pool shared by the whole process, all
@@ -29,13 +32,22 @@ law is built once per plan as raw-word cuts plus a fallback draw
 chunk from them. Where the law is sampled by sequential-search inversion
 from one Philox double per value (numpy's binomial for 0 < p <= 1/2,
 n p <= 30; the Poisson walk for 0 < k p <= 30, 1 <= m <= k p +
-10 sqrt(k p + 1)), the count reaches m exactly when that double exceeds a
-cut-off, so the test is made on the raw 64-bit words the doubles are made
-from. A binomial chunk whose walk would have restarted, and every chunk
-outside the regime, draws from the fallback instead. The kernel-equality
-grids in tests/test_simulate.py pin this to rng.binomial and to a replay of
-the Poisson walk element by element: a numpy upgrade that changes its
-sampler fails them loudly instead of moving a result.
+10 sqrt(k p + 1)), the count reaches m exactly when the 53-bit uniform U
+behind that double reaches a cut, the raw 64-bit word cut shifted right by
+11 bits. The kernel spends 32 bits per value: each raw word gives two
+32-bit halves, low half first, and a half is the top of its value's U. A
+half above the cut's top 32 bits alerts and one below does not; a half
+equal to it (probability 2**-32) takes the low 21 bits of U from the top of
+one more word, drawn after the chunk's halves, so the alert law stays
+exactly Pr(U >= cut). The same test against the restart cut sends a
+binomial chunk whose walk would have restarted to the fallback, which
+draws it again from a fresh generator, as it draws every chunk outside the
+regime. A one-row chunk wider than 2**18 values is drawn in blocks of at
+most 2**18 from the same stream, so memory stays bounded. The grids in
+tests/test_simulate.py pin the word cuts to rng.binomial and to a replay
+of the Poisson walk element by element, so a numpy upgrade that changes
+its sampler fails them loudly instead of moving a result, and pin the
+kernel to a scalar reference that builds each U from its half and tie bits.
 """
 
 from __future__ import annotations
@@ -80,8 +92,13 @@ MODE_COPULA = "copula-correlated"
 
 _MODES = (MODE_BINOMIAL, MODE_POISSON, MODE_COPULA)
 
-# Fixed trial chunk size; part of the determinism contract.
-_CHUNK = 8192
+# Values a binomial or Poisson alert chunk draws, and the most a wider row
+# draws at once; part of the determinism contract. Even, so that every block
+# but the last ends on a word boundary.
+_VALUES = 1 << 18
+
+# A 53-bit uniform is a 32-bit half followed by this many tie bits.
+_TIE_BITS = 21
 
 # No plan may make more than this many draws: every mode draws at least one
 # value per run, exact system mode n per run and copula mode k per run.
@@ -288,7 +305,8 @@ def _poisson_law(lam: float, m: int):
 
     The sequential-search walk starts from px = e^-lam and steps
     px = px lam / x (Devroye 1986, Non-Uniform Random Variate Generation,
-    X.3); it never restarts, so the cuts carry no restart word. They are None
+    X.3); it never restarts, so its restart word is 2**64, which no word
+    reaches. The cuts are None
     outside 0 < lam <= 30 and 1 <= m <= lam + 10 sqrt(lam + 1), where the
     walk could grow long.
 
@@ -310,31 +328,94 @@ def _poisson_law(lam: float, m: int):
     for x in range(1, m):
         px = px * lam / x
         terms.append(px)
-    return (_word_cut(_last_short_walk(terms)), None), draw
+    return (_word_cut(_last_short_walk(terms)), 1 << 64), draw
+
+
+def _halves(gen, count: int) -> np.ndarray:
+    """The 32-bit halves of gen's next ceil(count / 2) raw words, low half first.
+
+    An odd count leaves the high half of the last word unused.
+    """
+    return gen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")[:count]
+
+
+def _row_tops(gen, shape: tuple[int, ...], tied: set[int]):
+    """(top, tie_rows, ties): each row's largest half, the rows whose top is
+    in `tied`, and how many halves of each such row equal its top.
+
+    A 1-D shape has rows of one value. A one-row chunk is drawn in blocks of
+    at most _VALUES halves, carrying the top and its tie count; sequential
+    blocks read the stream a single draw would.
+    """
+    if len(shape) == 2 and shape[0] == 1:
+        top, count = -1, 0
+        for start in range(0, shape[1], _VALUES):
+            halves = _halves(gen, min(_VALUES, shape[1] - start))
+            peak = int(halves.max())
+            if peak > top:
+                top, count = peak, 0
+            if peak == top and peak in tied:
+                count += int(np.count_nonzero(halves == peak))
+        tie_rows = np.flatnonzero([count])
+        return np.array([top], dtype=np.uint32), tie_rows, np.full(tie_rows.size, count)
+    halves = _halves(gen, int(np.prod(shape))).reshape(shape)
+    top = halves.max(axis=1) if halves.ndim == 2 else halves
+    tie = np.zeros(top.shape, dtype=bool)
+    for t in tied:
+        tie |= top == t
+    tie_rows = np.flatnonzero(tie)
+    if halves.ndim == 1:
+        return top, tie_rows, np.ones(tie_rows.size, dtype=np.int64)
+    return top, tie_rows, (halves[tie_rows] == top[tie_rows, None]).sum(axis=1)
+
+
+def _fallback(rng: np.random.Generator, shape: tuple[int, ...], draw) -> np.ndarray:
+    """draw(rng, shape) reduced by any() along rows; a one-row chunk in blocks."""
+    if len(shape) == 1:
+        return draw(rng, shape)
+    rows, width = shape
+    if rows > 1:
+        return draw(rng, shape).any(axis=1)
+    # once a block alerts, the rest of the row cannot change the flag
+    return np.array([any(draw(rng, (min(_VALUES, width - s),)).any() for s in range(0, width, _VALUES))])
 
 
 def _alerts(seed: int, j: int, shape: tuple[int, ...], law) -> np.ndarray:
     """The law's count >= m for chunk j's stream, one flag per row of `shape`.
 
-    A 2-D shape is reduced along its rows by any(). With word cuts a value
-    alerts when the raw Philox word behind the double its inversion walk
-    reads reaches the alert word, and a row when its largest word does. If a
-    word reaches a binomial law's restart word, numpy's walk would have
-    restarted and shifted the stream, so the chunk is drawn again by the
-    fallback from a fresh generator.
+    A value alerts when the 53-bit uniform U its inversion walk reads reaches
+    the alert word's U, and a row when any of its values does. Each value
+    gets one 32-bit half h of the chunk's raw words, the top 32 bits of its
+    U. With (hi, lo) the top 32 and low 21 bits of the cut's U, h > hi
+    alerts, and h == hi alerts if 21 tie bits reach lo (or at once when
+    lo == 0). Only a row's largest halves can decide it, so tie bits are
+    drawn only for the halves equal to the top of a row whose top is a tie:
+    after the chunk's halves, one word per tie, rows in order, its top 21
+    bits. If a U reaches a binomial law's restart word, numpy's walk would
+    have restarted, so the chunk is drawn again by the fallback from a fresh
+    generator.
     """
     cuts, draw = law
     rng = _chunk_rng(seed, j)
     if cuts is not None:
-        alert, restart = cuts
-        words = rng.bit_generator.random_raw(shape)
-        if words.ndim == 2:
-            words = words.max(axis=1)
-        if restart is None or words.max() < restart:
-            return words >= alert
+        gen = rng.bit_generator
+        (hi, lo), (rhi, rlo) = (divmod(cut >> 11, 1 << _TIE_BITS) for cut in cuts)
+        top, tie_rows, ties = _row_tops(gen, shape, {t for t, low in ((hi, lo), (rhi, rlo)) if low})
+        peak = int(top.max())
+        restart = peak > rhi or (peak == rhi and not rlo)
+        if not restart:
+            alerts = top > hi if lo else top >= hi
+            if tie_rows.size:
+                bits = gen.random_raw(int(ties.sum())) >> np.uint64(64 - _TIE_BITS)
+                # only the largest tie bits of a row can decide it
+                best = np.maximum.reduceat(bits, np.cumsum(ties) - ties)
+                tops = top[tie_rows]
+                restart = bool(np.any((tops == rhi) & (best >= rlo)))
+                alerts[tie_rows[(tops == hi) & (best >= lo)]] = True
+            if not restart:
+                return alerts
         rng = _chunk_rng(seed, j)
-    alerts = draw(rng, shape)
-    return alerts.any(axis=1) if alerts.ndim == 2 else alerts
+    return _fallback(rng, shape, draw)
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -416,14 +497,18 @@ def _finish(alerts: int, plan: SimPlan, analytic: float) -> SimReport:
 
 
 def _alert_report(
-    plan: SimPlan, workers: int, law, analytic: float, row: tuple[int, ...] = (), chunk: int = _CHUNK
+    plan: SimPlan, workers: int, law, analytic: float, row: tuple[int, ...] = ()
 ) -> SimReport:
-    """The report of the runs `_alerts` flags under `law`; each run draws a block of shape `row`."""
+    """The report of the runs `_alerts` flags under `law`; each run draws a block of shape `row`.
+
+    A chunk holds max(1, _VALUES // width) runs of `width` values each.
+    """
+    width = int(np.prod(row))
 
     def tally(j: int, size: int) -> int:
-        return int(_alerts(plan.seed, j, (size, *row), law).sum())
+        return int(np.count_nonzero(_alerts(plan.seed, j, (size, *row), law)))
 
-    return _finish(sum(_count(plan, chunk, workers, tally)), plan, analytic)
+    return _finish(sum(_count(plan, max(1, _VALUES // width), workers, tally)), plan, analytic)
 
 
 def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
@@ -467,15 +552,14 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
                 f"mode={MODE_POISSON!r}"
             )
         q = binomial_tail(plan.k, plan.p, plan.m)
-        # each run is a row of n individuals, about 2M draws per chunk
+        # each run is a row of n individuals
         args, row = (plan.k, plan.p, plan.m), (plan.n,)
-        chunk = max(1, min(_CHUNK, (1 << 21) // plan.n))
     else:
         # each run draws its alert count as Bin(n, q) and alerts when it is >= 1
         q = poisson_tail(as_float("k", plan.k) * plan.p, plan.m)
-        args, row, chunk = (plan.n, q, 1), (), _CHUNK
+        args, row = (plan.n, q, 1), ()
     analytic, _ = system_probability(q, plan.n)
-    return _alert_report(plan, workers, _binomial_law(*args), analytic, row, chunk)
+    return _alert_report(plan, workers, _binomial_law(*args), analytic, row)
 
 
 def _latent_counts(

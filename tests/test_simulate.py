@@ -136,7 +136,7 @@ class TestDeterminism:
         assert a == b
 
     def test_worker_count_invariance(self):
-        plan = SimPlan(k=500, p=0.01, m=9, runs=50_000, seed=12345, mode=MODE_BINOMIAL)
+        plan = SimPlan(k=500, p=0.01, m=9, runs=700_000, seed=12345, mode=MODE_BINOMIAL)
         serial = simulate_per_person(plan, workers=1)
         for workers in (2, 4, 8):
             assert simulate_per_person(plan, workers=workers) == serial
@@ -386,11 +386,15 @@ class TestWorkers:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", _NoPool)
         assert run(32) == want
 
-    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
-    def test_many_chunks_build_one_pool(self, run, counted_pools):
-        want = run(1, runs=20_000)
-        assert run(32, runs=20_000) == want
-        assert run(2, runs=20_000) == want
+    # runs that make at least three chunks of each kind
+    MANY = {"person": 3 * simulate._VALUES, "system": 3 * simulate._VALUES, "correlated": 20_000}
+
+    @pytest.mark.parametrize("kind", RUNS)
+    def test_many_chunks_build_one_pool(self, kind, counted_pools):
+        run, runs = self.RUNS[kind], self.MANY[kind]
+        want = run(1, runs=runs)
+        assert run(32, runs=runs) == want
+        assert run(2, runs=runs) == want
         assert len(counted_pools) == 1
 
     def test_one_pool_per_process(self, tmp_path, counted_pools):
@@ -511,10 +515,47 @@ def _traced_law(monkeypatch, build, *args):
     return law, tuple(seen)
 
 
-class TestBinomialAlerts:
-    """_alerts on _binomial_law must equal rng.binomial(n, p, shape) >= m bit for bit.
+def _any_by_row(flags: np.ndarray) -> np.ndarray:
+    return flags.any(axis=1) if flags.ndim == 2 else flags
 
-    For a 2-D shape, that array reduced by any() along its rows.
+
+def _reference_alerts(seed: int, j: int, shape: tuple, law, mask: int = 0xFFFFFFFF) -> np.ndarray:
+    """_alerts from scalar arithmetic: each value's 53-bit U is its 32-bit
+    half followed by 21 tie bits, and the row flag is max(U) >= the cut's U.
+
+    Halves come low half first from chunk j's raw words, each ANDed with
+    `mask`. A row whose top half equals the top 32 bits of a cut with
+    nonzero low bits draws one word per half equal to that top, rows in
+    order, after all the halves; every other U gets zero tie bits, which
+    cannot change its row's flag. A U at or above the restart cut sends the
+    chunk to the law's fallback draw on a fresh stream.
+    """
+    (alert, restart), draw = law
+    rows, width = shape[0], shape[1] if len(shape) == 2 else 1
+    count = rows * width
+    gen = simulate._chunk_rng(seed, j).bit_generator
+    words = [int(w) for w in gen.random_raw((count + 1) // 2)]
+    halves = [(w >> shift) & 0xFFFFFFFF & mask for w in words for shift in (0, 32)][:count]
+    u_alert, u_restart = alert >> 11, restart >> 11
+    flags, restarted = [], False
+    for r in range(rows):
+        row = halves[r * width : (r + 1) * width]
+        top = max(row)
+        tied = any(top == cut >> 21 and cut % 2**21 for cut in (u_alert, u_restart))
+        u = [h << 21 | (int(gen.random_raw()) >> 43 if tied and h == top else 0) for h in row]
+        restarted |= max(u) >= u_restart
+        flags.append(max(u) >= u_alert)
+    if restarted:
+        return _any_by_row(draw(simulate._chunk_rng(seed, j), shape))
+    return np.array(flags)
+
+
+class TestBinomialAlerts:
+    """_binomial_law's word cuts decide rng.binomial(n, p, shape) >= m bit for bit.
+
+    A raw 64-bit word at or above the alert cut is exactly a double whose
+    inversion walk reaches m; _alerts, on the halves of the same stream,
+    must equal the scalar reference, and outside the regime numpy's draw.
     """
 
     @pytest.mark.parametrize("shape", [(257,), (16, 33)], ids=["1d", "2d"])
@@ -524,12 +565,19 @@ class TestBinomialAlerts:
             bound = _numpy_bound(n, p)
             for m in sorted({0, 1, bound, bound + 1, 40}):
                 seed, j = 1000 * i + m, i % 3
-                got = simulate._alerts(seed, j, shape, simulate._binomial_law(n, p, m))
-                want = simulate._chunk_rng(seed, j).binomial(n, p, shape) >= m
-                if want.ndim == 2:
-                    want = want.any(axis=1)
+                law = simulate._binomial_law(n, p, m)
+                got = simulate._alerts(seed, j, shape, law)
+                want = _any_by_row(simulate._chunk_rng(seed, j).binomial(n, p, shape) >= m)
                 assert got.shape == want.shape
-                assert np.array_equal(got, want), (n, p, m)
+                if law[0] is None:
+                    assert np.array_equal(got, want), (n, p, m)
+                    continue
+                alert, restart = law[0]
+                words = simulate._chunk_rng(seed, j).bit_generator.random_raw(shape)
+                # no walk restarted, so numpy read exactly these words
+                assert not (words >= restart).any()
+                assert np.array_equal(_any_by_row(words >= alert), want), (n, p, m)
+                assert np.array_equal(got, _reference_alerts(seed, j, shape, law)), (n, p, m)
 
     def test_regime(self, monkeypatch):
         def cuts(n, p, m):
@@ -576,8 +624,13 @@ class TestBinomialAlerts:
             SimPlan(k=200, p=0.01, m=6, n=50, runs=20_000, seed=43, mode=MODE_POISSON),
         ]
         runs = [simulate_per_person, simulate_system, simulate_system]
-        expected = [run(plan) for run, plan in zip(runs, plans)]
         real_law = simulate._binomial_law
+
+        def no_cuts(n, p, m):
+            return None, real_law(n, p, m)[1]
+
+        monkeypatch.setattr(simulate, "_binomial_law", no_cuts)
+        expected = [run(plan) for run, plan in zip(runs, plans)]
 
         def restart_everywhere(n, p, m):
             (alert, _), draw = real_law(n, p, m)
@@ -598,6 +651,87 @@ class TestBinomialAlerts:
             # every chunk built its generator twice: once for the uniforms,
             # once more for the fallback draw
             assert len(rngs) == 2 * len(set(rngs))
+
+
+def _row_tops(seed: int, j: int, shape: tuple) -> tuple[list[int], list[int]]:
+    """Each row's largest 32-bit half of chunk j's words, low half first, and
+    the top 21 bits of the two words after the halves (the first tie bits)."""
+    count = int(np.prod(shape))
+    words = simulate._chunk_rng(seed, j).bit_generator.random_raw((count + 1) // 2 + 2)
+    halves = words[:-2].view(np.uint32)[:count].reshape(shape[0], -1)
+    return [int(t) for t in halves.max(axis=1)], [int(w) >> 43 for w in words[-2:]]
+
+
+def _cut(top: int, low: int) -> int:
+    """The raw word cut whose 53-bit uniform has these top 32 and low 21 bits."""
+    return (top << 21 | low) << 11
+
+
+class TestHalfWordTies:
+    """_alerts against the scalar reference where a half ties a cut's top 32 bits."""
+
+    SHAPES = {"1d": (257,), "2d": (16, 33), "one-row": (1, 1001)}
+    LOWS = (0, 1, 2**20, 2**21 - 1)
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    def test_observed_tops_as_cuts(self, shape):
+        draw = simulate._binomial_law(200, 0.01, 8)[1]
+        for seed in range(6):
+            tops, tie_bits = _row_tops(seed, 1, shape)
+            tops.sort()
+            hi, peak = tops[len(tops) // 2], tops[-1]
+            # a cut's low bits equal to the drawn tie bits decide >= from >
+            lows = (*self.LOWS, *tie_bits)
+            restarts = [2**64] + [_cut(peak, low) for low in lows]
+            for alert in [_cut(t, low) for t in (hi, peak) for low in lows]:
+                for restart in restarts:
+                    if restart < alert:
+                        continue
+                    law = ((alert, restart), draw)
+                    got = simulate._alerts(seed, 1, shape, law)
+                    assert got.dtype == bool and got.shape == shape[:1]
+                    assert np.array_equal(got, _reference_alerts(seed, 1, shape, law)), (
+                        seed, alert, restart,
+                    )
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    def test_many_ties_per_row(self, shape, monkeypatch):
+        # halves cut down to 0..7 tie in almost every row; a one-row chunk
+        # spans 16 blocks
+        real = simulate._halves
+        monkeypatch.setattr(simulate, "_halves", lambda gen, count: real(gen, count) & 7)
+        monkeypatch.setattr(simulate, "_VALUES", 64)
+        draw = simulate._binomial_law(200, 0.01, 8)[1]
+        # near 2**21 the largest of a row's tie bits depends on how many it draws
+        lows = (0, 1, 2**20, 2**21 - 2**15)
+        for hi in (0, 3, 7):
+            for lo in lows:
+                alert = _cut(hi, lo)
+                restarts = [2**64] + [_cut(t, low) for t in (hi, 7) for low in (*lows, 2**21 - 1)]
+                for seed, restart in enumerate(r for r in restarts if r >= alert):
+                    law = ((alert, restart), draw)
+                    want = _reference_alerts(seed, 2, shape, law, mask=7)
+                    assert np.array_equal(simulate._alerts(seed, 2, shape, law), want), (
+                        hi, lo, restart,
+                    )
+
+    def test_blocks_read_the_stream_of_one_draw(self, monkeypatch):
+        (alert, _), draw = simulate._binomial_law(200, 0.01, 8)
+        laws = {
+            "halves": simulate._binomial_law(200, 0.01, 8),
+            "restart": ((alert, 0), draw),
+            "fallback": simulate._binomial_law(20, 0.6, 19),
+        }
+        assert laws["fallback"][0] is None
+        shape = (1, 1001)
+        want = {name: [simulate._alerts(seed, 0, shape, law) for seed in range(40)]
+                for name, law in laws.items()}
+        monkeypatch.setattr(simulate, "_VALUES", 64)
+        for name, law in laws.items():
+            got = [simulate._alerts(seed, 0, shape, law) for seed in range(40)]
+            assert np.array_equal(got, want[name]), name
+            # both outcomes occur, so the comparison can fail
+            assert 0 < np.count_nonzero(got) < 40, name
 
 
 def _poisson_bound(lam: float) -> float:
@@ -640,29 +774,29 @@ class TestPoissonAlerts:
             assert (law[0] is not None) == (lam <= 30.0 and 1 <= m <= bound), (lam, m)
             got = simulate._alerts(seed, j, (2000,), law)
             rng = simulate._chunk_rng(seed, j)
-            if law[0] is None:
-                want = rng.poisson(lam, 2000) >= m
-            else:
-                # one alert word and no restart word: the walk never restarts
-                (cut,) = floats
-                assert law[0] == (simulate._word_cut(cut), None)
-                want = np.array([_poisson_replay(u, lam, m) for u in rng.random(2000)])
-                # the cut is the last double whose walk stops short; at the
-                # largest double below 1 no draw alerts
-                assert not _poisson_replay(cut, lam, m)
-                above = math.nextafter(cut, 1.0)
-                assert above == 1.0 or _poisson_replay(above, lam, m)
             assert got.dtype == bool
-            assert np.array_equal(got, want), (lam, m)
+            if law[0] is None:
+                assert np.array_equal(got, rng.poisson(lam, 2000) >= m), (lam, m)
+                continue
+            # one alert word; the walk never restarts, and no word reaches 2**64
+            (cut,) = floats
+            assert law[0] == (simulate._word_cut(cut), 2**64)
+            want = np.array([_poisson_replay(u, lam, m) for u in rng.random(2000)])
+            words = simulate._chunk_rng(seed, j).bit_generator.random_raw(2000)
+            assert np.array_equal(words >= law[0][0], want), (lam, m)
+            # the cut is the last double whose walk stops short; at the
+            # largest double below 1 no draw alerts
+            assert not _poisson_replay(cut, lam, m)
+            above = math.nextafter(cut, 1.0)
+            assert above == 1.0 or _poisson_replay(above, lam, m)
+            assert np.array_equal(got, _reference_alerts(seed, j, (2000,), law)), (lam, m)
 
-    def test_per_person_uses_the_words(self):
+    def test_per_person_uses_the_halves(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_VALUES", 4096)
         plan = SimPlan(k=1000, p=0.005, m=9, runs=20_000, seed=29, mode=MODE_POISSON)
-        (alert, _), _ = simulate._poisson_law(5.0, 9)
-        sizes = simulate._chunk_sizes(plan.runs, simulate._CHUNK)
-        words = np.concatenate(
-            [simulate._chunk_rng(29, j).bit_generator.random_raw(size) for j, size in enumerate(sizes)]
-        )
-        alerts = int((words >= alert).sum())
+        law = simulate._poisson_law(5.0, 9)
+        sizes = simulate._chunk_sizes(plan.runs, 4096)
+        alerts = sum(int(_reference_alerts(29, j, (size,), law).sum()) for j, size in enumerate(sizes))
         assert simulate_per_person(plan, workers=2).estimate == alerts / plan.runs
 
     def test_bracketed_cuts_equal_the_full_bisection(self, monkeypatch):
