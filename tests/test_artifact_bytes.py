@@ -224,10 +224,10 @@ EXPECTED = {
         "phase.json.manifest.json": "ffb2e7fb9df333382c520089f8ce16333f5c45ca066c54cfd82207c7fca9654f",
     },
     "simulate": {
-        "simulate.csv": "2f54c95b47a9139d92448041342f67808109e1fcb5d963d3cab5b879168c7edd",
-        "simulate.csv.manifest.json": "2d745c3cd2660161f3ac07a1af948a2c4e3300def07e0336cda4d1c528f0987e",
-        "simulate.json": "2537f55caae27a667e8a00005d6fb9b189c70fc3b04092e42a08937b5f3232e4",
-        "simulate.json.manifest.json": "dc471c806a0f149d16c66b6f78449edacd74b86019e9b341a518d40b5b30aa4d",
+        "simulate.csv": "e60452d2cf512676d06665bdb35718b4a49ad51f04417518bb0a7c34b7ca5ed7",
+        "simulate.csv.manifest.json": "cf9d57cf2b0df7c1793c63e13aaa5efaa6cfa294f4703b7644bd52e95295eb3b",
+        "simulate.json": "bfd24f06c04fe796fbde94e98ffb3fc1f7ef51bfcdbedef0c27cce2eb90b375a",
+        "simulate.json.manifest.json": "98bfa3c6d80f74649723c4542e1b337068eac1fa63c12f5bfbfe54e8816131cb",
     },
     "simulate-correlated": {
         "simulate-correlated.csv": "3d7d39d1893d3553241000c578207eb097886a40dbefc4414aeea4907443641b",
@@ -236,34 +236,34 @@ EXPECTED = {
         "simulate-correlated.json.manifest.json": "fda753d011a901bd19b5e7453aa968dd234e2945d7fc78e68eae07622d389fb0",
     },
     "simulate-person-btpe": {
-        "simulate-person-btpe.csv": "bba014db6dd8c566ef25f8f7f27f8646fe680fe72ea957980f06af21688662db",
-        "simulate-person-btpe.csv.manifest.json": "e4a773402d3d7a347f9b818b8977b2505a08a20001b0c7e890729d2a6a9ab9a2",
-        "simulate-person-btpe.json": "9fbe57450c293bb9555d0c840ddf897e3edc24b00f853edde41c10a3c103b31d",
-        "simulate-person-btpe.json.manifest.json": "fad78f3cdd188717969882f18020defcc74985a4d8290ce5991c73d2a9a48315",
+        "simulate-person-btpe.csv": "7cc2bbf38cf983950cdc83d99a4f0a8312d91065d3cd6951760ed35fb72b11ea",
+        "simulate-person-btpe.csv.manifest.json": "f8bf87f6744af74a4b18192a535625b3cf4df3df51e0af7087face32db60eb47",
+        "simulate-person-btpe.json": "3c8089d302b35e15f9eee5f9271bf98a1fb24183c12d9790e71efb4c98291b29",
+        "simulate-person-btpe.json.manifest.json": "04479d86d8fc34bb4759bd5b285531e6bf2c885f8ae56f7004bbb2348bbca63a",
     },
     "simulate-person-high-p": {
-        "simulate-person-high-p.csv": "a723edae9e197ee2aab287fe32f519bcd47866e4c41bbccc15ecf2a99c7398c5",
-        "simulate-person-high-p.csv.manifest.json": "67518ad376ee95b49185433407cb0532fa4d3eb455f6a87f6deaf78d53a55022",
-        "simulate-person-high-p.json": "62007a70d010f78d3dc3e4ca10b14e10bb4f7cb8c669663385208deae4efc2b7",
-        "simulate-person-high-p.json.manifest.json": "8b476cad41337980eed07dc508b9b9aa7cff540c5181a64daa007c62c3cd4e4f",
+        "simulate-person-high-p.csv": "56de27957266556ee7306908aa878074fabf643fbcdfa3fe916e27a2d45721cc",
+        "simulate-person-high-p.csv.manifest.json": "0e22106f5b42376ec56e4e80cb6a71e541aebfa912e809d78815d17caa682e8b",
+        "simulate-person-high-p.json": "1c33955bc4b4df696bcf100b281e279cb14e580b493bdfe3c8bb91924fe8d43e",
+        "simulate-person-high-p.json.manifest.json": "f680442eae1c937b8f38d7637318cef3abf82b4333de7469164d79dce7114273",
     },
     "simulate-person-poisson": {
-        "simulate-person-poisson.csv": "145d936de15f2f7090c8aebd7b73a2523d3e48a6bc47fcf0aa1f207d725d293e",
-        "simulate-person-poisson.csv.manifest.json": "c2de4e8b6b9e7737c2c1210e22f1551621b074a7e8b22dc4867b0e5e3077905a",
-        "simulate-person-poisson.json": "cb73a729c7258d31b28f1bdfb0595895e62d63fe31ffa5b53fcb37456068968b",
-        "simulate-person-poisson.json.manifest.json": "5be901ae236d26f47f46a8ccb9d94acdf3488e876dbe15eb068e2e178d053e7a",
+        "simulate-person-poisson.csv": "719671e3e1ddacf21fc4782e481a224fc3dc922fc5f25de1e1d2295f62420202",
+        "simulate-person-poisson.csv.manifest.json": "d7ba2936b5552be6711806abb610e9451d153c649320a95f4353ca663b96c706",
+        "simulate-person-poisson.json": "40ed23470d8ceeaec0675dc689609a634ba549bf7cd60c318ea0e5bcf28b3c1f",
+        "simulate-person-poisson.json.manifest.json": "f4c98b774f397523c7c88dc60d50201650e321c1e9b883bce34dafcad518c4fc",
     },
     "simulate-system": {
-        "simulate-system.csv": "b65d1fccd203a65bdfdb6626ef9ecc1415bf79bc909569e64844fa283acdc970",
-        "simulate-system.csv.manifest.json": "5d6d615e62501944657a09bfae397ac27bfeee556a6821a19d7cd24f232a1269",
-        "simulate-system.json": "76e2b9893a1f1f2593f1ceb6dc3c9a68e4326596c75f48a8d7236fd458a7c634",
-        "simulate-system.json.manifest.json": "d02db49f73bfde2029ae0a2a3aeee804efd40a62a62d75165e1b2f06b96253f2",
+        "simulate-system.csv": "654589993badedb10317ad52ae8bff37eb50eca0cc724ad6298a6270a090c58d",
+        "simulate-system.csv.manifest.json": "41cc22159b47f0585566cf601e56d319c206cffd0b0c5fabf920f71fff5f1f5e",
+        "simulate-system.json": "6ee319992b58045a935cd510a291dc9aa23a404e753938ac9be1e9ffce677a39",
+        "simulate-system.json.manifest.json": "48544829f94407f289ce94e895d6c2cb2e02bf5aae352693dcc940ab14c55dee",
     },
     "simulate-system-exact": {
-        "simulate-system-exact.csv": "905b18338e002d7b837a46f98f44888f46f2665430c6f11bbe2ba161ecf6e721",
-        "simulate-system-exact.csv.manifest.json": "1fb5e30511dcd8bdebf27063de90e055214506a05e6fd804ed61a157ffb83045",
-        "simulate-system-exact.json": "f595eda0d0a990f0b5ad1da395033c422af39712f8c5c922078cbfb485191f8a",
-        "simulate-system-exact.json.manifest.json": "7a0ef1c57ed22e7ec093ee639539c7f338d54560440954f88ff26d180ebed4f2",
+        "simulate-system-exact.csv": "8bd72fd3cedc2e4fd4e584665af295b6f7d6de912faa154906535c42ca646638",
+        "simulate-system-exact.csv.manifest.json": "e8104ee8058eb61082011ec75c9ce0cc9399b8973334e1893e01c868420c472e",
+        "simulate-system-exact.json": "138e215c3d973149bd550acc5fbe08f21a1ec412f0c650ffe57666b1c4bb3823",
+        "simulate-system-exact.json.manifest.json": "a7317086db757de983c177f5c1bda47f7acd1758dcaa7d226c2c9efd7de71474",
     },
     "system": {
         "system.csv": "76eda4dd833a7a47d9a438454f76da6e3f628b4d3d0f59e572145043f68b8dc1",
@@ -305,8 +305,8 @@ EXPECTED_GOLDEN = {
 }
 
 EXPECTED_FIGURES = {
-    "manifest.json": "b1d20b5b25e44df254b62923b0c1f2706dc4b379f38a59a5728589879970af49",
-    "panel_a.csv": "ad558416c4b0c9a0f87f26f612cabd565475de778f9ab2133a32600d7e753f62",
+    "manifest.json": "a923625e8bef41b4a6d6da1bdc92f727c4672da99ecf8a899e29c613c52f23a6",
+    "panel_a.csv": "f4fc8a160bc3fdd0c5726f6753379fc4b3c5b09701ca40b4fc705963822ea133",
     "panel_b.csv": "74ca18a17ab29ae9e73a6aa615214dadd3dbda52f6dde84346f82086c8500b6f",
     "panel_c.csv": "635b321843222d80efaa68fb79d400ac083996ec5f438a0ad6c8b78f7531b3b6",
     "panel_d.csv": "c4a8f3cea3dc8079feb46e05b567f1b32e5897f40fd5b1b6e156eee1020f37c1",
