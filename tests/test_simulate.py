@@ -653,7 +653,7 @@ class TestBinomialAlerts:
             assert len(rngs) == 2 * len(set(rngs))
 
 
-def _row_tops(seed: int, j: int, shape: tuple) -> tuple[list[int], list[int]]:
+def _observed_tops(seed: int, j: int, shape: tuple) -> tuple[list[int], list[int]]:
     """Each row's largest 32-bit half of chunk j's words, low half first, and
     the top 21 bits of the two words after the halves (the first tie bits)."""
     count = int(np.prod(shape))
@@ -677,7 +677,7 @@ class TestHalfWordTies:
     def test_observed_tops_as_cuts(self, shape):
         draw = simulate._binomial_law(200, 0.01, 8)[1]
         for seed in range(6):
-            tops, tie_bits = _row_tops(seed, 1, shape)
+            tops, tie_bits = _observed_tops(seed, 1, shape)
             tops.sort()
             hi, peak = tops[len(tops) // 2], tops[-1]
             # a cut's low bits equal to the drawn tie bits decide >= from >
