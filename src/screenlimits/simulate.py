@@ -371,13 +371,13 @@ def _row_tops(gen, shape: tuple[int, ...], tied: set[int]):
 
 def _fallback(rng: np.random.Generator, shape: tuple[int, ...], draw) -> np.ndarray:
     """draw(rng, shape) reduced by any() along rows; a one-row chunk in blocks."""
-    if len(shape) == 1:
-        return draw(rng, shape)
-    rows, width = shape
-    if rows > 1:
-        return draw(rng, shape).any(axis=1)
-    # once a block alerts, the rest of the row cannot change the flag
-    return np.array([any(draw(rng, (min(_VALUES, width - s),)).any() for s in range(0, width, _VALUES))])
+    if len(shape) == 2 and shape[0] == 1:
+        # once a block alerts, the rest of the row cannot change the flag
+        width = shape[1]
+        blocks = (draw(rng, (min(_VALUES, width - s),)) for s in range(0, width, _VALUES))
+        return np.array([any(block.any() for block in blocks)])
+    alerts = draw(rng, shape)
+    return alerts.any(axis=1) if alerts.ndim == 2 else alerts
 
 
 def _alerts(seed: int, j: int, shape: tuple[int, ...], law) -> np.ndarray:
@@ -515,7 +515,8 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
     """Estimate the per-person alert probability Pr(count >= m).
 
     binomial-exact draws Bin(k, p) per trial; poisson-approx draws
-    Pois(k*p), from one raw word per trial where _poisson_law gives cuts.
+    Pois(k*p), from one 32-bit half word per trial where _poisson_law gives
+    cuts.
     The analytic reference matches the sampled law.
     """
     if plan.mode not in (MODE_BINOMIAL, MODE_POISSON):
