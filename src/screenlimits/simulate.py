@@ -7,8 +7,9 @@ bit-identical across runs and across any degree of parallelism: chunk
 outputs are integer counts and integer sums, which combine identically in
 any order. The `workers` argument changes wall-clock time only, never the
 report. A binomial or Poisson alert chunk holds max(1, 2**18 // width) runs
-of `width` values each (n for exact system rows, else 1); a copula chunk
-holds max(1, min(4096, 2**20 // k)) runs.
+of `width` values each (n for exact system rows, else 1), and at most 8192
+runs when its law has no word cuts; a copula chunk holds
+max(1, min(4096, 2**20 // k)) runs.
 
 Workers: a call runs its chunks in the calling thread plus up to
 `workers - 1` helper threads of one pool shared by the whole process, all
@@ -38,23 +39,27 @@ behind that double reaches a cut, the raw 64-bit word cut shifted right by
 32-bit halves, low half first, and a half is the top of its value's U. A
 half above the cut's top 32 bits alerts and one below does not; a half
 equal to it (probability 2**-32) takes the low 21 bits of U from the top of
-one more word, drawn after the chunk's halves, so the alert law stays
-exactly Pr(U >= cut). The same test against the restart cut sends a
-binomial chunk whose walk would have restarted to the fallback, which
-draws it again from a fresh generator, as it draws every chunk outside the
-regime. A one-row chunk wider than 2**18 values is drawn in blocks of at
-most 2**18 from the same stream, so memory stays bounded. The grids in
-tests/test_simulate.py pin the word cuts to rng.binomial and to a replay
-of the Poisson walk element by element, so a numpy upgrade that changes
-its sampler fails them loudly instead of moving a result, and pin the
-kernel to a scalar reference that builds each U from its half and tie bits.
+one more word, drawn after the chunk's halves, so each value alerts with
+probability exactly Pr(U >= cut). The same test against the restart cut
+sends a binomial chunk whose walk would have restarted to the fallback,
+which draws it again from a fresh generator of the same (seed, j) stream,
+as it draws every chunk outside the regime. That redraw reads the stream
+the restart test read, so the sampled law is exact when no value reaches
+the restart cut and otherwise differs from it by at most the chance of a
+restart in the chunk, below 1e-12 per value. A row wider than 2**18 values
+is drawn in blocks of at most 2**18 from the same stream, so memory stays
+bounded. The grids in tests/test_simulate.py pin the word cuts to
+rng.binomial and to a replay of the Poisson walk element by element, so a
+numpy upgrade that changes its sampler fails them loudly instead of moving
+a result, and pin the kernel to a scalar reference that builds each U from
+its half and tie bits.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from math import exp, floor, inf, log1p, sqrt
+from math import exp, floor, inf, log1p, prod, sqrt
 from queue import Empty, SimpleQueue
 from struct import pack, unpack
 from threading import Event, Lock
@@ -92,10 +97,14 @@ MODE_COPULA = "copula-correlated"
 
 _MODES = (MODE_BINOMIAL, MODE_POISSON, MODE_COPULA)
 
-# Values a binomial or Poisson alert chunk draws, and the most a wider row
-# draws at once; part of the determinism contract. Even, so that every block
-# but the last ends on a word boundary.
+# Values a binomial or Poisson alert chunk draws (one run at least), and the
+# most a wider row draws at once; part of the determinism contract. Even, so
+# that every block but the last ends on a word boundary.
 _VALUES = 1 << 18
+
+# Most runs of such a chunk when its law has no word cuts; part of the
+# determinism contract.
+_CHUNK = 8192
 
 # A 53-bit uniform is a 32-bit half followed by this many tie bits.
 _TIE_BITS = 21
@@ -306,9 +315,8 @@ def _poisson_law(lam: float, m: int):
     The sequential-search walk starts from px = e^-lam and steps
     px = px lam / x (Devroye 1986, Non-Uniform Random Variate Generation,
     X.3); it never restarts, so its restart word is 2**64, which no word
-    reaches. The cuts are None
-    outside 0 < lam <= 30 and 1 <= m <= lam + 10 sqrt(lam + 1), where the
-    walk could grow long.
+    reaches. The cuts are None outside 0 < lam <= 30 and
+    1 <= m <= lam + 10 sqrt(lam + 1), where the walk could grow long.
 
     Raises:
         RangeOverflowError: If lam exceeds numpy's Poisson limit.
@@ -339,45 +347,48 @@ def _halves(gen, count: int) -> np.ndarray:
     return gen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")[:count]
 
 
-def _row_tops(gen, shape: tuple[int, ...], tied: set[int]):
+def _row_tops(gen, rows: int, width: int, tied: tuple[int, ...]):
     """(top, tie_rows, ties): each row's largest half, the rows whose top is
     in `tied`, and how many halves of each such row equal its top.
 
-    A 1-D shape has rows of one value. A one-row chunk is drawn in blocks of
-    at most _VALUES halves, carrying the top and its tie count; sequential
-    blocks read the stream a single draw would.
+    Rows are drawn in column blocks of at most _VALUES halves. A chunk of
+    more than one row has width at most _VALUES / 2, so it is one block, and
+    the blocks of one row read the stream a single draw would.
     """
-    if len(shape) == 2 and shape[0] == 1:
-        top, count = -1, 0
-        for start in range(0, shape[1], _VALUES):
-            halves = _halves(gen, min(_VALUES, shape[1] - start))
-            peak = int(halves.max())
-            if peak > top:
-                top, count = peak, 0
-            if peak == top and peak in tied:
-                count += int(np.count_nonzero(halves == peak))
-        tie_rows = np.flatnonzero([count])
-        return np.array([top], dtype=np.uint32), tie_rows, np.full(tie_rows.size, count)
-    halves = _halves(gen, int(np.prod(shape))).reshape(shape)
-    top = halves.max(axis=1) if halves.ndim == 2 else halves
-    tie = np.zeros(top.shape, dtype=bool)
-    for t in tied:
-        tie |= top == t
-    tie_rows = np.flatnonzero(tie)
-    if halves.ndim == 1:
-        return top, tie_rows, np.ones(tie_rows.size, dtype=np.int64)
-    return top, tie_rows, (halves[tie_rows] == top[tie_rows, None]).sum(axis=1)
+    top, seen = None, []
+    for start in range(0, width, _VALUES):
+        halves = _halves(gen, rows * min(_VALUES, width - start)).reshape(rows, -1)
+        # a row of one value is its own peak, with no copy to make
+        peak = halves.max(axis=1) if halves.shape[1] > 1 else halves[:, 0]
+        top = peak if top is None else np.maximum(top, peak)
+        tie = np.zeros(rows, dtype=bool)
+        for t in tied:
+            tie |= peak == t
+        hit = np.flatnonzero(tie)
+        if hit.size:
+            seen.append((hit, peak[hit], (halves[hit] == peak[hit, None]).sum(axis=1)))
+    if not seen:
+        # the usual case: no row's top is a tie
+        return top, np.empty(0, np.intp), np.empty(0, np.int64)
+    hit, peak, count = (np.concatenate(parts) for parts in zip(*seen))
+    # a block's ties count only where its peak is the row's top
+    keep = peak == top[hit]
+    tie_rows, at = np.unique(hit[keep], return_inverse=True)
+    ties = np.zeros(tie_rows.size, dtype=np.int64)
+    np.add.at(ties, at, count[keep])
+    return top, tie_rows, ties
 
 
-def _fallback(rng: np.random.Generator, shape: tuple[int, ...], draw) -> np.ndarray:
-    """draw(rng, shape) reduced by any() along rows; a one-row chunk in blocks."""
-    if len(shape) == 2 and shape[0] == 1:
-        # once a block alerts, the rest of the row cannot change the flag
-        width = shape[1]
-        blocks = (draw(rng, (min(_VALUES, width - s),)) for s in range(0, width, _VALUES))
-        return np.array([any(block.any() for block in blocks)])
-    alerts = draw(rng, shape)
-    return alerts.any(axis=1) if alerts.ndim == 2 else alerts
+def _fallback(rng: np.random.Generator, rows: int, width: int, draw) -> np.ndarray:
+    """draw(rng, (rows, width)) reduced by any() along rows, in the column
+    blocks _row_tops reads."""
+    alerts = np.zeros(rows, dtype=bool)
+    for start in range(0, width, _VALUES):
+        alerts |= draw(rng, (rows, min(_VALUES, width - start))).any(axis=1)
+        if alerts.all():
+            # the rest of a row cannot clear its flag
+            break
+    return alerts
 
 
 def _alerts(seed: int, j: int, shape: tuple[int, ...], law) -> np.ndarray:
@@ -396,11 +407,13 @@ def _alerts(seed: int, j: int, shape: tuple[int, ...], law) -> np.ndarray:
     generator.
     """
     cuts, draw = law
+    rows, width = shape[0], prod(shape[1:])
     rng = _chunk_rng(seed, j)
     if cuts is not None:
         gen = rng.bit_generator
         (hi, lo), (rhi, rlo) = (divmod(cut >> 11, 1 << _TIE_BITS) for cut in cuts)
-        top, tie_rows, ties = _row_tops(gen, shape, {t for t, low in ((hi, lo), (rhi, rlo)) if low})
+        tied = tuple(t for t, low in ((hi, lo), (rhi, rlo)) if low)
+        top, tie_rows, ties = _row_tops(gen, rows, width, tied)
         peak = int(top.max())
         restart = peak > rhi or (peak == rhi and not rlo)
         if not restart:
@@ -415,7 +428,7 @@ def _alerts(seed: int, j: int, shape: tuple[int, ...], law) -> np.ndarray:
             if not restart:
                 return alerts
         rng = _chunk_rng(seed, j)
-    return _fallback(rng, shape, draw)
+    return _fallback(rng, rows, width, draw)
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -501,14 +514,19 @@ def _alert_report(
 ) -> SimReport:
     """The report of the runs `_alerts` flags under `law`; each run draws a block of shape `row`.
 
-    A chunk holds max(1, _VALUES // width) runs of `width` values each.
+    A chunk holds max(1, _VALUES // width) runs of `width` values each, and
+    at most _CHUNK runs when the law has no word cuts.
     """
-    width = int(np.prod(row))
+    chunk = max(1, _VALUES // prod(row))
+    if law[0] is None:
+        # every value is a numpy draw, so a smaller chunk costs no more and
+        # gives the workers more chunks to share
+        chunk = min(chunk, _CHUNK)
 
     def tally(j: int, size: int) -> int:
-        return int(np.count_nonzero(_alerts(plan.seed, j, (size, *row), law)))
+        return int(_alerts(plan.seed, j, (size, *row), law).sum())
 
-    return _finish(sum(_count(plan, max(1, _VALUES // width), workers, tally)), plan, analytic)
+    return _finish(sum(_count(plan, chunk, workers, tally)), plan, analytic)
 
 
 def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:

@@ -236,16 +236,16 @@ EXPECTED = {
         "simulate-correlated.json.manifest.json": "fda753d011a901bd19b5e7453aa968dd234e2945d7fc78e68eae07622d389fb0",
     },
     "simulate-person-btpe": {
-        "simulate-person-btpe.csv": "7cc2bbf38cf983950cdc83d99a4f0a8312d91065d3cd6951760ed35fb72b11ea",
-        "simulate-person-btpe.csv.manifest.json": "f8bf87f6744af74a4b18192a535625b3cf4df3df51e0af7087face32db60eb47",
-        "simulate-person-btpe.json": "3c8089d302b35e15f9eee5f9271bf98a1fb24183c12d9790e71efb4c98291b29",
-        "simulate-person-btpe.json.manifest.json": "04479d86d8fc34bb4759bd5b285531e6bf2c885f8ae56f7004bbb2348bbca63a",
+        "simulate-person-btpe.csv": "bba014db6dd8c566ef25f8f7f27f8646fe680fe72ea957980f06af21688662db",
+        "simulate-person-btpe.csv.manifest.json": "e4a773402d3d7a347f9b818b8977b2505a08a20001b0c7e890729d2a6a9ab9a2",
+        "simulate-person-btpe.json": "9fbe57450c293bb9555d0c840ddf897e3edc24b00f853edde41c10a3c103b31d",
+        "simulate-person-btpe.json.manifest.json": "fad78f3cdd188717969882f18020defcc74985a4d8290ce5991c73d2a9a48315",
     },
     "simulate-person-high-p": {
-        "simulate-person-high-p.csv": "56de27957266556ee7306908aa878074fabf643fbcdfa3fe916e27a2d45721cc",
-        "simulate-person-high-p.csv.manifest.json": "0e22106f5b42376ec56e4e80cb6a71e541aebfa912e809d78815d17caa682e8b",
-        "simulate-person-high-p.json": "1c33955bc4b4df696bcf100b281e279cb14e580b493bdfe3c8bb91924fe8d43e",
-        "simulate-person-high-p.json.manifest.json": "f680442eae1c937b8f38d7637318cef3abf82b4333de7469164d79dce7114273",
+        "simulate-person-high-p.csv": "a723edae9e197ee2aab287fe32f519bcd47866e4c41bbccc15ecf2a99c7398c5",
+        "simulate-person-high-p.csv.manifest.json": "67518ad376ee95b49185433407cb0532fa4d3eb455f6a87f6deaf78d53a55022",
+        "simulate-person-high-p.json": "62007a70d010f78d3dc3e4ca10b14e10bb4f7cb8c669663385208deae4efc2b7",
+        "simulate-person-high-p.json.manifest.json": "8b476cad41337980eed07dc508b9b9aa7cff540c5181a64daa007c62c3cd4e4f",
     },
     "simulate-person-poisson": {
         "simulate-person-poisson.csv": "719671e3e1ddacf21fc4782e481a224fc3dc922fc5f25de1e1d2295f62420202",

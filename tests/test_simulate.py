@@ -397,6 +397,32 @@ class TestWorkers:
         assert run(2, runs=runs) == want
         assert len(counted_pools) == 1
 
+    @pytest.mark.parametrize(
+        "plan, run, sizes",
+        [
+            # BTPE and p > 1/2 have no word cuts: numpy draws every value
+            (SimPlan(k=1000, p=0.04, m=48, runs=20_000, seed=3, mode=MODE_BINOMIAL),
+             simulate_per_person, [8192, 8192, 3616]),
+            (SimPlan(k=40, p=0.8, m=35, n=100, runs=20_000, seed=3, mode=MODE_BINOMIAL),
+             simulate_system, [2621] * 7 + [1653]),
+            # word cuts: one chunk of 2**18 values
+            (SimPlan(k=1000, p=0.005, m=9, runs=20_000, seed=3, mode=MODE_BINOMIAL),
+             simulate_per_person, [20_000]),
+        ],
+        ids=["btpe", "high-p-system", "cuts"],
+    )
+    def test_laws_without_cuts_keep_chunks_for_the_workers(self, plan, run, sizes, monkeypatch):
+        seen = []
+        real = simulate._chunk_sizes
+
+        def recorded(runs, chunk):
+            seen.extend(real(runs, chunk))
+            return real(runs, chunk)
+
+        monkeypatch.setattr(simulate, "_chunk_sizes", recorded)
+        run(plan, workers=2)
+        assert seen == sizes
+
     def test_one_pool_per_process(self, tmp_path, counted_pools):
         for w in (2, 4):
             for run in self.RUNS.values():
@@ -629,6 +655,9 @@ class TestBinomialAlerts:
         def no_cuts(n, p, m):
             return None, real_law(n, p, m)[1]
 
+        # laws with and without cuts cut the plans into the same chunks
+        monkeypatch.setattr(simulate, "_VALUES", 4096)
+        monkeypatch.setattr(simulate, "_CHUNK", 4096)
         monkeypatch.setattr(simulate, "_binomial_law", no_cuts)
         expected = [run(plan) for run, plan in zip(runs, plans)]
 
@@ -714,6 +743,24 @@ class TestHalfWordTies:
                     assert np.array_equal(simulate._alerts(seed, 2, shape, law), want), (
                         hi, lo, restart,
                     )
+
+    def test_a_lower_block_peak_draws_no_tie_bits(self, monkeypatch):
+        # in 4-value blocks of halves 0..7 some block of a row often peaks at
+        # the alert cut's top 5 before another reaches the restart cut's 7;
+        # only the halves equal to the row's top draw tie bits
+        real = simulate._halves
+        monkeypatch.setattr(simulate, "_halves", lambda gen, count: real(gen, count) & 7)
+        monkeypatch.setattr(simulate, "_VALUES", 4)
+        draw = simulate._binomial_law(200, 0.01, 8)[1]
+        law = ((_cut(5, 1), _cut(7, 7 * 2**18)), draw)
+        restarts = 0
+        for seed in range(60):
+            want = _reference_alerts(seed, 3, (1, 41), law, mask=7)
+            assert np.array_equal(simulate._alerts(seed, 3, (1, 41), law), want), seed
+            restarts += not want[0]
+        # both branches occur: a row decided by its halves alerts (its top 7
+        # is above 5), and a redrawn row seldom does
+        assert 0 < restarts < 60
 
     def test_blocks_read_the_stream_of_one_draw(self, monkeypatch):
         (alert, _), draw = simulate._binomial_law(200, 0.01, 8)
