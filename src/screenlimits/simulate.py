@@ -35,24 +35,25 @@ from one Philox double per value (numpy's binomial for 0 < p <= 1/2,
 n p <= 30; the Poisson walk for 0 < k p <= 30, 1 <= m <= k p +
 10 sqrt(k p + 1)), the count reaches m exactly when the 53-bit uniform U
 behind that double reaches a cut, the raw 64-bit word cut shifted right by
-11 bits. The kernel spends 32 bits per value: each raw word gives two
-32-bit halves, low half first, and a half is the top of its value's U. A
-half above the cut's top 32 bits alerts and one below does not; a half
-equal to it (probability 2**-32) takes the low 21 bits of U from the top of
-one more word, drawn after the chunk's halves, so each value alerts with
-probability exactly Pr(U >= cut). The same test against the restart cut
-sends a binomial chunk whose walk would have restarted to the fallback,
-which draws it again from a fresh generator of the same (seed, j) stream,
-as it draws every chunk outside the regime. That redraw reads the stream
-the restart test read, so the sampled law is exact when no value reaches
-the restart cut and otherwise differs from it by at most the chance of a
-restart in the chunk, below 1e-12 per value. A row wider than 2**18 values
-is drawn in blocks of at most 2**18 from the same stream, so memory stays
-bounded. The grids in tests/test_simulate.py pin the word cuts to
-rng.binomial and to a replay of the Poisson walk element by element, so a
-numpy upgrade that changes its sampler fails them loudly instead of moving
-a result, and pin the kernel to a scalar reference that builds each U from
-its half and tie bits.
+11 bits. The kernel spends 16 bits per value: each raw word gives four
+16-bit quarters, lowest first, and a quarter is the top of its value's U. A
+quarter above the cut's top 16 bits alerts and one below does not; a
+quarter equal to it (probability 2**-16) takes the low 37 bits of U from
+the top of one more word, drawn after the chunk's quarters, so each value
+alerts with probability exactly Pr(U >= cut). The same test against the
+restart cut, whose top 16 bits are all ones (so a chunk of 2**18 values
+meets ~4 of its ties), sends a binomial chunk whose walk would have
+restarted to the fallback, which draws it again from a fresh generator of
+the same (seed, j) stream, as it draws every chunk outside the regime.
+That redraw reads the stream the restart test read, so the sampled law is
+exact when no value reaches the restart cut and otherwise differs from it
+by at most the chance of a restart in the chunk, below 1e-12 per value. A
+row wider than 2**18 values is drawn in blocks of at most 2**18 from the
+same stream, so memory stays bounded. The grids in tests/test_simulate.py
+pin the word cuts to rng.binomial and to a replay of the Poisson walk
+element by element, so a numpy upgrade that changes its sampler fails them
+loudly instead of moving a result, and pin the kernel to a scalar
+reference that builds each U from its quarter and tie bits.
 """
 
 from __future__ import annotations
@@ -98,16 +99,16 @@ MODE_COPULA = "copula-correlated"
 _MODES = (MODE_BINOMIAL, MODE_POISSON, MODE_COPULA)
 
 # Values a binomial or Poisson alert chunk draws (one run at least), and the
-# most a wider row draws at once; part of the determinism contract. Even, so
-# that every block but the last ends on a word boundary.
+# most a wider row draws at once; part of the determinism contract. A
+# multiple of 4, so that every block but the last ends on a word boundary.
 _VALUES = 1 << 18
 
 # Most runs of such a chunk when its law has no word cuts; part of the
 # determinism contract.
 _CHUNK = 8192
 
-# A 53-bit uniform is a 32-bit half followed by this many tie bits.
-_TIE_BITS = 21
+# A 53-bit uniform is a 16-bit quarter followed by this many tie bits.
+_TIE_BITS = 37
 
 # No plan may make more than this many draws: every mode draws at least one
 # value per run, exact system mode n per run and copula mode k per run.
@@ -339,37 +340,38 @@ def _poisson_law(lam: float, m: int):
     return (_word_cut(_last_short_walk(terms)), 1 << 64), draw
 
 
-def _halves(gen, count: int) -> np.ndarray:
-    """The 32-bit halves of gen's next ceil(count / 2) raw words, low half first.
+def _quarters(gen, count: int) -> np.ndarray:
+    """The 16-bit quarters of gen's next ceil(count / 4) raw words, lowest first.
 
-    An odd count leaves the high half of the last word unused.
+    A count that is not a multiple of 4 leaves the top quarters of the last
+    word unused.
     """
-    return gen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")[:count]
+    return gen.random_raw((count + 3) // 4).astype("<u8", copy=False).view("<u2")[:count]
 
 
 def _row_tops(gen, rows: int, width: int, tied: tuple[int, ...]):
-    """(top, tie_rows, ties): each row's largest half, the rows whose top is
-    in `tied`, and how many halves of each such row equal its top.
+    """(top, tie_rows, ties): each row's largest quarter, the rows whose top
+    is in `tied`, and how many quarters of each such row equal its top.
 
-    Rows are drawn in column blocks of at most _VALUES halves. A chunk of
+    Rows are drawn in column blocks of at most _VALUES quarters. A chunk of
     more than one row has width at most _VALUES / 2, so it is one block, and
     the blocks of one row read the stream a single draw would.
     """
     top, seen = None, []
     for start in range(0, width, _VALUES):
-        halves = _halves(gen, rows * min(_VALUES, width - start)).reshape(rows, -1)
+        quarters = _quarters(gen, rows * min(_VALUES, width - start)).reshape(rows, -1)
         # a row of one value is its own peak, with no copy to make
-        peak = halves.max(axis=1) if halves.shape[1] > 1 else halves[:, 0]
+        peak = quarters.max(axis=1) if quarters.shape[1] > 1 else quarters[:, 0]
         top = peak if top is None else np.maximum(top, peak)
         tie = np.zeros(rows, dtype=bool)
         for t in tied:
             tie |= peak == t
         hit = np.flatnonzero(tie)
-        if hit.size:
-            seen.append((hit, peak[hit], (halves[hit] == peak[hit, None]).sum(axis=1)))
-    if not seen:
-        # the usual case: no row's top is a tie
-        return top, np.empty(0, np.intp), np.empty(0, np.int64)
+        seen.append((hit, peak[hit], (quarters[hit] == peak[hit, None]).sum(axis=1)))
+    if len(seen) == 1:
+        # one block: its peaks are the rows' tops, so its ties are theirs
+        hit, _, ties = seen[0]
+        return top, hit, ties
     hit, peak, count = (np.concatenate(parts) for parts in zip(*seen))
     # a block's ties count only where its peak is the row's top
     keep = peak == top[hit]
@@ -396,15 +398,15 @@ def _alerts(seed: int, j: int, shape: tuple[int, ...], law) -> np.ndarray:
 
     A value alerts when the 53-bit uniform U its inversion walk reads reaches
     the alert word's U, and a row when any of its values does. Each value
-    gets one 32-bit half h of the chunk's raw words, the top 32 bits of its
-    U. With (hi, lo) the top 32 and low 21 bits of the cut's U, h > hi
-    alerts, and h == hi alerts if 21 tie bits reach lo (or at once when
-    lo == 0). Only a row's largest halves can decide it, so tie bits are
-    drawn only for the halves equal to the top of a row whose top is a tie:
-    after the chunk's halves, one word per tie, rows in order, its top 21
-    bits. If a U reaches a binomial law's restart word, numpy's walk would
-    have restarted, so the chunk is drawn again by the fallback from a fresh
-    generator.
+    gets one 16-bit quarter h of the chunk's raw words, the top 16 bits of
+    its U. With (hi, lo) the top 16 and low 37 bits of the cut's U, h > hi
+    alerts, and h == hi alerts if 37 tie bits reach lo (or at once when
+    lo == 0). Only a row's largest quarters can decide it, so tie bits are
+    drawn only for the quarters equal to the top of a row whose top is a
+    tie: after the chunk's quarters, one word per tie, rows in order, its
+    top 37 bits. If a U reaches a binomial law's restart word, numpy's walk
+    would have restarted, so the chunk is drawn again by the fallback from a
+    fresh generator.
     """
     cuts, draw = law
     rows, width = shape[0], prod(shape[1:])
@@ -533,8 +535,8 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
     """Estimate the per-person alert probability Pr(count >= m).
 
     binomial-exact draws Bin(k, p) per trial; poisson-approx draws
-    Pois(k*p), from one 32-bit half word per trial where _poisson_law gives
-    cuts.
+    Pois(k*p), from one 16-bit quarter word per trial where _poisson_law
+    gives cuts.
     The analytic reference matches the sampled law.
     """
     if plan.mode not in (MODE_BINOMIAL, MODE_POISSON):

@@ -545,14 +545,14 @@ def _any_by_row(flags: np.ndarray) -> np.ndarray:
     return flags.any(axis=1) if flags.ndim == 2 else flags
 
 
-def _reference_alerts(seed: int, j: int, shape: tuple, law, mask: int = 0xFFFFFFFF) -> np.ndarray:
-    """_alerts from scalar arithmetic: each value's 53-bit U is its 32-bit
-    half followed by 21 tie bits, and the row flag is max(U) >= the cut's U.
+def _reference_alerts(seed: int, j: int, shape: tuple, law, mask: int = 0xFFFF) -> np.ndarray:
+    """_alerts from scalar arithmetic: each value's 53-bit U is its 16-bit
+    quarter followed by 37 tie bits, and the row flag is max(U) >= the cut's U.
 
-    Halves come low half first from chunk j's raw words, each ANDed with
-    `mask`. A row whose top half equals the top 32 bits of a cut with
-    nonzero low bits draws one word per half equal to that top, rows in
-    order, after all the halves; every other U gets zero tie bits, which
+    Quarters come lowest first from chunk j's raw words, each ANDed with
+    `mask`. A row whose top quarter equals the top 16 bits of a cut with
+    nonzero low bits draws one word per quarter equal to that top, rows in
+    order, after all the quarters; every other U gets zero tie bits, which
     cannot change its row's flag. A U at or above the restart cut sends the
     chunk to the law's fallback draw on a fresh stream.
     """
@@ -560,15 +560,15 @@ def _reference_alerts(seed: int, j: int, shape: tuple, law, mask: int = 0xFFFFFF
     rows, width = shape[0], shape[1] if len(shape) == 2 else 1
     count = rows * width
     gen = simulate._chunk_rng(seed, j).bit_generator
-    words = [int(w) for w in gen.random_raw((count + 1) // 2)]
-    halves = [(w >> shift) & 0xFFFFFFFF & mask for w in words for shift in (0, 32)][:count]
+    words = [int(w) for w in gen.random_raw((count + 3) // 4)]
+    quarters = [(w >> shift) & 0xFFFF & mask for w in words for shift in (0, 16, 32, 48)][:count]
     u_alert, u_restart = alert >> 11, restart >> 11
     flags, restarted = [], False
     for r in range(rows):
-        row = halves[r * width : (r + 1) * width]
+        row = quarters[r * width : (r + 1) * width]
         top = max(row)
-        tied = any(top == cut >> 21 and cut % 2**21 for cut in (u_alert, u_restart))
-        u = [h << 21 | (int(gen.random_raw()) >> 43 if tied and h == top else 0) for h in row]
+        tied = any(top == cut >> 37 and cut % 2**37 for cut in (u_alert, u_restart))
+        u = [h << 37 | (int(gen.random_raw()) >> 27 if tied and h == top else 0) for h in row]
         restarted |= max(u) >= u_restart
         flags.append(max(u) >= u_alert)
     if restarted:
@@ -580,7 +580,7 @@ class TestBinomialAlerts:
     """_binomial_law's word cuts decide rng.binomial(n, p, shape) >= m bit for bit.
 
     A raw 64-bit word at or above the alert cut is exactly a double whose
-    inversion walk reaches m; _alerts, on the halves of the same stream,
+    inversion walk reaches m; _alerts, on the quarters of the same stream,
     must equal the scalar reference, and outside the regime numpy's draw.
     """
 
@@ -683,24 +683,29 @@ class TestBinomialAlerts:
 
 
 def _observed_tops(seed: int, j: int, shape: tuple) -> tuple[list[int], list[int]]:
-    """Each row's largest 32-bit half of chunk j's words, low half first, and
-    the top 21 bits of the two words after the halves (the first tie bits)."""
+    """Each row's largest 16-bit quarter of chunk j's words, lowest first, and
+    the top 37 bits of the two words after the quarters (the first tie bits)."""
     count = int(np.prod(shape))
-    words = simulate._chunk_rng(seed, j).bit_generator.random_raw((count + 1) // 2 + 2)
-    halves = words[:-2].view(np.uint32)[:count].reshape(shape[0], -1)
-    return [int(t) for t in halves.max(axis=1)], [int(w) >> 43 for w in words[-2:]]
+    words = simulate._chunk_rng(seed, j).bit_generator.random_raw((count + 3) // 4 + 2)
+    quarters = words[:-2].view(np.uint16)[:count].reshape(shape[0], -1)
+    return [int(t) for t in quarters.max(axis=1)], [int(w) >> 27 for w in words[-2:]]
 
 
 def _cut(top: int, low: int) -> int:
-    """The raw word cut whose 53-bit uniform has these top 32 and low 21 bits."""
-    return (top << 21 | low) << 11
+    """The raw word cut whose 53-bit uniform has these top 16 and low 37 bits."""
+    return (top << 37 | low) << 11
 
 
-class TestHalfWordTies:
-    """_alerts against the scalar reference where a half ties a cut's top 32 bits."""
+class TestQuarterWordTies:
+    """_alerts against the scalar reference where a quarter ties a cut's top 16 bits."""
 
-    SHAPES = {"1d": (257,), "2d": (16, 33), "one-row": (1, 1001)}
-    LOWS = (0, 1, 2**20, 2**21 - 1)
+    # 257, 14, 15 and 1001 values leave 3, 2, 1 and 3 quarters of the last
+    # word unused, so the tie words must start right after ceil(count / 4)
+    SHAPES = {
+        "1d": (257,), "2d": (16, 33), "two-unused": (2, 7), "one-unused": (3, 5),
+        "one-row": (1, 1001),
+    }
+    LOWS = (0, 1, 2**36, 2**37 - 1)
 
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
     def test_observed_tops_as_cuts(self, shape):
@@ -725,18 +730,18 @@ class TestHalfWordTies:
 
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
     def test_many_ties_per_row(self, shape, monkeypatch):
-        # halves cut down to 0..7 tie in almost every row; a one-row chunk
+        # quarters cut down to 0..7 tie in almost every row; a one-row chunk
         # spans 16 blocks
-        real = simulate._halves
-        monkeypatch.setattr(simulate, "_halves", lambda gen, count: real(gen, count) & 7)
+        real = simulate._quarters
+        monkeypatch.setattr(simulate, "_quarters", lambda gen, count: real(gen, count) & 7)
         monkeypatch.setattr(simulate, "_VALUES", 64)
         draw = simulate._binomial_law(200, 0.01, 8)[1]
-        # near 2**21 the largest of a row's tie bits depends on how many it draws
-        lows = (0, 1, 2**20, 2**21 - 2**15)
+        # near 2**37 the largest of a row's tie bits depends on how many it draws
+        lows = (0, 1, 2**36, 2**37 - 2**31)
         for hi in (0, 3, 7):
             for lo in lows:
                 alert = _cut(hi, lo)
-                restarts = [2**64] + [_cut(t, low) for t in (hi, 7) for low in (*lows, 2**21 - 1)]
+                restarts = [2**64] + [_cut(t, low) for t in (hi, 7) for low in (*lows, 2**37 - 1)]
                 for seed, restart in enumerate(r for r in restarts if r >= alert):
                     law = ((alert, restart), draw)
                     want = _reference_alerts(seed, 2, shape, law, mask=7)
@@ -744,28 +749,61 @@ class TestHalfWordTies:
                         hi, lo, restart,
                     )
 
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    def test_alert_word_edges(self, shape):
+        # every U reaches word 0; word 2**64 has hi = 65536, above every
+        # uint16 quarter, so no U reaches it
+        draw = simulate._binomial_law(200, 0.01, 8)[1]
+        for alert, want in ((0, True), (2**64, False)):
+            law = ((alert, 2**64), draw)
+            got = simulate._alerts(5, 0, shape, law)
+            assert np.array_equal(got, np.full(shape[0], want)), alert
+            assert np.array_equal(got, _reference_alerts(5, 0, shape, law)), alert
+
+    def test_restart_cut_ties_the_top_quarter_unforced(self):
+        # a real restart cut has top 16 bits 0xFFFF and nonzero low bits, so
+        # a drawn quarter 0xFFFF takes a tie word with no forcing
+        law = simulate._binomial_law(200, 0.01, 8)
+        (alert, restart), draw = law
+        assert restart >> 48 == 0xFFFF and (restart >> 11) % 2**37
+        shape, tied = (128, 500), 0
+        for seed in range(12):
+            if 0xFFFF not in _observed_tops(seed, 0, shape)[0]:
+                continue
+            tied += 1
+            got = simulate._alerts(seed, 0, shape, law)
+            assert np.array_equal(got, _reference_alerts(seed, 0, shape, law)), seed
+            # with low bits 1 the tie word of a 0xFFFF quarter reaches the
+            # restart cut, so the fallback redraws the chunk
+            low = ((alert, _cut(0xFFFF, 1)), draw)
+            redrawn = _any_by_row(draw(simulate._chunk_rng(seed, 0), shape))
+            assert np.array_equal(simulate._alerts(seed, 0, shape, low), redrawn), seed
+            assert np.array_equal(_reference_alerts(seed, 0, shape, low), redrawn), seed
+            assert not np.array_equal(got, redrawn), seed
+        assert tied >= 3
+
     def test_a_lower_block_peak_draws_no_tie_bits(self, monkeypatch):
-        # in 4-value blocks of halves 0..7 some block of a row often peaks at
-        # the alert cut's top 5 before another reaches the restart cut's 7;
-        # only the halves equal to the row's top draw tie bits
-        real = simulate._halves
-        monkeypatch.setattr(simulate, "_halves", lambda gen, count: real(gen, count) & 7)
+        # in 4-value blocks of quarters 0..7 some block of a row often peaks
+        # at the alert cut's top 5 before another reaches the restart cut's 7;
+        # only the quarters equal to the row's top draw tie bits
+        real = simulate._quarters
+        monkeypatch.setattr(simulate, "_quarters", lambda gen, count: real(gen, count) & 7)
         monkeypatch.setattr(simulate, "_VALUES", 4)
         draw = simulate._binomial_law(200, 0.01, 8)[1]
-        law = ((_cut(5, 1), _cut(7, 7 * 2**18)), draw)
+        law = ((_cut(5, 1), _cut(7, 7 * 2**34)), draw)
         restarts = 0
         for seed in range(60):
             want = _reference_alerts(seed, 3, (1, 41), law, mask=7)
             assert np.array_equal(simulate._alerts(seed, 3, (1, 41), law), want), seed
             restarts += not want[0]
-        # both branches occur: a row decided by its halves alerts (its top 7
+        # both branches occur: a row decided by its quarters alerts (its top 7
         # is above 5), and a redrawn row seldom does
         assert 0 < restarts < 60
 
     def test_blocks_read_the_stream_of_one_draw(self, monkeypatch):
         (alert, _), draw = simulate._binomial_law(200, 0.01, 8)
         laws = {
-            "halves": simulate._binomial_law(200, 0.01, 8),
+            "quarters": simulate._binomial_law(200, 0.01, 8),
             "restart": ((alert, 0), draw),
             "fallback": simulate._binomial_law(20, 0.6, 19),
         }
@@ -838,7 +876,7 @@ class TestPoissonAlerts:
             assert above == 1.0 or _poisson_replay(above, lam, m)
             assert np.array_equal(got, _reference_alerts(seed, j, (2000,), law)), (lam, m)
 
-    def test_per_person_uses_the_halves(self, monkeypatch):
+    def test_per_person_uses_the_quarters(self, monkeypatch):
         monkeypatch.setattr(simulate, "_VALUES", 4096)
         plan = SimPlan(k=1000, p=0.005, m=9, runs=20_000, seed=29, mode=MODE_POISSON)
         law = simulate._poisson_law(5.0, 9)
