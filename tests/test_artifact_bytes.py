@@ -224,10 +224,10 @@ EXPECTED = {
         "phase.json.manifest.json": "ffb2e7fb9df333382c520089f8ce16333f5c45ca066c54cfd82207c7fca9654f",
     },
     "simulate": {
-        "simulate.csv": "e60452d2cf512676d06665bdb35718b4a49ad51f04417518bb0a7c34b7ca5ed7",
-        "simulate.csv.manifest.json": "cf9d57cf2b0df7c1793c63e13aaa5efaa6cfa294f4703b7644bd52e95295eb3b",
-        "simulate.json": "bfd24f06c04fe796fbde94e98ffb3fc1f7ef51bfcdbedef0c27cce2eb90b375a",
-        "simulate.json.manifest.json": "98bfa3c6d80f74649723c4542e1b337068eac1fa63c12f5bfbfe54e8816131cb",
+        "simulate.csv": "52ad9b6b5786a8abf709ae26ac74777e426b527a54c194b6eff60badb41c467e",
+        "simulate.csv.manifest.json": "3e24b629a26b92251d26c233b3e0bcc5c25b29f313abf70a43cd1243b8e83ebb",
+        "simulate.json": "d090492d302b2a279f2ecd0fd4d66112fa0629816473fa2992c36531731d0871",
+        "simulate.json.manifest.json": "c286042af1b2a26e2e2a2cb2e665c6e860b4897d3a62ba2773763a63e0aca32b",
     },
     "simulate-correlated": {
         "simulate-correlated.csv": "3d7d39d1893d3553241000c578207eb097886a40dbefc4414aeea4907443641b",
@@ -248,22 +248,22 @@ EXPECTED = {
         "simulate-person-high-p.json.manifest.json": "8b476cad41337980eed07dc508b9b9aa7cff540c5181a64daa007c62c3cd4e4f",
     },
     "simulate-person-poisson": {
-        "simulate-person-poisson.csv": "719671e3e1ddacf21fc4782e481a224fc3dc922fc5f25de1e1d2295f62420202",
-        "simulate-person-poisson.csv.manifest.json": "d7ba2936b5552be6711806abb610e9451d153c649320a95f4353ca663b96c706",
-        "simulate-person-poisson.json": "40ed23470d8ceeaec0675dc689609a634ba549bf7cd60c318ea0e5bcf28b3c1f",
-        "simulate-person-poisson.json.manifest.json": "f4c98b774f397523c7c88dc60d50201650e321c1e9b883bce34dafcad518c4fc",
+        "simulate-person-poisson.csv": "c878fd3cc183533abce6c870df16aeb3a9fb2f1fd43a43f709d6d003f7db134b",
+        "simulate-person-poisson.csv.manifest.json": "1b56a1f8e75be31be62997e445e32b092944631667cd163ebafdbb3c5c95357d",
+        "simulate-person-poisson.json": "6a1ec6dbf3763e0fd5529cbf48dd8815f77b3775f387fda65c7259d6ed31977b",
+        "simulate-person-poisson.json.manifest.json": "88d83616af9c83047d8ce732c37d229fa840c9bf76227c136d88693ece125701",
     },
     "simulate-system": {
-        "simulate-system.csv": "654589993badedb10317ad52ae8bff37eb50eca0cc724ad6298a6270a090c58d",
-        "simulate-system.csv.manifest.json": "41cc22159b47f0585566cf601e56d319c206cffd0b0c5fabf920f71fff5f1f5e",
-        "simulate-system.json": "6ee319992b58045a935cd510a291dc9aa23a404e753938ac9be1e9ffce677a39",
-        "simulate-system.json.manifest.json": "48544829f94407f289ce94e895d6c2cb2e02bf5aae352693dcc940ab14c55dee",
+        "simulate-system.csv": "5fe86d850bac53686a468fd829f110a52d3592b6383c7c2b6a4d558496d3dc01",
+        "simulate-system.csv.manifest.json": "eb8a82c271a706c7668443834b5c2315fc32f060eb4454f556576b0919322cb7",
+        "simulate-system.json": "ff916b5530acccd79cf72f23e5b89167418782cf0f375d6e57a3c3248324e8e2",
+        "simulate-system.json.manifest.json": "302ad9a003f1123c3af42178a4e29835c421314e9cb4523834b0db740d062544",
     },
     "simulate-system-exact": {
-        "simulate-system-exact.csv": "8bd72fd3cedc2e4fd4e584665af295b6f7d6de912faa154906535c42ca646638",
-        "simulate-system-exact.csv.manifest.json": "e8104ee8058eb61082011ec75c9ce0cc9399b8973334e1893e01c868420c472e",
-        "simulate-system-exact.json": "138e215c3d973149bd550acc5fbe08f21a1ec412f0c650ffe57666b1c4bb3823",
-        "simulate-system-exact.json.manifest.json": "a7317086db757de983c177f5c1bda47f7acd1758dcaa7d226c2c9efd7de71474",
+        "simulate-system-exact.csv": "d4a17c07565b1142d3e3c6b311070ed225564eda4ce4b47416e771e44fb03e4d",
+        "simulate-system-exact.csv.manifest.json": "dffc8342695cec31799c6e887ade845ea894c46dd57dd6a719745b8c3253ab7e",
+        "simulate-system-exact.json": "0f3855fa05fda83553037145d42030de1a5e1df09b81d93686ae3670713de978",
+        "simulate-system-exact.json.manifest.json": "b47a20babf0dddba83576aa42ae670e7e4d27667679d062a8bd858992d50910b",
     },
     "system": {
         "system.csv": "76eda4dd833a7a47d9a438454f76da6e3f628b4d3d0f59e572145043f68b8dc1",
@@ -305,8 +305,8 @@ EXPECTED_GOLDEN = {
 }
 
 EXPECTED_FIGURES = {
-    "manifest.json": "a923625e8bef41b4a6d6da1bdc92f727c4672da99ecf8a899e29c613c52f23a6",
-    "panel_a.csv": "f4fc8a160bc3fdd0c5726f6753379fc4b3c5b09701ca40b4fc705963822ea133",
+    "manifest.json": "8e732dc9b5541c6dc8ef0285b46c7e9ba87436e84f97f019cc61e0de8359e70c",
+    "panel_a.csv": "26790afc3eb2a25ffae04b993ba7bc2d7f0527d2de243079eb845ae95888aee4",
     "panel_b.csv": "74ca18a17ab29ae9e73a6aa615214dadd3dbda52f6dde84346f82086c8500b6f",
     "panel_c.csv": "635b321843222d80efaa68fb79d400ac083996ec5f438a0ad6c8b78f7531b3b6",
     "panel_d.csv": "c4a8f3cea3dc8079feb46e05b567f1b32e5897f40fd5b1b6e156eee1020f37c1",
