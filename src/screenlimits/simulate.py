@@ -22,10 +22,17 @@ Modes:
 
 The exchangeable copula draws one shared normal s per run and the count as
 Bin(k, Phi((t - sqrt(rho) s) / sqrt(1 - rho))), the law of k latent
-threshold crossings given s; AR(1) draws all k latent normals. Both copula
-kinds count k draws per run against the draw budget, and both report the
-mean and variance of the count, whose excess over k p (1 - p) is the design
-effect of the binary correlation the latent rho induces.
+threshold crossings given s. AR(1) draws its k latent normals by inversion,
+eps = Phi^-1((x + 1/2) 2**-53) of a 53-bit integer x per value, and counts
+them without computing most of them: x's top 16 bits are one quarter of the
+chunk's raw words, and the recurrence first runs on a [lo, hi] bracket
+looked up per quarter. Only a run whose count differs between lo and hi
+draws its 37 tie bits per value, after the chunk's quarters, and runs the
+exact recurrence (about 2% of runs at rho = 0.5, p = 0.025), so every count
+is that of the inversion draw. Both copula kinds count k draws per run
+against the draw budget, and both report the mean and variance of the
+count, whose excess over k p (1 - p) is the design effect of the binary
+correlation the latent rho induces.
 
 Binomial and Poisson draws only ever feed an alert test count >= m. Each
 law is built once per plan as raw-word cuts plus a fallback draw
@@ -127,6 +134,15 @@ _POISSON_LAM_MAX = _INT64_MAX - sqrt(_INT64_MAX) * 10
 
 # Bit pattern of the double 1.0: every double in [0, 1) has a smaller one.
 _ONE_BITS = unpack("<q", pack("<d", 1.0))[0]
+
+# Relative outward pad of the AR(1) bucket edges: far above ndtri's error,
+# far below a bucket's width (2**-16 of probability).
+_EDGE_PAD = 1e-12
+
+# The AR(1) bucket edges, built by the first ar1 plan (~3.4 ms), not at
+# import; and (scale, scale * edges) for the last scale asked for.
+_EDGES: np.ndarray | None = None
+_STEP: tuple[float | None, np.ndarray | None] = (None, None)
 
 
 @dataclass(frozen=True)
@@ -526,7 +542,7 @@ def _alert_report(
         chunk = min(chunk, _CHUNK)
 
     def tally(j: int, size: int) -> int:
-        return int(_alerts(plan.seed, j, (size, *row), law).sum())
+        return int(np.count_nonzero(_alerts(plan.seed, j, (size, *row), law)))
 
     return _finish(sum(_count(plan, chunk, workers, tally)), plan, analytic)
 
@@ -583,6 +599,52 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
     return _alert_report(plan, workers, _binomial_law(*args), analytic, row)
 
 
+def _latent_values(x: np.ndarray) -> np.ndarray:
+    """eps(x) = ndtri((x + 1/2) 2**-53) for 53-bit integers x (uint64).
+
+    The upper half is -eps(2**53 - 1 - x), so x + 1/2 stays exact in a
+    double, the draw is symmetric bit for bit and both ends are finite
+    (about +-8.29).
+    """
+    upper = x >= np.uint64(1 << 52)
+    e = ndtri((np.where(upper, np.uint64((1 << 53) - 1) - x, x) + 0.5) * 2.0**-53)
+    return np.negative(e, out=e, where=upper)
+
+
+def _bucket_edges() -> np.ndarray:
+    """Read-only (65536, 2) [lo, hi] of eps over each 16-bit quarter's values of x.
+
+    The edges are eps at the bucket's smallest and largest x, padded outward
+    by _EDGE_PAD (1 + |edge|), so they hold every eps of the bucket even
+    where ndtri misses monotonicity by a few ulps.
+    """
+    first = np.arange(1 << 16, dtype=np.uint64) << np.uint64(_TIE_BITS)
+    edges = _latent_values(np.stack([first, first + np.uint64((1 << _TIE_BITS) - 1)], axis=1))
+    edges += np.array([-_EDGE_PAD, _EDGE_PAD]) * (1.0 + np.abs(edges))
+    edges.flags.writeable = False
+    return edges
+
+
+def _ar1_tables(rho: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(scale, first, step) for an ar1 draw with this rho.
+
+    scale = sqrt(1 - rho**2); first is the bucket edge table, the bracket of a
+    run's first value, and step is scale times it, the bracket of each later
+    value's term scale * eps. The edges are built by the first ar1 plan of the
+    process, and the step table is kept for the last scale asked for.
+    """
+    global _EDGES, _STEP
+    if _EDGES is None:
+        _EDGES = _bucket_edges()
+    scale = sqrt(1.0 - rho**2)
+    kept, step = _STEP
+    if kept != scale:
+        step = scale * _EDGES
+        step.flags.writeable = False
+        _STEP = (scale, step)
+    return scale, _EDGES, step
+
+
 def _latent_counts(
     rng: np.random.Generator,
     size: int,
@@ -590,19 +652,49 @@ def _latent_counts(
     threshold: float,
     corr: LatentCorrelation,
 ) -> np.ndarray:
-    """Match counts for `size` trials under the latent-Gaussian copula."""
+    """Match counts for `size` trials under the latent-Gaussian copula.
+
+    exchangeable draws one shared normal and one binomial per run. ar1 runs
+    x_0 = eps_0, x_t = rho x_(t-1) + scale eps_t, scale = sqrt(1 - rho**2),
+    in that float order, with eps = _latent_values of a 53-bit x per value:
+    one 16-bit quarter of the stream's raw words, laid out (k, size), then
+    37 tie bits. The recurrence first runs on the [lo, hi] bracket that
+    _ar1_tables gives each quarter, swapping the pair when rho < 0. Rounding
+    is monotone, so the bracket holds the double the exact recurrence
+    computes, and a run whose count is the same at lo and at hi has that
+    count. Each other run takes its tie bits from k more words, drawn after
+    the chunk's quarters, runs in order, the top 37 bits of each, and runs
+    the exact recurrence. So every count is the count of the inversion draw.
+    """
     if corr.kind == "exchangeable":
         # given the shared factor s the k indicators are independent, each
         # Bernoulli(Phi((threshold - sqrt(rho) s) / sqrt(1 - rho)))
         shared = rng.standard_normal(size)
         p_given_s = ndtr((threshold - sqrt(corr.rho) * shared) / sqrt(1.0 - corr.rho))
         return rng.binomial(k, p_given_s)
-    # the recurrence runs along attributes: one contiguous row per attribute
-    latent = rng.standard_normal((size, k)).T.copy()
-    scale = sqrt(1.0 - corr.rho**2)
+    rho = corr.rho
+    scale, first, step = _ar1_tables(rho)
+    gen = rng.bit_generator
+    quarters = _quarters(gen, k * size).reshape(k, size)
+    # take, not fancy indexing, gathers the (lo, hi) pairs at memory speed
+    bounds = step.take(quarters, axis=0)
+    bounds[0] = first.take(quarters[0], axis=0)
     for t in range(1, k):
-        latent[t] = corr.rho * latent[t - 1] + scale * latent[t]
-    return (latent <= threshold).sum(axis=0)
+        # rho < 0 sends the previous hi to the new lo
+        bounds[t] += rho * (bounds[t - 1] if rho >= 0.0 else bounds[t - 1, :, ::-1])
+    # columns: the count with every value at lo (the most) and at hi (the
+    # least); an int32 sum takes a third of the time of count_nonzero
+    counts = (bounds <= threshold).sum(axis=0, dtype=np.int32)
+    open_runs = np.flatnonzero(counts[:, 0] != counts[:, 1])
+    if open_runs.size:
+        ties = gen.random_raw((open_runs.size, k)) >> np.uint64(64 - _TIE_BITS)
+        x = quarters[:, open_runs].astype(np.uint64) << np.uint64(_TIE_BITS) | ties.T
+        latent = _latent_values(x)
+        latent[1:] *= scale
+        for t in range(1, k):
+            latent[t] += rho * latent[t - 1]
+        counts[open_runs, 0] = np.count_nonzero(latent <= threshold, axis=0)
+    return counts[:, 0].astype(np.int64)
 
 
 def simulate_correlated(
@@ -618,9 +710,12 @@ def simulate_correlated(
     exchangeable draws one shared factor s per run and the count as
     Bin(k, Phi((t - sqrt(rho) s) / sqrt(1 - rho))), t the p-quantile: given
     s the k indicators are independent with that probability (Vasicek 2002).
-    ar1 draws k latent normals per run and runs the recurrence. Either way
-    the budget counts k draws per run, so more than 1e9 in k*runs raise
-    BudgetError.
+    ar1 runs the recurrence x_t = rho x_(t-1) + sqrt(1 - rho**2) eps_t over k
+    latent normals drawn by inversion from 16-bit quarters, on float brackets
+    that decide almost every run's count, and exactly for the rest (see
+    _latent_counts); its bracket tables are ready before any chunk runs.
+    Either way the budget counts k draws per run, so more than 1e9 in k*runs
+    raise BudgetError.
     """
     if plan.mode != MODE_COPULA:
         raise DomainError(
@@ -637,10 +732,14 @@ def simulate_correlated(
     threshold = float(ndtri(plan.p))
     analytic = binomial_tail(plan.k, plan.p, plan.m)
     chunk = max(1, min(4096, (1 << 20) // plan.k))
+    if corr.kind == "ar1":
+        # built here, so the chunks' threads only read them
+        _ar1_tables(corr.rho)
 
     def tally(j: int, size: int) -> tuple[int, int, int]:
         counts = _latent_counts(_chunk_rng(plan.seed, j), size, plan.k, threshold, corr)
-        return int((counts >= plan.m).sum()), int(counts.sum()), int((counts * counts).sum())
+        alerts = int(np.count_nonzero(counts >= plan.m))
+        return alerts, int(counts.sum()), int((counts * counts).sum())
 
     alerts, total, total_sq = map(sum, zip(*_count(plan, chunk, workers, tally)))
     base = _finish(alerts, plan, analytic)

@@ -146,11 +146,14 @@ class TestDeterminism:
         serial = simulate_system(plan, workers=1)
         assert simulate_system(plan, workers=4) == serial
 
-    def test_worker_invariance_copula(self):
+    @pytest.mark.parametrize("kind", ["exchangeable", "ar1"])
+    def test_worker_invariance_copula(self, kind):
+        # k = 64 gives chunks of 4096 runs, so 5 chunks
         plan = SimPlan(k=64, p=0.05, m=8, runs=20_000, seed=55, mode=MODE_COPULA)
-        corr = LatentCorrelation(kind="exchangeable", rho=0.3)
+        corr = LatentCorrelation(kind=kind, rho=0.3)
         serial = simulate_correlated(plan, corr, workers=1)
-        assert simulate_correlated(plan, corr, workers=4) == serial
+        for workers in (2, 4):
+            assert simulate_correlated(plan, corr, workers=workers) == serial
 
     def test_seed_sensitivity(self):
         base = SimPlan(k=500, p=0.01, m=9, runs=50_000, seed=1, mode=MODE_BINOMIAL)
@@ -236,17 +239,31 @@ class TestCorrelated:
         assert 0.0 <= rep.estimate <= 1.0
         assert rep.mean_count == pytest.approx(64 * 0.05, rel=0.05)
 
-    def test_ar1_counts_match_the_column_recurrence(self):
-        k, size, rho, threshold = 365, 300, 0.55, -1.9
+    def test_ar1_count_variance_matches_the_orthant_sum(self):
+        # Var(count) = k p (1 - p) + 2 sum_d (k - d) (Phi2(t, t; rho^d) - p^2),
+        # with the error of the sample variance from the fourth central moment
+        k, p, rho = 365, 0.025, 0.5
         corr = LatentCorrelation(kind="ar1", rho=rho)
-        got = simulate._latent_counts(simulate._chunk_rng(5, 1), size, k, threshold, corr)
-        own = simulate._chunk_rng(5, 1).standard_normal((size, k))
-        latent = np.empty((size, k))
-        latent[:, 0] = own[:, 0]
-        scale = math.sqrt(1.0 - rho**2)
-        for t in range(1, k):
-            latent[:, t] = rho * latent[:, t - 1] + scale * own[:, t]
-        assert np.array_equal(got, (latent <= threshold).sum(axis=1))
+        threshold = float(ndtri(p))
+        counts = np.concatenate(
+            [
+                simulate._latent_counts(simulate._chunk_rng(21, j), size, k, threshold, corr)
+                for j, size in enumerate(simulate._chunk_sizes(20_000, 2872))
+            ]
+        ).astype(float)
+
+        def cross(r: float) -> float:
+            # Phi2(t, t; r) - p^2
+            return binary_correlation(p, r) * p * (1.0 - p)
+
+        want = k * p * (1.0 - p) + 2.0 * math.fsum(
+            (k - d) * cross(rho**d) for d in range(1, k)
+        )
+        n, var = counts.size, counts.var(ddof=1)
+        mu4 = np.mean((counts - counts.mean()) ** 4)
+        se = math.sqrt((mu4 - var * var * (n - 3) / (n - 1)) / n)
+        assert abs((var - want) / se) <= 6.0, (var, want, se)
+        assert abs(counts.mean() - k * p) <= 6.0 * math.sqrt(var / n)
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.6])
     def test_exchangeable_law_matches_the_full_latent_sampler(self, rho):
@@ -921,6 +938,133 @@ class TestPoissonAlerts:
         monkeypatch.setattr(simulate, "sum", lambda terms: guess, raising=False)
         _, got = _traced_law(monkeypatch, simulate._binomial_law, 305, 0.01, 6)
         assert got == want
+
+
+def _eps(x: int) -> float:
+    """Phi^-1 of the 53-bit uniform (x + 1/2) 2**-53, the upper half by symmetry."""
+    if x >= 2**52:
+        return -_eps(2**53 - 1 - x)
+    return float(ndtri((x + 0.5) * 2.0**-53))
+
+
+def _ar1_count(tops: list[int], lows: list[int], rho: float, threshold: float) -> int:
+    """Values at or below threshold of x_0 = eps_0, x_t = rho x_(t-1) + sqrt(1 - rho^2) eps_t."""
+    scale = math.sqrt(1.0 - rho**2)
+    x, count = 0.0, 0
+    for t, (top, low) in enumerate(zip(tops, lows)):
+        e = _eps(top << 37 | low)
+        x = e if t == 0 else rho * x + scale * e
+        count += x <= threshold
+    return count
+
+
+def _ar1_reference(seed, j, size, k, threshold, rho, force=lambda q: q):
+    """(counts, decided, tops) of chunk j's ar1 runs, built value by value.
+
+    Quarter i of the stream's raw words, lowest first (after `force`), is the
+    top 16 bits of attribute i // size of run i % size. A run whose count is
+    the same with every value at its bracket's lo and at its hi is decided.
+    Each other run, in order, takes the top 37 bits of k more words as its
+    values' low bits and counts the exact recurrence.
+    """
+    _, first, step = (table if isinstance(table, float) else table.tolist()
+                      for table in simulate._ar1_tables(rho))
+    gen = simulate._chunk_rng(seed, j).bit_generator
+    words = [int(w) for w in gen.random_raw((k * size + 3) // 4)]
+    quarters = [(w >> shift) & 0xFFFF for w in words for shift in (0, 16, 32, 48)][: k * size]
+    quarters = [int(q) for q in force(np.array(quarters, dtype=np.uint16))]
+    counts, decided, tops = [], [], []
+    for run in range(size):
+        row = quarters[run::size]
+        lo, hi = first[row[0]]
+        at_lo, at_hi = lo <= threshold, hi <= threshold
+        for b in row[1:]:
+            if rho < 0.0:
+                lo, hi = hi, lo
+            lo, hi = rho * lo + step[b][0], rho * hi + step[b][1]
+            at_lo += lo <= threshold
+            at_hi += hi <= threshold
+        tops.append(row)
+        decided.append(at_lo == at_hi)
+        if at_lo == at_hi:
+            counts.append(at_lo)
+        else:
+            lows = [int(w) >> 27 for w in gen.random_raw(k)]
+            counts.append(_ar1_count(row, lows, rho, threshold))
+    return counts, decided, tops
+
+
+def _end_buckets(quarters: np.ndarray) -> np.ndarray:
+    """Quarters with every 11th set to bucket 0 and the next-but-four to 65535."""
+    quarters = quarters.copy()
+    quarters[::11] = 0
+    quarters[5::11] = 0xFFFF
+    return quarters
+
+
+class TestAr1Brackets:
+    """_latent_counts' ar1 path against the scalar reference, value by value."""
+
+    K, SIZE, P = 200, 48, 0.1
+
+    def test_edges_hold_every_value_of_their_bucket(self):
+        scale, first, step = simulate._ar1_tables(-0.6)
+        assert scale == math.sqrt(1.0 - 0.36)
+        assert first.shape == step.shape == (2**16, 2)
+        assert not first.flags.writeable and not step.flags.writeable
+        assert np.isfinite(first).all() and first[0, 0] == -first[-1, 1]
+        rng = np.random.default_rng(8)
+        lows = (np.zeros(2**16, dtype=np.int64), np.full(2**16, 2**37 - 1),
+                rng.integers(0, 2**37, 2**16))
+        for low in lows:
+            eps = np.array([_eps(b << 37 | int(lo)) for b, lo in enumerate(low)])
+            # padded outward: strictly beyond even the bucket's own end values
+            assert (first[:, 0] < eps).all() and (eps < first[:, 1]).all()
+            assert (step[:, 0] <= scale * eps).all() and (scale * eps <= step[:, 1]).all()
+        # the pad is far below a bucket's width: neighbours barely overlap
+        assert (first[1:, 0] - first[:-1, 1] < 1e-11).all()
+        assert (first[1:, 0] > first[:-1, 0]).all()
+
+    @pytest.mark.parametrize("ends", [False, True], ids=["stream", "end-buckets"])
+    @pytest.mark.parametrize("widen", [0.0, 0.05], ids=["pad", "wide"])
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
+    def test_counts_match_the_scalar_reference(self, rho, widen, ends, monkeypatch):
+        if widen:
+            # a wider bracket still holds every value, and leaves many runs open
+            real = simulate._ar1_tables
+
+            def wide_tables(r):
+                scale, first, step = real(r)
+                return scale, first + [-widen, widen], step + [-widen, widen]
+
+            monkeypatch.setattr(simulate, "_ar1_tables", wide_tables)
+        force = _end_buckets if ends else (lambda q: q)
+        if ends:
+            real_quarters = simulate._quarters
+            monkeypatch.setattr(
+                simulate, "_quarters", lambda gen, count: force(real_quarters(gen, count))
+            )
+        k, size, threshold = self.K, self.SIZE, float(ndtri(self.P))
+        corr = LatentCorrelation(kind="ar1", rho=rho)
+        seed = 17 + int(10 * rho)
+        got = simulate._latent_counts(simulate._chunk_rng(seed, 3), size, k, threshold, corr)
+        want, decided, tops = _ar1_reference(seed, 3, size, k, threshold, rho, force)
+        assert got.dtype == np.int64 and got.tolist() == want
+        if widen or rho == 0.9:
+            assert not all(decided)
+        rng = np.random.default_rng(seed)
+        for run in np.flatnonzero(decided):
+            for lows in ([0] * k, [2**37 - 1] * k, rng.integers(0, 2**37, k).tolist()):
+                assert _ar1_count(tops[run], lows, rho, threshold) == want[run], (run, lows[0])
+
+    def test_one_run_and_one_attribute(self):
+        # p = 0.9 puts a 300-value run's count far above 255
+        for size, k in ((1, 300), (300, 1)):
+            threshold = float(ndtri(0.9))
+            got = simulate._latent_counts(
+                simulate._chunk_rng(2, 0), size, k, threshold, LatentCorrelation("ar1", 0.5)
+            )
+            assert got.tolist() == _ar1_reference(2, 0, size, k, threshold, 0.5)[0]
 
 
 class TestSamplerLimits:
