@@ -230,10 +230,10 @@ EXPECTED = {
         "simulate.json.manifest.json": "c286042af1b2a26e2e2a2cb2e665c6e860b4897d3a62ba2773763a63e0aca32b",
     },
     "simulate-correlated": {
-        "simulate-correlated.csv": "3d7d39d1893d3553241000c578207eb097886a40dbefc4414aeea4907443641b",
-        "simulate-correlated.csv.manifest.json": "d8a3d4a6cdd4d694f29c56a3184b04de1873b051af923de459288f77517c8600",
-        "simulate-correlated.json": "b4d7afe885d2295633d27d69c713711fd72a2e65af08da5734c7ae9c276b5bf7",
-        "simulate-correlated.json.manifest.json": "fda753d011a901bd19b5e7453aa968dd234e2945d7fc78e68eae07622d389fb0",
+        "simulate-correlated.csv": "90f998d42101b65bf1c188aefaa4c0b9441db74daefbc0ef4d76e4a978af4209",
+        "simulate-correlated.csv.manifest.json": "c2f22b2cdcae3bfc1f8773fc97b2af76e10b0380e25e386146685f8629795366",
+        "simulate-correlated.json": "60019d2fa7e057c18afa94c3b18e31e752619c209f8faa2f20912e5935ebf94a",
+        "simulate-correlated.json.manifest.json": "4a72fc30edee34b00a9a92a451dee90a091241ce3338d561fd8e445936609b83",
     },
     "simulate-person-btpe": {
         "simulate-person-btpe.csv": "bba014db6dd8c566ef25f8f7f27f8646fe680fe72ea957980f06af21688662db",
