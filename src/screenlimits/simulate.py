@@ -28,9 +28,9 @@ them without computing most of them: x's top 16 bits are one quarter of the
 chunk's raw words, and the recurrence first runs on a [lo, hi] bracket
 looked up per quarter. Only a run whose count differs between lo and hi
 draws its 37 tie bits per value, after the chunk's quarters, and runs the
-exact recurrence (about 2% of runs at rho = 0.5, p = 0.025), so every count
-is that of the inversion draw. Both copula kinds count k draws per run
-against the draw budget, and both report the mean and variance of the
+exact recurrence (1.2% of runs at k = 365, rho = 0.5, p = 0.025), so every
+count is that of the inversion draw. Both copula kinds count k draws per
+run against the draw budget, and both report the mean and variance of the
 count, whose excess over k p (1 - p) is the design effect of the binary
 correlation the latent rho induces.
 
@@ -600,42 +600,40 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
 
 
 def _latent_values(x: np.ndarray) -> np.ndarray:
-    """eps(x) = ndtri((x + 1/2) 2**-53) for 53-bit integers x (uint64).
+    """eps(x) = ndtri((x + 1/2) 2**-53) for 53-bit integers x (uint64), which
+    it overwrites.
 
     The upper half is -eps(2**53 - 1 - x), so x + 1/2 stays exact in a
     double, the draw is symmetric bit for bit and both ends are finite
     (about +-8.29).
     """
     upper = x >= np.uint64(1 << 52)
-    e = ndtri((np.where(upper, np.uint64((1 << 53) - 1) - x, x) + 0.5) * 2.0**-53)
+    np.subtract(np.uint64((1 << 53) - 1), x, out=x, where=upper)
+    e = x.astype(np.float64)
+    e += 0.5
+    e *= 2.0**-53
+    ndtri(e, out=e)
     return np.negative(e, out=e, where=upper)
 
 
-def _bucket_edges() -> np.ndarray:
-    """Read-only (65536, 2) [lo, hi] of eps over each 16-bit quarter's values of x.
-
-    The edges are eps at the bucket's smallest and largest x, padded outward
-    by _EDGE_PAD (1 + |edge|), so they hold every eps of the bucket even
-    where ndtri misses monotonicity by a few ulps.
-    """
-    first = np.arange(1 << 16, dtype=np.uint64) << np.uint64(_TIE_BITS)
-    edges = _latent_values(np.stack([first, first + np.uint64((1 << _TIE_BITS) - 1)], axis=1))
-    edges += np.array([-_EDGE_PAD, _EDGE_PAD]) * (1.0 + np.abs(edges))
-    edges.flags.writeable = False
-    return edges
-
-
 def _ar1_tables(rho: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(scale, first, step) for an ar1 draw with this rho.
+    """(scale, first, step), read-only, for an ar1 draw with this rho.
 
-    scale = sqrt(1 - rho**2); first is the bucket edge table, the bracket of a
-    run's first value, and step is scale times it, the bracket of each later
-    value's term scale * eps. The edges are built by the first ar1 plan of the
-    process, and the step table is kept for the last scale asked for.
+    scale = sqrt(1 - rho**2). first is the (65536, 2) table of [lo, hi] over
+    each 16-bit quarter's values of x: eps at the smallest and largest x,
+    padded outward by _EDGE_PAD (1 + |edge|), so it holds every eps of the
+    quarter even where ndtri misses monotonicity by a few ulps. It brackets
+    a run's first value, and step = scale * first brackets each later
+    value's term scale * eps. first is built by the first ar1 plan of the
+    process, and step is kept for the last scale asked for.
     """
     global _EDGES, _STEP
     if _EDGES is None:
-        _EDGES = _bucket_edges()
+        low = np.arange(1 << 16, dtype=np.uint64) << np.uint64(_TIE_BITS)
+        edges = _latent_values(np.stack([low, low + np.uint64((1 << _TIE_BITS) - 1)], axis=1))
+        edges += np.array([-_EDGE_PAD, _EDGE_PAD]) * (1.0 + np.abs(edges))
+        edges.flags.writeable = False
+        _EDGES = edges
     scale = sqrt(1.0 - rho**2)
     kept, step = _STEP
     if kept != scale:
@@ -685,10 +683,12 @@ def _latent_counts(
     # columns: the count with every value at lo (the most) and at hi (the
     # least); an int32 sum takes a third of the time of count_nonzero
     counts = (bounds <= threshold).sum(axis=0, dtype=np.int32)
+    # free 16 bytes a value before the exact path draws its own
+    del bounds
     open_runs = np.flatnonzero(counts[:, 0] != counts[:, 1])
     if open_runs.size:
-        ties = gen.random_raw((open_runs.size, k)) >> np.uint64(64 - _TIE_BITS)
-        x = quarters[:, open_runs].astype(np.uint64) << np.uint64(_TIE_BITS) | ties.T
+        x = quarters[:, open_runs].astype(np.uint64) << np.uint64(_TIE_BITS)
+        x |= gen.random_raw((open_runs.size, k)).T >> np.uint64(64 - _TIE_BITS)
         latent = _latent_values(x)
         latent[1:] *= scale
         for t in range(1, k):

@@ -967,8 +967,8 @@ def _ar1_reference(seed, j, size, k, threshold, rho, force=lambda q: q):
     Each other run, in order, takes the top 37 bits of k more words as its
     values' low bits and counts the exact recurrence.
     """
-    _, first, step = (table if isinstance(table, float) else table.tolist()
-                      for table in simulate._ar1_tables(rho))
+    _, first, step = simulate._ar1_tables(rho)
+    first, step = first.tolist(), step.tolist()
     gen = simulate._chunk_rng(seed, j).bit_generator
     words = [int(w) for w in gen.random_raw((k * size + 3) // 4)]
     quarters = [(w >> shift) & 0xFFFF for w in words for shift in (0, 16, 32, 48)][: k * size]
