@@ -16,6 +16,7 @@ from screenlimits import __version__, cli
 from screenlimits.cli import build_parser, main
 from screenlimits.errors import SchemaError
 from screenlimits.scenarios import SCENARIO_KINDS, Scenario, execute, load_scenario, run_scenario
+from test_tails import mp_log_poisson_tail_by_quadrature
 
 VALID = {
     "tail": {"kind": "tail", "parameters": {"lambda": 5.0, "m": 15}},
@@ -257,19 +258,35 @@ class TestExitCodes:
         assert lines[0].startswith("error[domain]:")
 
     @pytest.mark.parametrize(
-        "command, params",
+        "command, params, code",
         [
-            ("tail", {"lambda": 1e16, "m": 10000000100000000}),
-            ("simulate", {**VALID["simulate"]["parameters"], "k": 1e300}),
+            # the log series and the binomial sum gave up after 1e7 terms here
+            ("tail", {"lambda": 1e16, "m": 10000000100000000}, 0),
+            # the tail is 1.0 now; numpy's binomial sampler cannot take k
+            ("simulate", {**VALID["simulate"]["parameters"], "k": 1e300}, 3),
         ],
         ids=["log-poisson-series", "binomial-sum"],
     )
-    def test_tail_term_limit_is_four(self, command, params, tmp_path, capsys):
+    def test_former_term_limits_end_quickly(self, command, params, code, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": command, "parameters": params})
-        assert main([command, "--config", cfg]) == 4
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error[budget]:")
+        start = time.perf_counter()
+        assert main([command, "--config", cfg]) == code
+        assert time.perf_counter() - start < 1.0
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error[")]
+        assert len(errors) == (code != 0)
+        if code:
+            assert errors[0].startswith("error[domain]:")
+
+    def test_half_tail_of_a_huge_mean(self, tmp_path, capsys):
+        # m = lam + 1 is not a double: gammainc at m - 1, less one pmf term
+        lam, m = 5e16, 50000000000000001
+        cfg = write_config(tmp_path, {"kind": "tail", "parameters": {"lambda": lam, "m": m}})
+        start = time.perf_counter()
+        assert main(["tail", "--config", cfg]) == 0
+        assert time.perf_counter() - start < 1.0
+        lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        row = next(csv.DictReader(lines))
+        assert abs(float(row["log_exact"]) - float(mp_log_poisson_tail_by_quadrature(lam, m))) <= 1e-12
 
     @pytest.mark.parametrize(
         "params",

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath import exp as mp_exp
 from mpmath import expm1 as mp_expm1
 from mpmath import gammainc as mp_gammainc
+from mpmath import hyp1f1 as mp_hyp1f1
 from mpmath import log as mp_log
 from mpmath import loggamma as mp_loggamma
+from mpmath import mpf
+from mpmath import quad as mp_quad
+from mpmath import sqrt as mp_sqrt
 
 from screenlimits import tails
-from screenlimits.errors import BudgetError, DomainError
+from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
 from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
@@ -63,6 +68,68 @@ def mp_poisson_tail(lam: float, m: int):
     """High-precision Pr(Pois(lam) >= m) via mpmath's incomplete gamma."""
     with mp.workdps(50):
         return mp_gammainc(m, 0, lam, regularized=True)
+
+
+def mp_log_poisson_tail(lam: float, m: int):
+    """40-digit ln P(m, lam) from P(a, z) = z^a e^-z M(1, a + 1, z) / Gamma(a + 1).
+
+    mpmath's gammainc(m, 0, lam) raises NoConvergence by lam = 1e10; the
+    Kummer series has positive terms and converges at any lam.
+    """
+    with mp.workdps(40):
+        a, z = mpf(m), mpf(lam)
+        series = mp_hyp1f1(1, a + 1, z, maxterms=10**8)
+        return a * mp_log(z) - z - mp_loggamma(a + 1) + mp_log(series)
+
+
+def mp_log_poisson_tail_by_quadrature(lam: float, m: int):
+    """40-digit ln P(m, lam) as the integral of t^(m-1) e^-t / Gamma(m) over [0, lam].
+
+    With t = m + u sqrt(m) the integrand is a near-Gaussian bump in u, so the
+    quadrature needs no series at all; near the mean it agrees with
+    mp_log_poisson_tail to 25 digits at lam = 1e12, and it stays fast at
+    lam = 5e16, where the Kummer series would need ~1e9 terms.
+    """
+    with mp.workdps(50):
+        a = mpf(m)
+        root = mp_sqrt(a)
+        log_norm = mp_loggamma(a)
+
+        def density(u):
+            t = a + u * root
+            return mp_exp((a - 1) * mp_log(t) - t - log_norm) * root
+
+        top = (mpf(lam) - a) / root
+        return mp_log(mp_quad(density, [max(-root, top - 80), top - 40, top - 10, top]))
+
+
+def mp_binomial_tail(k: int, p: float, m: int):
+    """40-digit Pr(Bin(k, p) >= m), pmf terms summed away from the mean.
+
+    Above the mean it sums j >= m upward; at or below it, 1 minus the sum of
+    j < m downward. Either way the terms fall, so the sum stops once a term
+    is below 1e-45 of the total. (mpmath's betainc needs thousands of bits
+    at k = 1e5.)
+    """
+    with mp.workdps(50):
+        prob = mpf(p)
+        odds = prob / (1 - prob)
+        upper = m > k * p
+        j = m if upper else m - 1
+        term = mp_exp(
+            mp_loggamma(k + 1) - mp_loggamma(j + 1) - mp_loggamma(k - j + 1)
+            + j * mp_log(prob) + (k - j) * mp_log(1 - prob)
+        )
+        total = term
+        while term > mpf(10) ** -45 * total and (j < k if upper else j > 0):
+            if upper:
+                term *= (k - j) * odds / (j + 1)
+                j += 1
+            else:
+                term *= j / ((k - j + 1) * odds)
+                j -= 1
+            total += term
+        return total if upper else 1 - total
 
 
 class TestRateFunction:
@@ -146,23 +213,13 @@ class TestPoissonTail:
                 ref = float(mp_log(mp_gammainc(m, 0, lam, regularized=True)))
             assert ours == pytest.approx(ref, rel=1e-10), (lam, m)
 
-    def test_log_tail_term_limit(self, monkeypatch):
-        # the log-space series as a plain while loop, counting its terms
-        lam, m = 100.0, 110
-        total = term = 1.0
-        j = m
-        while True:
-            j += 1
-            term *= lam / j
-            total += term
-            if term < 1e-18 * total:
-                break
-        want = -lam + m * math.log(lam) - math.lgamma(m + 1.0) + math.log(total)
-        monkeypatch.setattr(tails, "_MAX_TERMS", j - m)
-        assert log_poisson_tail(lam, m) == want
-        monkeypatch.setattr(tails, "_MAX_TERMS", j - m - 1)
-        with pytest.raises(BudgetError):
-            log_poisson_tail(lam, m)
+    @pytest.mark.parametrize("lam", [0.5, 5.0, 500.0, 1e4, 1e8, 1e12])
+    def test_log_series_at_twice_the_mean(self, lam):
+        # m = 2 lam is the series' slowest start: each term halves at worst
+        m = math.ceil(2.0 * lam)
+        ours = log_poisson_tail(lam, m)
+        assert abs(ours - float(mp_log_poisson_tail(lam, m))) <= 1e-12 * max(1.0, abs(ours))
+        assert best_time(lambda: log_poisson_tail(lam, m)) < 1e-3
 
     def test_log_matches_linear_scale(self):
         for lam, m in ((0.5, 3), (2.0, 3), (5.0, 15), (50.0, 75), (200.0, 300)):
@@ -211,16 +268,26 @@ class TestBinomialTail:
             with pytest.raises(DomainError):
                 binomial_tail(10, bad, 3)
 
-    def test_term_limit_is_budget_error(self):
-        with pytest.raises(BudgetError):
-            binomial_tail(10**300, 0.01, 3)
+    def test_huge_k_ends_in_a_result_or_a_range_error(self):
+        # Pr(X < 3) < e^-1e298: the lower sum is skipped and the tail is 1
+        assert best_time(lambda: binomial_tail(10**300, 0.01, 3)) < 1e-3
+        assert binomial_tail(10**300, 0.01, 3) == 1.0
+        # betainc(3, 1e300, 1e-305) is nan: a classified error, not a nan
+        with pytest.raises(RangeOverflowError, match="betainc cannot evaluate"):
+            binomial_tail(10**300, 1e-305, 3)
 
-    def test_term_limit_boundary(self, monkeypatch):
-        want = binomial_tail(12, 0.3, 3)
-        monkeypatch.setattr(tails, "_MAX_TERMS", 10)
-        assert binomial_tail(12, 0.3, 3) == want
-        with pytest.raises(BudgetError):
-            binomial_tail(13, 0.3, 3)
+    @pytest.mark.parametrize(
+        "k, p, m",
+        [
+            # m - 1 <= k p on one side of each pair, m <= 64 on one side
+            (10**6, 63e-6, 64), (10**6, 63e-6, 65), (10**6, 64e-6, 64), (10**6, 64e-6, 65),
+            (10**8, 5e-8, 6), (10**8, 5e-8, 7), (10**8, 6e-8, 7), (10**8, 1e-8, 2),
+            (10**6, 5e-6, 1), (10, 1e-10, 1),
+        ],
+    )
+    def test_lower_sum_and_betainc_meet_at_the_switch(self, k, p, m):
+        want = float(mp_binomial_tail(k, p, m))
+        assert binomial_tail(k, p, m) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @given(
         k=st.integers(min_value=1, max_value=400),
@@ -364,6 +431,85 @@ class TestOverlap:
         assert 0.0 <= val <= 1.0
         if t + 1 <= v:
             assert overlap_probability(OverlapInput(v, t + 1, s)) >= val - 1e-15
+
+
+def _poisson_grid():
+    """(lam, m): m = lam + 1, lam + sqrt(lam), 7 standard deviations out (where
+    scipy's gammainc is wrong at large lam) and 40 out (below its underflow)."""
+    cases = []
+    for d in range(5, 13):
+        lam = 10.0**d
+        root = math.sqrt(lam)
+        for m in (lam + 1, lam + root, lam + 7 * root, lam + 40 * root):
+            cases.append(pytest.param(lam, int(m), id=f"1e{d}-{int(m - lam)}"))
+    return cases
+
+
+def _binomial_grid(zs):
+    """(k, p, m) over k in 1e4 .. 1e6 and five p, m at z standard deviations."""
+    cases = set()
+    for k in (10**4, 10**5, 10**6):
+        for p in (5e-6, 1e-4, 0.01, 0.3, 0.7):
+            mean, sd = k * p, math.sqrt(k * p * (1 - p))
+            for z in zs:
+                m = math.ceil(mean + z * sd)
+                if 1 <= m <= k:
+                    cases.add((k, p, m))
+    return sorted(cases)
+
+
+class TestAgainstMpmath:
+    """The kernels against 40-digit mpmath where they claim 1e-12."""
+
+    @pytest.mark.parametrize("lam, m", _poisson_grid())
+    def test_poisson_tails(self, lam, m):
+        want = mp_log_poisson_tail(lam, m)
+        assert abs(log_poisson_tail(lam, m) - float(want)) <= 1e-12
+        q = poisson_tail(lam, m)
+        with mp.workdps(40):
+            # 40 standard deviations out q is e^-800, which rounds to 0.0
+            assert abs(q - mp_exp(want)) <= max(1e-12 * mp_exp(want), 5e-324)
+
+    @pytest.mark.parametrize(
+        "lam, m", [(1800.0, 3500), (7516.0, 13266), (1e4, 15000), (12890.0, 19322), (3e4, 45000)]
+    )
+    def test_log_tail_deep_at_a_few_ulps(self, lam, m):
+        # past ln q ~ -1000 an absolute 1e-12 is a few ulps; claim 1e-15 relative
+        want = float(mp_log_poisson_tail(lam, m))
+        assert abs(log_poisson_tail(lam, m) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize(
+        "k, p, m",
+        _binomial_grid((-1, 0, 3, 8)) + [(10**6, 5e-6, 3), (10**5, 6e-5, 7), (10**4, 5e-4, 4)],
+    )
+    def test_binomial_tails(self, k, p, m):
+        assert binomial_tail(k, p, m) == pytest.approx(
+            float(mp_binomial_tail(k, p, m)), rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.parametrize("k, p, m", _binomial_grid((12, 20, 35)))
+    def test_binomial_far_tails(self, k, p, m):
+        # betainc's own error reaches 4e-12 at k = 1e6, p = 0.3, 35 sd out
+        assert binomial_tail(k, p, m) == pytest.approx(
+            float(mp_binomial_tail(k, p, m)), rel=5e-12, abs=0.0
+        )
+
+
+class TestNoLongLoops:
+    """No kernel call on the grid may take a per-term loop's time again: the
+    loops took 1.18 s at lam = 1e12 and 0.87 s at k = 1e6."""
+
+    @pytest.mark.parametrize("lam", [1e6, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("offset", [1.0, 40.0], ids=["mean+1", "underflow"])
+    def test_poisson_calls(self, lam, offset):
+        m = int(lam + (1 if offset == 1.0 else offset * math.sqrt(lam)))
+        assert best_time(lambda: log_poisson_tail(lam, m), repeats=3) < 0.05
+        assert best_time(lambda: poisson_tail(lam, m), repeats=3) < 0.05
+
+    @pytest.mark.parametrize("k", [10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("p, m_of", [(5e-6, lambda k: 3), (0.3, lambda k: int(0.3 * k) + 1)])
+    def test_binomial_calls(self, k, p, m_of):
+        assert best_time(lambda: binomial_tail(k, p, m_of(k)), repeats=3) < 0.05
 
 
 class TestLeCam:
