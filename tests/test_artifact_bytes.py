@@ -224,28 +224,28 @@ EXPECTED = {
         "phase.json.manifest.json": "ffb2e7fb9df333382c520089f8ce16333f5c45ca066c54cfd82207c7fca9654f",
     },
     "simulate": {
-        "simulate.csv": "52ad9b6b5786a8abf709ae26ac74777e426b527a54c194b6eff60badb41c467e",
-        "simulate.csv.manifest.json": "3e24b629a26b92251d26c233b3e0bcc5c25b29f313abf70a43cd1243b8e83ebb",
-        "simulate.json": "d090492d302b2a279f2ecd0fd4d66112fa0629816473fa2992c36531731d0871",
-        "simulate.json.manifest.json": "c286042af1b2a26e2e2a2cb2e665c6e860b4897d3a62ba2773763a63e0aca32b",
+        "simulate.csv": "41b1926d42cb472a32c13988a3aaefc4420e8d3035e49f60b0ef231917833927",
+        "simulate.csv.manifest.json": "183b7085632d9641c36e8eec08a4e2574ee07f956cc1452e65bf8042355d8624",
+        "simulate.json": "98e487097adef6ab9d2a90b37233914812dae1aa6e9c56ab764252029b43e690",
+        "simulate.json.manifest.json": "3ab65bdbdd061fc13651c536b8a8440f18e02369c0f91e2cdb54f799871bc208",
     },
     "simulate-correlated": {
-        "simulate-correlated.csv": "90f998d42101b65bf1c188aefaa4c0b9441db74daefbc0ef4d76e4a978af4209",
-        "simulate-correlated.csv.manifest.json": "c2f22b2cdcae3bfc1f8773fc97b2af76e10b0380e25e386146685f8629795366",
-        "simulate-correlated.json": "60019d2fa7e057c18afa94c3b18e31e752619c209f8faa2f20912e5935ebf94a",
-        "simulate-correlated.json.manifest.json": "4a72fc30edee34b00a9a92a451dee90a091241ce3338d561fd8e445936609b83",
+        "simulate-correlated.csv": "fa962bce509fd5a1b8158f4cc22a529de076f237d85ca3cede965d61d64ef00a",
+        "simulate-correlated.csv.manifest.json": "70e7747d3dc219063bfef0c17e115ffcaf6b584cd451d18d43ae84b7f20a72f3",
+        "simulate-correlated.json": "e8586d42d49916df6bdd9283be6ab7704cf2b05e00480cd661d61ca06b5bf7d9",
+        "simulate-correlated.json.manifest.json": "2d085d04b9da9d18ac3c820c3e313d9aa0ba630e736338c4dc2f337628195ba6",
     },
     "simulate-person-btpe": {
-        "simulate-person-btpe.csv": "bba014db6dd8c566ef25f8f7f27f8646fe680fe72ea957980f06af21688662db",
-        "simulate-person-btpe.csv.manifest.json": "e4a773402d3d7a347f9b818b8977b2505a08a20001b0c7e890729d2a6a9ab9a2",
-        "simulate-person-btpe.json": "9fbe57450c293bb9555d0c840ddf897e3edc24b00f853edde41c10a3c103b31d",
-        "simulate-person-btpe.json.manifest.json": "fad78f3cdd188717969882f18020defcc74985a4d8290ce5991c73d2a9a48315",
+        "simulate-person-btpe.csv": "85cab846bd955d7d1bf2fce7055aaf8d3c56e92eff004e24679244726dffc650",
+        "simulate-person-btpe.csv.manifest.json": "f89797a837d69ef4c5e2a8346fb7256f9a48ae444c63ca0f3dc814fc417cbcc0",
+        "simulate-person-btpe.json": "fbe4122ba9802c2fe536c696868fa6fb780ce1dbe424ec0643cf0d380c326071",
+        "simulate-person-btpe.json.manifest.json": "f3ceea40277d98dd5229b7b42c29dec5800b511974dd22e4fa22471b16608455",
     },
     "simulate-person-high-p": {
-        "simulate-person-high-p.csv": "a723edae9e197ee2aab287fe32f519bcd47866e4c41bbccc15ecf2a99c7398c5",
-        "simulate-person-high-p.csv.manifest.json": "67518ad376ee95b49185433407cb0532fa4d3eb455f6a87f6deaf78d53a55022",
-        "simulate-person-high-p.json": "62007a70d010f78d3dc3e4ca10b14e10bb4f7cb8c669663385208deae4efc2b7",
-        "simulate-person-high-p.json.manifest.json": "8b476cad41337980eed07dc508b9b9aa7cff540c5181a64daa007c62c3cd4e4f",
+        "simulate-person-high-p.csv": "4da8e843102318616269e07f0e5431e76a5f94785b2061c898ca8ff47bec47de",
+        "simulate-person-high-p.csv.manifest.json": "4288707846076f3a663a6e019dde9620f3edf1f5cf43a9df6c6d49352f69da50",
+        "simulate-person-high-p.json": "75bf77db1823821545e3bf0413d49854808d7bc56fcf0fb244547430dc47068d",
+        "simulate-person-high-p.json.manifest.json": "268545ff0838987d4b081a1ef084d0cabc220f3d5e0a2fa4a1025f582bf3efdb",
     },
     "simulate-person-poisson": {
         "simulate-person-poisson.csv": "c878fd3cc183533abce6c870df16aeb3a9fb2f1fd43a43f709d6d003f7db134b",
@@ -260,10 +260,10 @@ EXPECTED = {
         "simulate-system.json.manifest.json": "302ad9a003f1123c3af42178a4e29835c421314e9cb4523834b0db740d062544",
     },
     "simulate-system-exact": {
-        "simulate-system-exact.csv": "d4a17c07565b1142d3e3c6b311070ed225564eda4ce4b47416e771e44fb03e4d",
-        "simulate-system-exact.csv.manifest.json": "dffc8342695cec31799c6e887ade845ea894c46dd57dd6a719745b8c3253ab7e",
-        "simulate-system-exact.json": "0f3855fa05fda83553037145d42030de1a5e1df09b81d93686ae3670713de978",
-        "simulate-system-exact.json.manifest.json": "b47a20babf0dddba83576aa42ae670e7e4d27667679d062a8bd858992d50910b",
+        "simulate-system-exact.csv": "0d8b8144c86b116d1c831ec89bbda2187dcfbb4e9f50039fb110ebd29cd7dcd4",
+        "simulate-system-exact.csv.manifest.json": "bc4ff14840fc037ead847536c0606c1f7771db4476da78b37daf2d13753fbd50",
+        "simulate-system-exact.json": "5ef31f3a982d1831bb2ed9515f48eed3ee695047e0c55832c69b9e35d64adfb0",
+        "simulate-system-exact.json.manifest.json": "1a7efc8adaa06dedcfae06bb9e6264f6fa48fa362ee2d1e0e0f5d2832626ec65",
     },
     "system": {
         "system.csv": "76eda4dd833a7a47d9a438454f76da6e3f628b4d3d0f59e572145043f68b8dc1",
@@ -290,10 +290,10 @@ EXPECTED = {
         "tail-below-mean.json.manifest.json": "605d356f3526cfe3c04792bb8c585192b045ca06a00ce2b9b9df9d62cda3abbc",
     },
     "tail-ratio": {
-        "tail-ratio.csv": "123294d8b6b445d06bd09c9816c779e37d4e5e1f9997c4900f45108c5a1a7d18",
-        "tail-ratio.csv.manifest.json": "538769c11f3c8e93703f07a5cd1df3137a0718e8477b18ccd0aa53d65e4b6795",
-        "tail-ratio.json": "1a92b99d8a00d494be2fa5455ebfae50fda539bc5a45cb1f8ee7685383a02408",
-        "tail-ratio.json.manifest.json": "874f2d83cb53b85366d418f69694b4f32a95559b90a1c51752444a49acbb9de6",
+        "tail-ratio.csv": "4385cbbb51a37a8eaf9dbf1ae75616a0deee8d99fe6cb103445d6bccbba3a631",
+        "tail-ratio.csv.manifest.json": "fac342757dba5fb28b190c08af60e0920b82872f37d07fd358889240bb2a9a7c",
+        "tail-ratio.json": "e81c4a6c27f276e3bc8888fb91c6b37f9da79d835b99b3eba68a4a456e99a41e",
+        "tail-ratio.json.manifest.json": "efee2ac4311c480c8763dd4f830d46427c60317f64b3985c38b44a4f2a181942",
     },
 }
 
@@ -305,11 +305,11 @@ EXPECTED_GOLDEN = {
 }
 
 EXPECTED_FIGURES = {
-    "manifest.json": "8e732dc9b5541c6dc8ef0285b46c7e9ba87436e84f97f019cc61e0de8359e70c",
-    "panel_a.csv": "26790afc3eb2a25ffae04b993ba7bc2d7f0527d2de243079eb845ae95888aee4",
+    "manifest.json": "a13d988dd2bd9dd1da297edda869779bee7eff20daf48f16f619d69e101dec28",
+    "panel_a.csv": "569f586795aed0fe76eb51e40b79fcc0217b48b514d1fd48a15d41a6f6ea8f50",
     "panel_b.csv": "74ca18a17ab29ae9e73a6aa615214dadd3dbda52f6dde84346f82086c8500b6f",
     "panel_c.csv": "635b321843222d80efaa68fb79d400ac083996ec5f438a0ad6c8b78f7531b3b6",
-    "panel_d.csv": "c4a8f3cea3dc8079feb46e05b567f1b32e5897f40fd5b1b6e156eee1020f37c1",
+    "panel_d.csv": "7d32d202b126d9f8bda620ed7094e14851c1cee9bc98dcdebc35cfe5d88ef57a",
 }
 
 
