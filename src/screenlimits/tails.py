@@ -297,6 +297,7 @@ def _log_temme(lam: float, x: float, b: float) -> float:
 
 
 def _log_gammainc(lam: float, x: float) -> float:
+    """ln P(x, lam) from scipy's gammainc, which returns nan at some huge arguments."""
     q = float(gammainc(x, lam))
     if not q > 0.0:
         raise RangeOverflowError(
@@ -330,7 +331,6 @@ def binomial_tail(k: int, p: float, m: int) -> float:
     check_int("k", k, 0)
     check_unit("p", p, "[0, 1]")
     check_int("threshold m", m)
-    trials = as_float("k", k)
     if m <= 0:
         return 1.0
     if m > k:
@@ -339,6 +339,7 @@ def binomial_tail(k: int, p: float, m: int) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
+    trials = as_float("k", k)
     if m <= _SHORT_SUM and m - 1 <= trials * p:
         log_first = trials * log1p(-p)
         if log_first < -700.0:

@@ -260,9 +260,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, params, code",
         [
-            # the log series and the binomial sum gave up after 1e7 terms here
+            # inputs a per-term tail loop cannot finish within 1e7 terms
             ("tail", {"lambda": 1e16, "m": 10000000100000000}, 0),
-            # the tail is 1.0 now; numpy's binomial sampler cannot take k
+            # the tail is 1.0; numpy's binomial sampler cannot take k
             ("simulate", {**VALID["simulate"]["parameters"], "k": 1e300}, 3),
         ],
         ids=["log-poisson-series", "binomial-sum"],

@@ -214,9 +214,10 @@ class TestPoissonTail:
             assert ours == pytest.approx(ref, rel=1e-10), (lam, m)
 
     @pytest.mark.parametrize("lam", [0.5, 5.0, 500.0, 1e4, 1e8, 1e12])
-    def test_log_series_at_twice_the_mean(self, lam):
-        # m = 2 lam is the series' slowest start: each term halves at worst
-        m = math.ceil(2.0 * lam)
+    def test_log_series_where_it_starts(self, lam):
+        # m = 1.5 lam is the series' slowest start: each term is at most
+        # 2/3 of the last, ~100 terms
+        m = math.ceil(1.5 * lam)
         ours = log_poisson_tail(lam, m)
         assert abs(ours - float(mp_log_poisson_tail(lam, m))) <= 1e-12 * max(1.0, abs(ours))
         assert best_time(lambda: log_poisson_tail(lam, m)) < 1e-3
@@ -480,7 +481,8 @@ class TestAgainstMpmath:
 
     @pytest.mark.parametrize(
         "k, p, m",
-        _binomial_grid((-1, 0, 3, 8)) + [(10**6, 5e-6, 3), (10**5, 6e-5, 7), (10**4, 5e-4, 4)],
+        # with the benchmark oracle's three cases, k = 1e6 p = 5e-6 m = 3 among them
+        sorted({*_binomial_grid((-1, 0, 3, 8)), (10**6, 5e-6, 3), (10**5, 6e-5, 7), (10**4, 5e-4, 4)}),
     )
     def test_binomial_tails(self, k, p, m):
         assert binomial_tail(k, p, m) == pytest.approx(
@@ -496,8 +498,8 @@ class TestAgainstMpmath:
 
 
 class TestNoLongLoops:
-    """No kernel call on the grid may take a per-term loop's time again: the
-    loops took 1.18 s at lam = 1e12 and 0.87 s at k = 1e6."""
+    """Every kernel call on the grid returns within 50 ms; a per-term loop
+    would take ~1 s at lam = 1e12 or k = 1e6."""
 
     @pytest.mark.parametrize("lam", [1e6, 1e8, 1e10, 1e12])
     @pytest.mark.parametrize("offset", [1.0, 40.0], ids=["mean+1", "underflow"])
