@@ -20,7 +20,7 @@ Everything here is scalar math on floats; no arrays, no state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, expm1, inf, isfinite, lgamma, log, log1p, pi, sqrt
+from math import ceil, copysign, exp, expm1, inf, isfinite, lgamma, log, log1p, pi, sqrt
 from sys import float_info
 
 from scipy.special import betainc, gammainc, log_ndtr
@@ -72,6 +72,9 @@ _TEMME_C = (
     ),
 )
 _TEMME_ETA = (-1.0, 1.0, -3.0, 15.0, -105.0)
+# Past w = -1000 the Mills ratio phi(w) / Phi(w) is -w / (1 - u + 3 u^2 -
+# 15 u^3), u = 1 / w^2, to within 105 u^4 ~ 1e-22.
+_MILLS_W = 1000.0
 
 # Longest lower sum binomial_tail adds up in place of betainc.
 _SHORT_SUM = 64
@@ -142,9 +145,9 @@ def poisson_tail(lam: float, m: int) -> float:
     deviations above it (bd0 < 2) and at m < 1000: there its relative error
     against 40-digit mpmath measured <= 1e-13. Past that, gammainc goes wrong
     (1.8e-14 against 1.28e-12 at lam = 1e12, m = lam + 7e6), so the result is
-    exp(log_poisson_tail(lam, m)), relative error ~ |ln q| * 2e-16; so it is
-    too where gammainc falls below the smallest normal double or m is not
-    a double.
+    exp of the log kernel, relative error ~ |ln q| * 2e-16; so it is too
+    where gammainc falls below the smallest normal double or m is not a
+    double.
 
     Args:
         lam: Mean of the Poisson distribution (> 0).
@@ -152,18 +155,22 @@ def poisson_tail(lam: float, m: int) -> float:
 
     Raises:
         RangeOverflowError: If m exceeds the double range, or gammainc
-            cannot evaluate the tail (nan, as at lam = 1.7e308, m = lam/2).
+            returns nan where Temme's expansion does not hold (met nowhere
+            in a scan of lam up to 1.7e308).
     """
     check_positive("lam", lam)
     check_int("threshold m", m, 0)
     if m == 0:
         return 1.0
     x = as_float("threshold m", m)
-    if x == m and _gammainc_fails(lam, x) is None:
+    if x != m:
+        return exp(_log_tail_off_grid(lam, m, x))
+    b = _gammainc_fails(lam, x)
+    if b is None:
         q = float(gammainc(x, lam))
         if q >= float_info.min:
             return q
-    return exp(log_poisson_tail(lam, m))
+    return exp(_log_tail(lam, x, b))
 
 
 def log_poisson_tail(lam: float, m: int) -> float:
@@ -178,48 +185,60 @@ def log_poisson_tail(lam: float, m: int) -> float:
       standard deviations out), where gammainc goes wrong: Temme's uniform
       expansion P(m, lam) = Phi(w) - phi(w) S / sqrt(m), w = -sqrt(2 bd0),
       with c_0 ... c_4 in S (Temme 1979; DLMF 8.12), in log space through
-      log_ndtr.
+      log_ndtr. It also stands in where gammainc returns nan (below the
+      mean at lam ~ 1e306 and up).
     * elsewhere: log(gammainc(m, lam)), which cannot underflow there.
 
     Against 40-digit mpmath the error in ln q measured <= 2.5e-13 over lam in
     1e5 ... 1e12 at m = lam + 1, lam + sqrt(lam), 7 and 40 standard
     deviations out, and a few units in the last place of ln q down to
-    ln q = -3300. An m past 2**53 that is not a double is reached from the
-    nearest double x through the pmf terms between them.
+    ln q = -3300. An m past 2**53 that is not a double takes Temme's
+    expansion at m itself (see _log_tail_off_grid).
 
     Raises:
-        RangeOverflowError: If m exceeds the double range, or gammainc
-            cannot evaluate the tail.
+        RangeOverflowError: As poisson_tail.
     """
     check_positive("lam", lam)
     check_int("threshold m", m, 0)
     if m == 0:
         return 0.0
     x = as_float("threshold m", m)
-    shift = m - int(x)
+    if x != m:
+        return _log_tail_off_grid(lam, m, x)
+    return _log_tail(lam, x, _gammainc_fails(lam, x))
+
+
+def _log_tail(lam: float, x: float, b: float | None) -> float:
+    """ln P(x, lam) at a double x >= 1, given b = _gammainc_fails(lam, x)."""
     if x >= 1.5 * lam:
-        # pmf(m) = pmf(x) (lam/x)^shift to within shift^2/x, below an ulp
-        log_pmf = _log_pmf(x, lam) + (shift * (log(lam) - log(x)) if shift else 0.0)
-        return log_pmf + log(_ratio_series(lam, x))
-    b = _gammainc_fails(lam, x)
-    log_q = _log_gammainc(lam, x) if b is None else _log_temme(lam, x, b)
-    if shift:
-        # P(m) = P(x) - pmf(x) (1 - r^shift) / (1 - r), r = lam / x; a
-        # negative shift adds the terms instead
-        r = lam / x
-        gap = shift if r == 1.0 else expm1(shift * log(r)) / (r - 1.0)
-        log_q += log1p(-exp(_log_pmf(x, lam) - log_q) * gap)
-    return log_q
+        return _log_pmf(x, lam, b) + log(_ratio_series(lam, x))
+    return _log_gammainc(lam, x) if b is None else _log_temme(x, x - lam, b)
 
 
-def _bd0(x: float, mu: float) -> float:
-    """Loader's deviance x ln(x/mu) + mu - x >= 0, to a few ulps.
+def _log_tail_off_grid(lam: float, m: int, x: float) -> float:
+    """ln P(m, lam) at an integer m that no double holds (so m > 2**53), x = float(m).
+
+    At x >= 1.5 lam it is the series route at x, with pmf(m) = pmf(x)
+    (lam/x)^(m - x) to within (m - x)^2 / x, below an ulp of ln pmf.
+    Below that, lam > 2**52 is an integer, so d = m - lam and bd0(m, lam)
+    are exact to an ulp, and Temme's expansion is taken at m itself. No
+    correction from x to m through the pmf terms between them holds
+    everywhere: the ulp of m reaches its standard deviation sqrt(m) at
+    m ~ 2**104, so P(x) and P(m) can differ by any amount.
+    """
+    if x >= 1.5 * lam:
+        return _log_pmf(x, lam) + (m - int(x)) * (log(lam) - log(x)) + log(_ratio_series(lam, x))
+    d = float(m - int(lam))
+    return _log_temme(x, d, _bd0(x, lam, d))
+
+
+def _bd0(x: float, mu: float, d: float) -> float:
+    """Loader's deviance x ln(x/mu) + mu - x >= 0, to a few ulps, with d = x - mu.
 
     Within a factor 2 of mu it sums the positive series
-    (x - mu) v + 2 x sum_j v^(2j+1)/(2j+1), v = (x - mu)/(x + mu), |v| < 1/3,
+    d v + 2 x sum_j v^(2j+1)/(2j+1), v = d/(x + mu), |v| < 1/3,
     so nothing cancels; outside, the direct form cancels at most ~4x.
     """
-    d = x - mu
     v = 0.5 * d / (0.5 * x + 0.5 * mu)
     if abs(v) < 1.0 / 3.0:
         total = d * v
@@ -237,19 +256,22 @@ def _bd0(x: float, mu: float) -> float:
     return x * (log(ratio) if ratio < inf else log(x) - log(mu)) - d
 
 
-def _log_pmf(x: float, lam: float) -> float:
+def _log_pmf(x: float, lam: float, b: float | None = None) -> float:
     """ln(e^-lam lam^x / x!) for x >= 1, in Loader's saddle-point form past 15.
 
     There -stirlerr(x) - bd0(x, lam) - ln(2 pi x)/2 keeps each term small where
     x ln lam and ln x! would cancel; stirlerr(x) = ln x! - (x + 1/2) ln x + x -
     ln sqrt(2 pi) is Stirling's series to x^-9. At x <= 15 (so lam <= 10 in
-    the series route) the plain form is the more exact.
+    the series route) the plain form is the more exact. b, if given, is
+    bd0(x, lam) already computed.
     """
     if x <= 15.0:
         return -lam + x * log(lam) - lgamma(x + 1.0)
+    if b is None:
+        b = _bd0(x, lam, x - lam)
     xx = x * x
     stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * xx)) / xx) / xx) / xx) / x
-    return -stirlerr - _bd0(x, lam) - 0.5 * log(2.0 * pi * x)
+    return -stirlerr - b - 0.5 * log(2.0 * pi * x)
 
 
 def _ratio_series(lam: float, x: float) -> float:
@@ -272,38 +294,65 @@ def _gammainc_fails(lam: float, x: float) -> float | None:
     """
     if not (x > lam and x >= _TEMME_MIN_M):
         return None
-    b = _bd0(x, lam)
+    d = x - lam
+    if d * d < 3.9 * lam:
+        # bd0 <= d^2 / (2 lam) above the mean, so it is under 1.95 here
+        return None
+    b = _bd0(x, lam, d)
     return b if b >= _TEMME_MIN_BD0 else None
 
 
-def _log_temme(lam: float, x: float, b: float) -> float:
-    """ln P(x, lam) by Temme's uniform expansion, lam < x < 1.5 lam, b = bd0(x, lam).
+def _log_temme(x: float, d: float, b: float) -> float:
+    """ln P(x, x - d) by Temme's uniform expansion, b = bd0(x, x - d).
 
-    c_k(eta) is a polynomial in t = 1 / (lam/x - 1) plus a multiple of
-    eta^-(2k+1); scaled by x^-(k+1/2) it is one in y = t / sqrt(x) and
-    r = 1 / sqrt(x), plus one in 1 / w, with |y|, |1/w| <= 1/2 here, so
-    nothing overflows at any x.
+    w = sign(-d) sqrt(2 b), and P = Phi(w) - phi(w) S on either side of
+    the mean. Over two standard deviations out (b >= 2), c_k(eta) is a
+    polynomial in t = 1 / (lam/x - 1) plus a multiple of eta^-(2k+1);
+    scaled by x^-(k+1/2) it is one in y = t / sqrt(x) and r = 1 / sqrt(x),
+    plus one in v = 1 / w, with |y|, |v| <= 2/3 there, so nothing overflows
+    at any x. Nearer the mean the two parts cancel, and S is taken from
+    c_0(eta) = -1/3 + eta/12 + O(eta^2) alone, which only callers with
+    x > 2**53 may ask for: there |eta| < 2 / sqrt(x) and the dropped terms
+    are O(x^-3/2), under 1e-24.
     """
-    w = -sqrt(2.0 * b)
+    w = copysign(sqrt(2.0 * b), -d)
     r = 1.0 / sqrt(x)
-    y = r * x / (lam - x)
-    scaled = 0.0
-    for k, coefs in enumerate(_TEMME_C):
-        n = 2 * k + 1
-        scaled += sum(c * y**j * r ** (n - j) for j, c in enumerate(coefs, 1))
-        scaled += _TEMME_ETA[k] / w**n
-    log_cdf = float(log_ndtr(w))
-    return log_cdf + log1p(-exp(-b - _LN_SQRT_2PI - log_cdf) * scaled)
+    if b < _TEMME_MIN_BD0:
+        scaled = (w * r / 12.0 - 1.0 / 3.0) * r
+    else:
+        y = r * x / -d
+        v = 1.0 / w
+        scaled = 0.0
+        for k, coefs in enumerate(_TEMME_C):
+            n = 2 * k + 1
+            scaled += sum(c * y**j * r ** (n - j) for j, c in enumerate(coefs, 1))
+            scaled += _TEMME_ETA[k] * v**n
+    if w < -_MILLS_W:
+        # phi(w) / Phi(w) from Laplace's series, not from ln Phi(w), whose
+        # rounding, an ulp of b, grows past 1 once b > 2**53
+        u = 1.0 / (w * w)
+        mills = -w / (1.0 - u + 3.0 * u * u - 15.0 * u**3)
+        log_cdf = -b - _LN_SQRT_2PI - log(mills)
+    else:
+        log_cdf = float(log_ndtr(w))
+        mills = exp(-b - _LN_SQRT_2PI - log_cdf)
+    # + 0.0 writes q = 1 to double precision as ln q = 0.0, not -0.0
+    return log_cdf + log1p(-mills * scaled) + 0.0
 
 
 def _log_gammainc(lam: float, x: float) -> float:
-    """ln P(x, lam) from scipy's gammainc, which returns nan at some huge arguments."""
+    """ln P(x, lam) from scipy's gammainc, or from Temme's expansion where
+    gammainc returns nan (lam = 1.7e308, x = lam / 2)."""
     q = float(gammainc(x, lam))
-    if not q > 0.0:
+    if q > 0.0:
+        return log(q)
+    d = x - lam
+    b = _bd0(x, lam, d)
+    if not (x >= _TEMME_MIN_M and b >= _TEMME_MIN_BD0):
         raise RangeOverflowError(
             f"gammainc cannot evaluate Pr(Pois({lam:g}) >= {x:g}) in double precision"
         )
-    return log(q)
+    return _log_temme(x, d, b)
 
 
 def binomial_tail(k: int, p: float, m: int) -> float:

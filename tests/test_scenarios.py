@@ -277,16 +277,28 @@ class TestExitCodes:
         if code:
             assert errors[0].startswith("error[domain]:")
 
-    def test_half_tail_of_a_huge_mean(self, tmp_path, capsys):
-        # m = lam + 1 is not a double: gammainc at m - 1, less one pmf term
-        lam, m = 5e16, 50000000000000001
+    @pytest.mark.parametrize(
+        "lam, m",
+        [
+            (5e16, 50000000000000001),
+            (1e40, int(1e40) - 2**78),
+            (1e40, int(1e40) + 2**78),
+            (1e18, int(1.4e18) + 100),
+        ],
+        ids=["5e16+1", "1e40-2^78", "1e40+2^78", "1.4e18+100"],
+    )
+    def test_tail_at_a_threshold_no_double_holds(self, lam, m, tmp_path, capsys):
+        # the ulp of m is from 8 to ~3000 standard deviations: q is ~0.5, 1,
+        # e^-4.6e6 and e^-7.1e16
         cfg = write_config(tmp_path, {"kind": "tail", "parameters": {"lambda": lam, "m": m}})
         start = time.perf_counter()
         assert main(["tail", "--config", cfg]) == 0
         assert time.perf_counter() - start < 1.0
         lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         row = next(csv.DictReader(lines))
-        assert abs(float(row["log_exact"]) - float(mp_log_poisson_tail_by_quadrature(lam, m))) <= 1e-12
+        assert 0.0 <= float(row["exact"]) <= 1.0
+        want = float(mp_log_poisson_tail_by_quadrature(lam, m))
+        assert abs(float(row["log_exact"]) - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize(
         "params",

@@ -83,24 +83,38 @@ def mp_log_poisson_tail(lam: float, m: int):
 
 
 def mp_log_poisson_tail_by_quadrature(lam: float, m: int):
-    """40-digit ln P(m, lam) as the integral of t^(m-1) e^-t / Gamma(m) over [0, lam].
+    """ln P(m, lam) as the integral of t^(m-1) e^-t / Gamma(m) over [0, lam], to ~40 digits.
 
-    With t = m + u sqrt(m) the integrand is a near-Gaussian bump in u, so the
-    quadrature needs no series at all; near the mean it agrees with
-    mp_log_poisson_tail to 25 digits at lam = 1e12, and it stays fast at
-    lam = 5e16, where the Kummer series would need ~1e9 terms.
+    With t = m + u sqrt(m) the integrand is a near-Gaussian bump in u that
+    ends at u0 = (lam - m) / sqrt(m), so the quadrature needs no series at
+    all. Above the mean (u0 < 0) it is scaled by its value at u0 and taken
+    over the last 80 / |u0| units (80 where |u0| <= 20); below, over
+    |u| <= 40 up to u0. Either way all but e^-800 of it is kept. The working
+    precision grows with the digits of m, which ln t^(m-1) spends. Near the
+    mean it agrees with mp_log_poisson_tail to 25 digits at lam = 1e12, and
+    it stays fast at lam = 1e40, where the Kummer series would need ~1e20
+    terms.
     """
-    with mp.workdps(50):
+    with mp.workdps(40 + 2 * len(str(m))):
         a = mpf(m)
         root = mp_sqrt(a)
-        log_norm = mp_loggamma(a)
+        top = (mpf(lam) - a) / root
+        if top < 0:
+            peak = top
+            start = max(-root, top - (80 / -top if top < -20 else 80))
+        else:
+            peak = 0
+            start, top = max(-root, mpf(-40)), min(top, mpf(40))
+        at_peak = a + peak * root
+        log_peak = (a - 1) * mp_log(at_peak) - at_peak
 
         def density(u):
             t = a + u * root
-            return mp_exp((a - 1) * mp_log(t) - t - log_norm) * root
+            return mp_exp((a - 1) * mp_log(t) - t - log_peak)
 
-        top = (mpf(lam) - a) / root
-        return mp_log(mp_quad(density, [max(-root, top - 80), top - 40, top - 10, top]))
+        nodes = [start + (top - start) * i / 24 for i in range(25)]
+        area = mp_quad(density, nodes, maxdegree=10)
+        return mp_log(area) + log_peak + mp_log(root) - mp_loggamma(a)
 
 
 def mp_binomial_tail(k: int, p: float, m: int):
@@ -495,6 +509,68 @@ class TestAgainstMpmath:
         assert binomial_tail(k, p, m) == pytest.approx(
             float(mp_binomial_tail(k, p, m)), rel=5e-12, abs=0.0
         )
+
+
+class TestHugeThresholds:
+    """Thresholds past 2**53, where the ulp of m can exceed its standard
+    deviation sqrt(m), against the 40-digit quadrature oracle."""
+
+    @pytest.mark.parametrize(
+        "lam, m",
+        [
+            (5e16, 50000000000000001),
+            (1e20, 10**20 + 3 * 10**10 + 1),
+            (1e20, 10**20 - 3 * 10**10 + 1),
+            (1e18, int(1.4e18) + 100),
+            (1e40, int(1e40) + 2**60),
+            (1e40, int(1e40) - 2**60),
+            (1e40, int(1e40) - 3 * 10**20 + 7),
+            (1e40, int(1e40) + 2**78),
+            (1e40, int(1e40) - 2**78),
+        ],
+        ids=[
+            "5e16+1", "1e20+3sd", "1e20-3sd", "1.4e18+100", "1e40+2^60", "1e40-2^60",
+            "1e40-3sd", "1e40+2^78", "1e40-2^78",
+        ],
+    )
+    def test_threshold_no_double_holds(self, lam, m):
+        assert float(m) != m
+        want = float(mp_log_poisson_tail_by_quadrature(lam, m))
+        got = log_poisson_tail(lam, m)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        q = poisson_tail(lam, m)
+        assert 0.0 <= q <= 1.0
+        assert q == pytest.approx(math.exp(want), rel=1e-12, abs=5e-324)
+
+    def test_far_tail_of_a_huge_mean(self):
+        # Temme's eta^-9 term once overflowed here (|w| ~ 2e34)
+        lam, m = 1e70, int(1.2e70)
+        want = float(mp_log_poisson_tail_by_quadrature(lam, m))
+        assert log_poisson_tail(lam, m) == pytest.approx(want, rel=1e-15)
+        assert poisson_tail(lam, m) == 0.0
+
+    @pytest.mark.parametrize(
+        "lam, m", [(1.7e308, int(8.5e307)), (7.7e305, int(3.85e305))], ids=["1.7e308", "7.7e305"]
+    )
+    def test_where_gammainc_returns_nan(self, lam, m):
+        # far below the mean the tail is 1 to double precision
+        got = log_poisson_tail(lam, m)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        assert poisson_tail(lam, m) == 1.0
+
+    @given(
+        lam=st.floats(min_value=1e16, max_value=1e300),
+        sds=st.floats(min_value=-1e3, max_value=1e3),
+        offset=st.integers(min_value=-(2**80), max_value=2**80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_a_log_probability_and_monotone(self, lam, sds, offset):
+        m = max(0, int(lam) + int(sds * math.sqrt(lam)) + offset)
+        got = log_poisson_tail(lam, m)
+        assert got <= 0.0
+        assert 0.0 <= poisson_tail(lam, m) <= 1.0
+        later = log_poisson_tail(lam, m + 2**60)
+        assert later <= got + 1e-12 * max(1.0, abs(got))
 
 
 class TestNoLongLoops:
