@@ -84,12 +84,10 @@ from .tails import (
     OverlapInput,
     TailEstimate,
     binomial_tail,
-    chernoff_upper,
     log_poisson_tail,
     overlap_probability,
     poisson_tail,
     rate_function,
-    robbins_lower,
     tail_estimate,
     threshold_for_ratio,
 )

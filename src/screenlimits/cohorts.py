@@ -120,9 +120,10 @@ def cohort_system_risk(profile: CohortProfile, k: int, m: int) -> CohortRisk:
         for g, r in zip(profile.groups, risks)
     )
     best = max(groups, key=attrgetter("expected"))
-    other = sum(g.expected for g in groups if g is not best)
+    other = sum((g.expected for g in groups if g is not best), 0.0)
     return CohortRisk(
-        exact=-expm1(sum(r.log_complement for r in risks)),
+        # + 0.0 keeps an exact 0 from reading as -0.0
+        exact=-expm1(sum(r.log_complement for r in risks)) + 0.0,
         poisson_approx=-expm1(-total_mass),
         total_mass=total_mass,
         groups=groups,

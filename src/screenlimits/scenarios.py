@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+from math import inf
 from pathlib import Path
 
 from .bayes import BayesContext, bayes_critical_population, classify_regime, ppv
@@ -33,7 +34,7 @@ from .effdim import (
     k_eff_spatial,
     k_eff_temporal,
 )
-from .errors import SchemaError, check_positive
+from .errors import RangeOverflowError, SchemaError, check_positive
 from .lifetime import GrowthModel, critical_time_analytic, critical_time_corrected
 from .simulate import (
     LatentCorrelation,
@@ -144,8 +145,10 @@ def _tail(p: dict):
     lam, m = p["lambda"], p["m"]
     check_positive("lam", lam)
     c = m / lam
-    # below the mean there is no large-deviation sandwich to report
-    est = tail_estimate(lam, m) if c > 1.0 else None
+    if c == inf:
+        raise RangeOverflowError(f"ratio c = m / lam overflows a double: m={m}, lam={lam}")
+    # at or below the mean there is no large-deviation sandwich to report
+    est = tail_estimate(lam, m) if m > lam else None
     exact = est.exact if est is not None else poisson_tail(lam, m)
     log_exact = est.log_exact if est is not None else log_poisson_tail(lam, m)
     row = {

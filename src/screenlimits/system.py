@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import exp, expm1, inf, isfinite, log1p, sqrt
 
 from .errors import DomainError, RangeOverflowError, as_float, check_int, check_positive, check_unit
-from .tails import chernoff_upper, poisson_tail, rate_function, robbins_lower, threshold_for_ratio
+from .tails import _sandwich, poisson_tail, rate_function, threshold_for_ratio
 
 __all__ = [
     "ScreeningConfig",
@@ -110,7 +110,8 @@ def system_probability(q: float, n: int) -> tuple[float, float]:
         # (1 - q)^0 is 1 even at q = 1
         return (1.0, float("-inf")) if size else (0.0, 0.0)
     log_comp = size * log1p(-q)
-    return -expm1(log_comp), log_comp
+    # + 0.0 writes the log complement of q = 0 as 0.0, not -0.0
+    return -expm1(log_comp), log_comp + 0.0
 
 
 def population_risk(lam: float, m: int, n: int) -> SystemRisk:
@@ -118,19 +119,16 @@ def population_risk(lam: float, m: int, n: int) -> SystemRisk:
 
     The exact value is 1 - (1 - q)^n from `system_probability`. Bounds pair
     the per-person tail bounds with 1 - e^{-nq} on the lower side and
-    1 - e^{-n q/(1-q)} on the upper side. They need c = m / lam > 1 in double
-    precision; otherwise (at or below the mean, or m = lam + 1 past lam ~ 9e15)
-    they degrade to the trivial [0, 1].
+    1 - e^{-n q/(1-q)} on the upper side. They exist for any integer m > lam;
+    at or below the mean they are the trivial [0, 1].
     """
     q = poisson_tail(lam, m)
     prob, log_comp = system_probability(q, n)
-    c = m / lam
-    if c > 1.0:
-        lower = -expm1(-n * robbins_lower(lam, c))
-        q_up = chernoff_upper(lam, m)
-        upper = 1.0 if q_up >= 1.0 else min(1.0, -expm1(-n * q_up / (1.0 - q_up)))
-    else:
-        lower, upper = 0.0, 1.0
+    lower, upper = 0.0, 1.0
+    if m > lam:
+        q_low, q_up, _ = _sandwich(lam, m)
+        lower = -expm1(-n * q_low)
+        upper = -expm1(-n * q_up / (1.0 - q_up)) if q_up < 1.0 else 1.0
     return SystemRisk(
         lam=lam,
         m=m,

@@ -10,7 +10,8 @@ statistic reaches a threshold m:
   Temme's uniform expansion, a short series at Loader's saddle-point pmf or
   a short lower sum, with no loop of more than ~100 steps,
 * a Chernoff upper bound exp(-lambda * D(m/lambda)) and a Robbins-Stirling
-  lower bound that sandwich the exact tail in the c > 1 regime,
+  lower bound that sandwich the exact tail at any integer m > lambda, both
+  from one deviance lambda * D(m/lambda) taken by Loader's bd0,
 * the hypergeometric probability that a random s-subset hits a fixed t-subset
   (list-overlap false match), in min(s, t) steps.
 
@@ -36,8 +37,6 @@ __all__ = [
     "poisson_tail",
     "log_poisson_tail",
     "binomial_tail",
-    "chernoff_upper",
-    "robbins_lower",
     "tail_estimate",
     "overlap_probability",
     "threshold_for_ratio",
@@ -86,8 +85,8 @@ class TailEstimate:
 
     Attributes:
         exact: Pr(Pois(lam) >= m).
-        chernoff_upper: exp(-lam * D(m/lam)), always >= exact.
-        robbins_lower: Stirling-corrected lower bound, always <= exact.
+        chernoff_upper: min(1, exp(-lam * D(m/lam))), always >= exact.
+        robbins_lower: exp(-lam * D(m/lam) - 1/(12 m)) / sqrt(2 pi m), always <= exact.
         log_exact: ln of the exact tail, finite even when `exact`
             underflows to zero in double precision.
         exponent: lam * D(m/lam).
@@ -241,17 +240,18 @@ def _bd0(x: float, mu: float, d: float) -> float:
     """
     v = 0.5 * d / (0.5 * x + 0.5 * mu)
     if abs(v) < 1.0 / 3.0:
-        total = d * v
+        # the odd-power tail is summed apart from d v, so its roundings fall
+        # at its own, smaller ulp; v^2 < 1/9, so it ends within ~20 steps
+        tail = 0.0
         term = 2.0 * x * v
         v2 = v * v
-        # v^2 < 1/9, so the terms fall below an ulp within ~20 steps
         for j in range(3, 80, 2):
             term *= v2
-            step = total + term / j
-            if step == total:
+            step = tail + term / j
+            if step == tail:
                 break
-            total = step
-        return total
+            tail = step
+        return d * v + tail
     ratio = x / mu
     return x * (log(ratio) if ratio < inf else log(x) - log(mu)) - d
 
@@ -336,8 +336,8 @@ def _log_temme(x: float, d: float, b: float) -> float:
     else:
         log_cdf = float(log_ndtr(w))
         mills = exp(-b - _LN_SQRT_2PI - log_cdf)
-    # + 0.0 writes q = 1 to double precision as ln q = 0.0, not -0.0
-    return log_cdf + log1p(-mills * scaled) + 0.0
+    # subnormal parts can sum to ln q > 0; + 0.0 writes ln 1 as 0.0, not -0.0
+    return min(log_cdf + log1p(-mills * scaled), 0.0) + 0.0
 
 
 def _log_gammainc(lam: float, x: float) -> float:
@@ -408,56 +408,36 @@ def binomial_tail(k: int, p: float, m: int) -> float:
     return q
 
 
-def chernoff_upper(lam: float, m: float) -> float:
-    """Chernoff bound exp(-lam * D(m/lam)) on Pr(Pois(lam) >= m), m > lam."""
-    check_positive("lam", lam)
-    if not (m > lam):
-        raise DomainError(f"Chernoff bound needs m > lam, got m={m}, lam={lam}")
-    return min(1.0, exp(-lam * rate_function(m / lam)))
+def _sandwich(lam: float, m: int) -> tuple[float, float, float]:
+    """(Robbins lower, Chernoff upper, exponent b = lam D(m/lam)) at an integer m > lam.
 
-
-def robbins_lower(lam: float, c: float) -> float:
-    """Robbins-Stirling lower bound on the upper tail at threshold c*lam.
-
-    (2 pi c lam)^(-1/2) * exp(-lam D(c) - 1/(12 c lam)); a guaranteed lower
-    bound on Pr(Pois(lam) >= m) when evaluated at c = m/lam for integer
-    m > lam, since it lower-bounds the single pmf term at m.
-
-    Args:
-        lam: Poisson mean (> 0).
-        c: Threshold ratio (> 1).
+    b is bd0(m, lam), exact to a few ulps even where m / lam rounds to 1.
+    Robbins' m! <= sqrt(2 pi m) (m/e)^m e^(1/(12 m)) bounds the pmf at m below.
     """
-    check_positive("lam", lam)
-    if not (c > 1.0):
-        raise DomainError(f"Robbins bound needs c > 1, got {c}")
-    m = c * lam
-    return exp(-lam * rate_function(c) - 1.0 / (12.0 * m)) / sqrt(2.0 * pi * m)
+    x = as_float("threshold m", m)
+    # past 2**53 lam is an integer or its fraction is under an ulp of m - lam
+    b = _bd0(x, lam, x - lam if x == m else float(m - int(lam)))
+    return exp(-b - 1.0 / (12.0 * x)) / sqrt(2.0 * pi * x), min(1.0, exp(-b)), b
 
 
 def tail_estimate(lam: float, m: int) -> TailEstimate:
     """Exact tail plus both sandwich bounds at an integer threshold m > lam.
 
-    The bounds need the ratio c = m / lam to exceed 1 in double precision,
-    which m = lam + 1 does not once lam passes ~9e15.
-
     Raises:
-        RangeOverflowError: If c = m / lam, and so lam D(c), overflows a double.
+        DomainError: If m <= lam, where no large-deviation sandwich exists.
+        RangeOverflowError: If m exceeds the double range.
     """
     check_positive("lam", lam)
     check_int("threshold m", m, 0)
-    c = as_float("threshold m", m) / lam
-    if not (c > 1.0):
-        raise DomainError(
-            f"sandwich bounds exist only for m / lam > 1, got m={m}, lam={lam}"
-        )
-    if c == inf:
-        raise RangeOverflowError(f"ratio c = m / lam overflows a double: m={m}, lam={lam}")
+    if not m > lam:
+        raise DomainError(f"sandwich bounds exist only for m > lam, got m={m}, lam={lam}")
+    lower, upper, exponent = _sandwich(lam, m)
     return TailEstimate(
         exact=poisson_tail(lam, m),
-        chernoff_upper=chernoff_upper(lam, m),
-        robbins_lower=robbins_lower(lam, c),
+        chernoff_upper=upper,
+        robbins_lower=lower,
         log_exact=log_poisson_tail(lam, m),
-        exponent=lam * rate_function(c),
+        exponent=exponent,
     )
 
 

@@ -36,10 +36,9 @@ from screenlimits.system import ScreeningConfig, phase_scan, system_risk
 from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
-    chernoff_upper,
     overlap_probability,
     poisson_tail,
-    robbins_lower,
+    tail_estimate,
 )
 
 from fractions import Fraction
@@ -80,10 +79,8 @@ def test_criterion_02_sandwich_grid(capsys):
             if m <= lam:
                 continue
             points += 1
-            exact = poisson_tail(lam, m)
-            lower = robbins_lower(lam, m / lam)
-            upper = chernoff_upper(lam, m)
-            if not (lower <= exact <= upper):
+            est = tail_estimate(lam, m)
+            if not (est.robbins_lower <= est.exact <= est.chernoff_upper):
                 violations += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 10.0

@@ -47,18 +47,17 @@ from screenlimits.system import (
     ScreeningConfig,
     critical_population,
     phase_scan,
+    population_risk,
     system_probability,
     system_risk,
 )
 from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
-    chernoff_upper,
     log_poisson_tail,
     overlap_probability,
     poisson_tail,
     rate_function,
-    robbins_lower,
     tail_estimate,
     threshold_for_ratio,
 )
@@ -89,6 +88,8 @@ INTEGER_ARGUMENTS = {
     "ScreeningConfig.n": lambda x: ScreeningConfig(k=100, p=0.005, n=x, m=3),
     "ScreeningConfig.m": lambda x: ScreeningConfig(k=100, p=0.005, n=10, m=x),
     "system_probability.n": lambda x: system_probability(0.1, x),
+    "population_risk.m": lambda x: population_risk(5.0, x, 10),
+    "population_risk.n": lambda x: population_risk(5.0, 30, x),
     "critical_time_analytic.m": lambda x: critical_time_analytic(MODEL, x),
     "critical_time_corrected.m": lambda x: critical_time_corrected(MODEL, x, 10),
     "critical_time_corrected.n": lambda x: critical_time_corrected(MODEL, 20, x),
@@ -155,10 +156,7 @@ POSITIVE_ARGUMENTS = {
     "poisson_tail.lam": lambda x: poisson_tail(x, 3),
     "log_poisson_tail.lam": lambda x: log_poisson_tail(x, 3),
     "tail_estimate.lam": lambda x: tail_estimate(x, 30),
-    "chernoff_upper.lam": lambda x: chernoff_upper(x, 30.0),
-    "chernoff_upper.m": lambda x: chernoff_upper(5.0, x),
-    "robbins_lower.lam": lambda x: robbins_lower(x, 2.0),
-    "robbins_lower.c": lambda x: robbins_lower(5.0, x),
+    "population_risk.lam": lambda x: population_risk(x, 30, 10),
     "threshold_for_ratio.lam": lambda x: threshold_for_ratio(x, 2.0),
     "threshold_for_ratio.c": lambda x: threshold_for_ratio(5.0, x),
     "ScreeningConfig.c": lambda x: ScreeningConfig(k=100, p=0.005, n=10, c=x),
@@ -220,7 +218,7 @@ def test_unit_arguments_reject_values_outside_the_interval(entry, value):
         UNIT_ARGUMENTS[entry](value)
 
 
-# the ends each check leaves out: 0 or 1 of an open interval, 1 of "c > 1"
+# the ends each check leaves out: 0 or 1 of an open interval, 1 of "c > 1", lam of "m > lam"
 EXCLUDED_ENDS = {
     "ScreeningConfig.p=0": lambda: ScreeningConfig(k=100, p=0.0, n=10, m=3),
     "ScreeningConfig.p=1": lambda: ScreeningConfig(k=100, p=1.0, n=10, m=3),
@@ -238,13 +236,12 @@ EXCLUDED_ENDS = {
     "disparity_ratio.p1=p2": lambda: disparity_ratio(0.02, 0.02, 100, 3),
     "simulate_correlated.p=0": lambda: simulate_correlated(plan(MODE_COPULA, p=0.0), EXCHANGEABLE),
     "simulate_correlated.p=1": lambda: simulate_correlated(plan(MODE_COPULA, p=1.0), EXCHANGEABLE),
-    "robbins_lower.c=1": lambda: robbins_lower(5.0, 1.0),
     "ScreeningConfig.c=1": lambda: ScreeningConfig(k=100, p=0.005, n=10, c=1.0),
     "critical_population.c=1": lambda: critical_population(5.0, 1.0),
     "phase_scan.c=1": lambda: phase_scan([5.0], 1.0, 0.5),
     "adjusted_limits.c=1": lambda: adjusted_limits(100, 0.1, 1.0, 10.0),
     "GrowthModel.gamma=1": lambda: GrowthModel(k0=100.0, gamma=1.0, p=0.01),
-    "chernoff_upper.m=lam": lambda: chernoff_upper(5.0, 5.0),
+    "tail_estimate.m=lam": lambda: tail_estimate(5.0, 5),
 }
 
 

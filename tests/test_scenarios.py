@@ -101,13 +101,13 @@ class TestExitCodes:
         assert out.startswith("# scenario: tail")
 
     def test_threshold_one_past_a_huge_mean_is_zero(self, tmp_path, capsys):
-        # m / lam rounds to 1.0 at lam = 5e16, m = lam + 1: trivial bounds, not an error
+        # m / lam rounds to 1.0 at lam = 5e16, m = lam + 1, but m > lam: a real sandwich
         params = {"k": 10**17, "p": 0.5, "n": 1, "m": 5 * 10**16 + 1}
         cfg = write_config(tmp_path, {"kind": "system", "parameters": params})
         assert main(["system", "--config", cfg]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         (row,) = csv.DictReader(lines)
-        assert float(row["lower"]) <= float(row["prob"]) <= float(row["upper"])
+        assert 0.0 < float(row["lower"]) <= float(row["prob"]) <= float(row["upper"])
 
     def test_ratio_at_a_tiny_mean_uses_threshold_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "tail", "parameters": {"lambda": 1e-12, "c": 2.0}})
@@ -459,6 +459,35 @@ class TestAllKindsRun:
         assert doc["kind"] == kind
         assert doc["columns"]
         assert doc["rows"]
+
+
+# q = Pr(Pois(5) >= 400) underflows to 0.0
+UNDERFLOWED = {
+    "system": {"kind": "system", "parameters": {"k": 1000, "p": 0.005, "n": 10**6, "m": 400}},
+    "cohort": {
+        "kind": "cohort",
+        "parameters": {"groups": [{"label": "all", "n": 10**6, "p": 0.005}], "k": 1000, "m": 400},
+    },
+}
+
+
+class TestZeros:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", sorted(UNDERFLOWED))
+    def test_an_underflowed_tail_writes_no_negative_zero(self, kind, fmt, tmp_path, capsys):
+        cfg = write_config(tmp_path, UNDERFLOWED[kind])
+        assert main([kind, "--config", cfg, "--format", fmt]) == 0
+        assert "-0.0" not in capsys.readouterr().out
+
+    def test_one_group_cohort_writes_other_mass_as_a_float(self, tmp_path, capsys):
+        doc = copy.deepcopy(VALID["cohort"])
+        del doc["parameters"]["groups"][1]
+        cfg = write_config(tmp_path, doc)
+        assert main(["cohort", "--config", cfg]) == 0
+        assert "# other_mass = 0.0\n" in capsys.readouterr().out
+        assert main(["cohort", "--config", cfg, "--format", "json"]) == 0
+        other = json.loads(capsys.readouterr().out)["summary"]["other_mass"]
+        assert type(other) is float and other == 0.0
 
 
 class TestSchemaValidation:

@@ -14,7 +14,7 @@ from screenlimits.system import (
     system_probability,
     system_risk,
 )
-from screenlimits.tails import poisson_tail, rate_function
+from screenlimits.tails import poisson_tail, rate_function, tail_estimate
 
 
 class TestScreeningConfig:
@@ -125,10 +125,11 @@ class TestSystemRisk:
         assert 0.0 <= risk.prob <= 1.0
 
     def test_bounds_at_a_ratio_that_rounds_to_one(self):
-        # m = lam + 1 at lam = 5e16: m / lam is 1.0 in double precision, so no sandwich
-        risk = system_risk(ScreeningConfig(k=10**17, p=0.5, n=1, m=5 * 10**16 + 1))
-        assert risk.lower <= risk.prob <= risk.upper
-        assert (risk.lower, risk.upper) == (0.0, 1.0)
+        # m = lam + 1 at lam = 5e16: m / lam is 1.0 in double precision, but m > lam
+        m = 5 * 10**16 + 1
+        risk = system_risk(ScreeningConfig(k=10**17, p=0.5, n=1, m=m))
+        assert 0.0 < risk.lower <= risk.prob <= risk.upper
+        assert risk.lower == -math.expm1(-tail_estimate(5e16, m).robbins_lower)
 
     def test_huge_population_is_overflow_safe(self):
         risk = system_risk(ScreeningConfig(k=1000, p=0.005, n=10**12, m=30))

@@ -4,7 +4,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath import exp as mp_exp
@@ -12,6 +12,7 @@ from mpmath import expm1 as mp_expm1
 from mpmath import gammainc as mp_gammainc
 from mpmath import hyp1f1 as mp_hyp1f1
 from mpmath import log as mp_log
+from mpmath import log1p as mp_log1p
 from mpmath import loggamma as mp_loggamma
 from mpmath import mpf
 from mpmath import quad as mp_quad
@@ -22,12 +23,10 @@ from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
 from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
-    chernoff_upper,
     log_poisson_tail,
     overlap_probability,
     poisson_tail,
     rate_function,
-    robbins_lower,
     tail_estimate,
     threshold_for_ratio,
 )
@@ -115,6 +114,13 @@ def mp_log_poisson_tail_by_quadrature(lam: float, m: int):
         nodes = [start + (top - start) * i / 24 for i in range(25)]
         area = mp_quad(density, nodes, maxdegree=10)
         return mp_log(area) + log_peak + mp_log(root) - mp_loggamma(a)
+
+
+def mp_deviance(lam: float, m: int):
+    """40-digit lam D(m/lam) = m ln(m/lam) + lam - m, through log1p of the exact m - lam."""
+    with mp.workdps(40):
+        d = mpf(m) - mpf(lam)
+        return mpf(m) * mp_log1p(d / mpf(lam)) - d
 
 
 def mp_binomial_tail(k: int, p: float, m: int):
@@ -317,56 +323,53 @@ class TestBinomialTail:
 
 
 class TestSandwichBounds:
+    """tail_estimate's bounds and exponent, the one sandwich every layer reports."""
+
     def test_chernoff_headline(self):
-        v = chernoff_upper(5.0, 15)
+        v = tail_estimate(5.0, 15).chernoff_upper
         assert v == pytest.approx(math.exp(-5.0 * rate_function(3.0)), rel=1e-14)
         assert v == pytest.approx(1.53e-3, rel=0.01)
         assert v >= poisson_tail(5.0, 15)
 
     def test_chernoff_half_rate_example(self):
-        assert chernoff_upper(50.0, 75) == pytest.approx(4.52e-3, rel=0.02)
+        assert tail_estimate(50.0, 75).chernoff_upper == pytest.approx(4.52e-3, rel=0.02)
 
     def test_chernoff_near_one_at_unit_ratio(self):
-        assert chernoff_upper(1.0, 1.0 + 1e-9) > 0.999999
-
-    def test_chernoff_rejects_low_threshold(self):
-        with pytest.raises(DomainError):
-            chernoff_upper(5.0, 5.0)
+        assert tail_estimate(1.0 - 1e-9, 1).chernoff_upper > 0.999999
 
     def test_robbins_headline(self):
-        v = robbins_lower(5.0, 3.0)
+        v = tail_estimate(5.0, 15).robbins_lower
         want = math.exp(-5.0 * rate_function(3.0) - 1.0 / 180.0) / math.sqrt(2 * math.pi * 15.0)
         assert v == pytest.approx(want, rel=1e-14)
         assert v == pytest.approx(1.57e-4, rel=0.01)
         assert v <= poisson_tail(5.0, 15)
 
-    def test_robbins_rejects_c_at_most_one(self):
-        with pytest.raises(DomainError):
-            robbins_lower(5.0, 1.0)
+    @pytest.mark.parametrize("m", [5, 4, 0])
+    def test_rejects_a_threshold_at_or_below_the_mean(self, m):
+        with pytest.raises(DomainError, match="m > lam"):
+            tail_estimate(5.0, m)
 
     def test_robbins_below_chernoff_everywhere(self):
         for lam in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
             for c in (1.2, 1.5, 2.0, 3.0):
-                assert robbins_lower(lam, c) < chernoff_upper(lam, c * lam)
+                est = tail_estimate(lam, threshold_for_ratio(lam, c))
+                assert est.robbins_lower < est.chernoff_upper
 
     def test_sandwich_full_grid(self):
-        # The documented grid, evaluated at the integer threshold's own
-        # ratio c' = m/lam on both sides; zero violations expected.
+        # The documented grid at the integer threshold; zero violations expected.
         for lam in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
             for c in (1.2, 1.5, 2.0, 3.0):
                 m = threshold_for_ratio(lam, c)
-                c_prime = m / lam
-                exact = poisson_tail(lam, m)
-                assert robbins_lower(lam, c_prime) <= exact, (lam, c)
-                assert exact <= chernoff_upper(lam, m), (lam, c)
+                est = tail_estimate(lam, m)
+                assert est.exact == poisson_tail(lam, m)
+                assert est.robbins_lower <= est.exact <= est.chernoff_upper, (lam, c)
 
     def test_tail_estimate_consistency(self):
         est = tail_estimate(5.0, 15)
         assert est.robbins_lower <= est.exact <= est.chernoff_upper
         assert est.log_exact == pytest.approx(math.log(est.exact), rel=1e-12)
         assert est.exponent == pytest.approx(5.0 * rate_function(3.0), rel=1e-14)
-        with pytest.raises(DomainError):
-            tail_estimate(5.0, 5)
+        assert est.chernoff_upper == math.exp(-est.exponent)
 
     @given(
         lam=st.floats(min_value=0.1, max_value=60.0),
@@ -377,8 +380,38 @@ class TestSandwichBounds:
         m = threshold_for_ratio(lam, c)
         if m <= lam:
             return
-        exact = poisson_tail(lam, m)
-        assert robbins_lower(lam, m / lam) <= exact <= chernoff_upper(lam, m)
+        est = tail_estimate(lam, m)
+        assert est.robbins_lower <= est.exact <= est.chernoff_upper
+
+    def test_exponent_a_hundred_million_past_a_huge_mean(self):
+        # lam * rate_function(m / lam) cancels to 0.0 here, and Chernoff to 1.0
+        lam, m = 1e16, 10**16 + 10**8
+        est = tail_estimate(lam, m)
+        assert est.exponent == pytest.approx(float(mp_deviance(lam, m)), rel=1e-13, abs=0.0)
+        assert est.exponent == pytest.approx(0.49999999833, rel=1e-11)
+        assert est.chernoff_upper == pytest.approx(0.60653, rel=1e-5)
+        assert est.robbins_lower <= est.exact <= est.chernoff_upper
+
+    @pytest.mark.parametrize("m", [5 * 10**16 + 1, 5 * 10**16 + 3], ids=["+1", "+3"])
+    def test_exponent_at_a_threshold_no_double_holds(self, m):
+        # float(m) is m - 1 or m + 1, so m - lam must come from the integers
+        assert float(m) != m
+        est = tail_estimate(5e16, m)
+        assert est.exponent == pytest.approx(float(mp_deviance(5e16, m)), rel=1e-13, abs=0.0)
+        assert 0.0 < est.robbins_lower <= est.exact <= est.chernoff_upper
+
+    @given(
+        lam=st.floats(min_value=1e-3, max_value=1e16),
+        log_excess=st.floats(min_value=-12.0, max_value=math.log10(999.0)),
+        offset=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exponent_against_mpmath(self, lam, log_excess, offset):
+        # m / lam - 1 from 1e-12 to 999; an offset past 2**53 gives an m no double holds
+        m = math.ceil(lam * (1.0 + 10.0**log_excess)) + offset
+        est = tail_estimate(lam, m)
+        assert est.exponent == pytest.approx(float(mp_deviance(lam, m)), rel=1e-13, abs=0.0)
+        assert est.robbins_lower <= est.chernoff_upper
 
 
 class TestOverlap:
@@ -563,6 +596,8 @@ class TestHugeThresholds:
         sds=st.floats(min_value=-1e3, max_value=1e3),
         offset=st.integers(min_value=-(2**80), max_value=2**80),
     )
+    # 38 sd below the mean: ln q once came out as +7.4e-318
+    @example(lam=1e16, sds=-1.0, offset=-3_667_711_837)
     @settings(max_examples=300, deadline=None)
     def test_is_a_log_probability_and_monotone(self, lam, sds, offset):
         m = max(0, int(lam) + int(sds * math.sqrt(lam)) + offset)
