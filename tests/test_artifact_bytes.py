@@ -290,10 +290,10 @@ EXPECTED = {
         "tail-below-mean.json.manifest.json": "605d356f3526cfe3c04792bb8c585192b045ca06a00ce2b9b9df9d62cda3abbc",
     },
     "tail-ratio": {
-        "tail-ratio.csv": "4385cbbb51a37a8eaf9dbf1ae75616a0deee8d99fe6cb103445d6bccbba3a631",
-        "tail-ratio.csv.manifest.json": "fac342757dba5fb28b190c08af60e0920b82872f37d07fd358889240bb2a9a7c",
-        "tail-ratio.json": "e81c4a6c27f276e3bc8888fb91c6b37f9da79d835b99b3eba68a4a456e99a41e",
-        "tail-ratio.json.manifest.json": "efee2ac4311c480c8763dd4f830d46427c60317f64b3985c38b44a4f2a181942",
+        "tail-ratio.csv": "108a2d6f920a3b41be5fffc133da26366314cd52ab516622ffa4493dfccd9bbf",
+        "tail-ratio.csv.manifest.json": "cc144eaa8d0efd7b5c1361a40fe95912a7c116642c0e56bcbadf88332b027693",
+        "tail-ratio.json": "78df4aff82876720db55462294359ec065f9667acbb54f9c328ea4a10364ab7d",
+        "tail-ratio.json.manifest.json": "4294f2f07f0c345bdc925aaed1f177c71d9181d2dff761c4164052e7c0a68ce2",
     },
 }
 
