@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, copysign, exp, expm1, inf, isfinite, lgamma, log, log1p, pi, sqrt
-from sys import float_info
 
 from scipy.special import betainc, gammainc, log_ndtr
 
@@ -157,19 +156,12 @@ def poisson_tail(lam: float, m: int) -> float:
             returns nan where Temme's expansion does not hold (met nowhere
             in a scan of lam up to 1.7e308).
     """
-    check_positive("lam", lam)
-    check_int("threshold m", m, 0)
-    if m == 0:
-        return 1.0
-    x = as_float("threshold m", m)
-    if x != m:
-        return exp(_log_tail_off_grid(lam, m, x))
-    b = _gammainc_fails(lam, x)
-    if b is None:
+    x, b = _route(lam, m)
+    if b is None and x == m:
         q = float(gammainc(x, lam))
-        if q >= float_info.min:
+        if q >= 2.2250738585072014e-308:  # sys.float_info.min
             return q
-    return exp(_log_tail(lam, x, b))
+    return exp(_log_tail(lam, m, x, b))
 
 
 def log_poisson_tail(lam: float, m: int) -> float:
@@ -192,43 +184,69 @@ def log_poisson_tail(lam: float, m: int) -> float:
     1e5 ... 1e12 at m = lam + 1, lam + sqrt(lam), 7 and 40 standard
     deviations out, and a few units in the last place of ln q down to
     ln q = -3300. An m past 2**53 that is not a double takes Temme's
-    expansion at m itself (see _log_tail_off_grid).
+    expansion at m itself (see _log_tail).
 
     Raises:
         RangeOverflowError: As poisson_tail.
     """
+    x, b = _route(lam, m)
+    return _log_tail(lam, m, x, b)
+
+
+def _route(lam: float, m: int) -> tuple[float, float | None]:
+    """Check (lam, m); return x = float(m) and b = bd0(x, lam) where gammainc
+    is not trusted with P(x, lam), above the mean where Temme's expansion
+    holds. Elsewhere b is None, as it is off the grid (x != m)."""
     check_positive("lam", lam)
     check_int("threshold m", m, 0)
-    if m == 0:
-        return 0.0
     x = as_float("threshold m", m)
-    if x != m:
-        return _log_tail_off_grid(lam, m, x)
-    return _log_tail(lam, x, _gammainc_fails(lam, x))
+    # short of m = 1000 the gate fails, so the common small m skips its call
+    return x, _temme_bd0(lam, m, x) if x > lam and x >= _TEMME_MIN_M else None
 
 
-def _log_tail(lam: float, x: float, b: float | None) -> float:
-    """ln P(x, lam) at a double x >= 1, given b = _gammainc_fails(lam, x)."""
-    if x >= 1.5 * lam:
-        return _log_pmf(x, lam, b) + log(_ratio_series(lam, x))
-    return _log_gammainc(lam, x) if b is None else _log_temme(x, x - lam, b)
+def _temme_bd0(lam: float, m: int, x: float) -> float | None:
+    """bd0(x, lam) where Temme's expansion holds at m = x on the double grid,
+    else None: x >= 1000 and bd0 >= 2, over two standard deviations out,
+    short of which gammainc is exact."""
+    d = x - lam
+    # bd0 <= d^2 / (2 min(x, lam)), so it is under 1.95 at d^2 < 3.9 min(x, lam)
+    if x < _TEMME_MIN_M or x != m or d * d < 3.9 * min(x, lam):
+        return None
+    b = _bd0(x, lam, d)
+    return b if b >= _TEMME_MIN_BD0 else None
 
 
-def _log_tail_off_grid(lam: float, m: int, x: float) -> float:
-    """ln P(m, lam) at an integer m that no double holds (so m > 2**53), x = float(m).
+def _excess(lam: float, m: int, x: float) -> float:
+    """m - lam to an ulp, x = float(m); off the grid (m > 2**53) lam is an
+    integer or its fraction is under an ulp of m - lam."""
+    return x - lam if x == m else float(m - int(lam))
 
-    At x >= 1.5 lam it is the series route at x, with pmf(m) = pmf(x)
-    (lam/x)^(m - x) to within (m - x)^2 / x, below an ulp of ln pmf.
-    Below that, lam > 2**52 is an integer, so d = m - lam and bd0(m, lam)
-    are exact to an ulp, and Temme's expansion is taken at m itself. No
-    correction from x to m through the pmf terms between them holds
-    everywhere: the ulp of m reaches its standard deviation sqrt(m) at
-    m ~ 2**104, so P(x) and P(m) can differ by any amount.
+
+def _log_tail(lam: float, m: int, x: float, b: float | None) -> float:
+    """ln P(m, lam), given (x, b) = _route(lam, m).
+
+    At x >= 1.5 lam, the series at x; off the grid pmf(m) = pmf(x)
+    (lam/x)^(m - x) to within (m - x)^2 / x, below an ulp of ln pmf. Else
+    log(gammainc) where it is trusted and above 0, else Temme's expansion
+    at m itself: off the grid lam > 2**52 there, and no correction from x to
+    m through the pmf terms between them holds everywhere, since the ulp of
+    m reaches its standard deviation sqrt(m) at m ~ 2**104.
     """
     if x >= 1.5 * lam:
-        return _log_pmf(x, lam) + (m - int(x)) * (log(lam) - log(x)) + log(_ratio_series(lam, x))
-    d = float(m - int(lam))
-    return _log_temme(x, d, _bd0(x, lam, d))
+        shift = 0.0 if x == m else (m - int(x)) * (log(lam) - log(x))
+        return _log_pmf(x, lam, b) + shift + log(_ratio_series(lam, x))
+    if b is None and x == m:
+        q = float(gammainc(x, lam))
+        if q > 0.0:
+            return log(q)
+        # gammainc's nan, as at lam = 1.7e308, x = lam / 2
+        b = _temme_bd0(lam, m, x)
+        if b is None:
+            raise RangeOverflowError(
+                f"gammainc cannot evaluate Pr(Pois({lam:g}) >= {x:g}) in double precision"
+            )
+    d = _excess(lam, m, x)
+    return _log_temme(x, d, _bd0(x, lam, d) if b is None else b)
 
 
 def _bd0(x: float, mu: float, d: float) -> float:
@@ -286,22 +304,6 @@ def _ratio_series(lam: float, x: float) -> float:
     return total
 
 
-def _gammainc_fails(lam: float, x: float) -> float | None:
-    """bd0(x, lam) where gammainc is not trusted with P(x, lam), else None.
-
-    That is above the mean at x >= 1000 and bd0 >= 2; the series or
-    Temme's expansion is the kernel there.
-    """
-    if not (x > lam and x >= _TEMME_MIN_M):
-        return None
-    d = x - lam
-    if d * d < 3.9 * lam:
-        # bd0 <= d^2 / (2 lam) above the mean, so it is under 1.95 here
-        return None
-    b = _bd0(x, lam, d)
-    return b if b >= _TEMME_MIN_BD0 else None
-
-
 def _log_temme(x: float, d: float, b: float) -> float:
     """ln P(x, x - d) by Temme's uniform expansion, b = bd0(x, x - d).
 
@@ -338,21 +340,6 @@ def _log_temme(x: float, d: float, b: float) -> float:
         mills = exp(-b - _LN_SQRT_2PI - log_cdf)
     # subnormal parts can sum to ln q > 0; + 0.0 writes ln 1 as 0.0, not -0.0
     return min(log_cdf + log1p(-mills * scaled), 0.0) + 0.0
-
-
-def _log_gammainc(lam: float, x: float) -> float:
-    """ln P(x, lam) from scipy's gammainc, or from Temme's expansion where
-    gammainc returns nan (lam = 1.7e308, x = lam / 2)."""
-    q = float(gammainc(x, lam))
-    if q > 0.0:
-        return log(q)
-    d = x - lam
-    b = _bd0(x, lam, d)
-    if not (x >= _TEMME_MIN_M and b >= _TEMME_MIN_BD0):
-        raise RangeOverflowError(
-            f"gammainc cannot evaluate Pr(Pois({lam:g}) >= {x:g}) in double precision"
-        )
-    return _log_temme(x, d, b)
 
 
 def binomial_tail(k: int, p: float, m: int) -> float:
@@ -415,8 +402,7 @@ def _sandwich(lam: float, m: int) -> tuple[float, float, float]:
     Robbins' m! <= sqrt(2 pi m) (m/e)^m e^(1/(12 m)) bounds the pmf at m below.
     """
     x = as_float("threshold m", m)
-    # past 2**53 lam is an integer or its fraction is under an ulp of m - lam
-    b = _bd0(x, lam, x - lam if x == m else float(m - int(lam)))
+    b = _bd0(x, lam, _excess(lam, m, x))
     return exp(-b - 1.0 / (12.0 * x)) / sqrt(2.0 * pi * x), min(1.0, exp(-b)), b
 
 
@@ -427,16 +413,17 @@ def tail_estimate(lam: float, m: int) -> TailEstimate:
         DomainError: If m <= lam, where no large-deviation sandwich exists.
         RangeOverflowError: If m exceeds the double range.
     """
-    check_positive("lam", lam)
-    check_int("threshold m", m, 0)
+    x, b = _route(lam, m)
     if not m > lam:
         raise DomainError(f"sandwich bounds exist only for m > lam, got m={m}, lam={lam}")
     lower, upper, exponent = _sandwich(lam, m)
+    log_exact = _log_tail(lam, m, x, b)
     return TailEstimate(
-        exact=poisson_tail(lam, m),
+        # poisson_tail takes gammainc where it is trusted, else exp of this kernel
+        exact=poisson_tail(lam, m) if b is None and x == m else exp(log_exact),
         chernoff_upper=upper,
         robbins_lower=lower,
-        log_exact=log_poisson_tail(lam, m),
+        log_exact=log_exact,
         exponent=exponent,
     )
 

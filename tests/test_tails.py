@@ -608,6 +608,44 @@ class TestHugeThresholds:
         assert later <= got + 1e-12 * max(1.0, abs(got))
 
 
+class TestRouter:
+    """tail_estimate routes a threshold once and gives the entry points' bits."""
+
+    @pytest.mark.parametrize(
+        "lam, m",
+        [
+            (5.0, 15),  # gammainc, and the series for ln q
+            (1e4, 10100),  # gammainc for both
+            (1e4, 10400),  # Temme
+            (1e4, 16000),  # series
+            (1.0, 180),  # gammainc below the smallest normal double
+            (1e12, 10**12 + 4 * 10**7),  # Temme
+            (5e16, 5 * 10**16 + 1),  # off the grid, Temme
+            (1e20, 3 * 10**20 + 1),  # off the grid, series
+        ],
+    )
+    def test_tail_estimate_matches_the_entry_points(self, lam, m):
+        est = tail_estimate(lam, m)
+        assert repr(est.exact) == repr(poisson_tail(lam, m))
+        assert repr(est.log_exact) == repr(log_poisson_tail(lam, m))
+
+    @pytest.mark.parametrize(
+        "m, kernel", [(10400, "_log_temme"), (16000, "_ratio_series")], ids=["temme", "series"]
+    )
+    def test_tail_estimate_runs_its_kernel_once(self, monkeypatch, m, kernel):
+        calls = {"_log_temme": 0, "_ratio_series": 0}
+        for name in calls:
+            inner = getattr(tails, name)
+
+            def counted(*args, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(tails, name, counted)
+        tail_estimate(1e4, m)
+        assert calls == {name: int(name == kernel) for name in calls}
+
+
 class TestNoLongLoops:
     """Every kernel call on the grid returns within 50 ms; a per-term loop
     would take ~1 s at lam = 1e12 or k = 1e6."""
