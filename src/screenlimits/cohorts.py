@@ -11,7 +11,7 @@ between two match probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, expm1
+from math import exp, expm1, isfinite
 from operator import attrgetter
 
 from .errors import DomainError, RangeOverflowError, as_float, check_int, check_unit
@@ -105,12 +105,17 @@ def cohort_system_risk(profile: CohortProfile, k: int, m: int) -> CohortRisk:
 
     Each group is `population_risk(k p_g, m, n_g)`; the exact value sums
     their n_g ln(1 - q_g), so a group with q_g = 1 makes it exactly 1.0.
+
+    Raises:
+        RangeOverflowError: If the summed expected alerts overflow a double.
     """
     check_int("k", k, 1)
     check_int("m", m, 1)
     attributes = as_float("k", k)
     risks = [population_risk(attributes * g.p, m, g.size) for g in profile.groups]
     total_mass = sum(r.expected for r in risks)
+    if not isfinite(total_mass):
+        raise RangeOverflowError(f"cohort total mass overflows a double at k={k}, m={m}")
     groups = tuple(
         GroupRisk(
             **vars(r),

@@ -280,6 +280,9 @@ def test_integers_beyond_the_double_range_overflow_cleanly(call):
 
 # finite inputs whose result does not fit a double
 OVERFLOWING_RESULTS = {
+    "cohort_total_mass": lambda: cohort_system_risk(
+        CohortProfile((CohortGroup("a", 10**308, 0.5), CohortGroup("b", 10**308, 0.5))), 100, 1
+    ),
     "critical_population": lambda: critical_population(1e4, 3.0),
     "disparity_ratio": lambda: disparity_ratio(1e-6, 0.5, 10**4, 4000),
     "lambda_at": lambda: lambda_at(MODEL, 2000.0),

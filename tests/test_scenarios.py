@@ -206,6 +206,18 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error[domain]:")
 
+    def test_cohort_mass_overflow_is_three(self, tmp_path, capsys):
+        # each group expects 1e308 alerts; their sum is inf and every share would read 0.0
+        groups = [{"label": label, "n": 10**308, "p": 0.5} for label in ("a", "b")]
+        params = {"groups": groups, "k": 100, "m": 1}
+        cfg = write_config(tmp_path, {"kind": "cohort", "parameters": params})
+        assert main(["cohort", "--config", cfg, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error[domain]: cohort total mass overflows a double at k=100, m=1"
+        ]
+
     @pytest.mark.parametrize(
         "command, params",
         [
