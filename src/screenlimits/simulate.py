@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from math import exp, floor, inf, log1p, prod, sqrt
 from queue import Empty, SimpleQueue
 from struct import pack, unpack
@@ -138,11 +139,6 @@ _ONE_BITS = unpack("<q", pack("<d", 1.0))[0]
 # Relative outward pad of the AR(1) bucket edges: far above ndtri's error,
 # far below a bucket's width (2**-16 of probability).
 _EDGE_PAD = 1e-12
-
-# The AR(1) bucket edges, built by the first ar1 plan (~3.4 ms), not at
-# import; and (scale, scale * edges) for the last scale asked for.
-_EDGES: np.ndarray | None = None
-_STEP: tuple[float | None, np.ndarray | None] = (None, None)
 
 
 @dataclass(frozen=True)
@@ -625,22 +621,26 @@ def _ar1_tables(rho: float) -> tuple[float, np.ndarray, np.ndarray]:
     quarter even where ndtri misses monotonicity by a few ulps. It brackets
     a run's first value, and step = scale * first brackets each later
     value's term scale * eps. first is built by the first ar1 plan of the
-    process, and step is kept for the last scale asked for.
+    process (~3.4 ms), and step is kept for the last scale asked for.
     """
-    global _EDGES, _STEP
-    if _EDGES is None:
-        low = np.arange(1 << 16, dtype=np.uint64) << np.uint64(_TIE_BITS)
-        edges = _latent_values(np.stack([low, low + np.uint64((1 << _TIE_BITS) - 1)], axis=1))
-        edges += np.array([-_EDGE_PAD, _EDGE_PAD]) * (1.0 + np.abs(edges))
-        edges.flags.writeable = False
-        _EDGES = edges
     scale = sqrt(1.0 - rho**2)
-    kept, step = _STEP
-    if kept != scale:
-        step = scale * _EDGES
-        step.flags.writeable = False
-        _STEP = (scale, step)
-    return scale, _EDGES, step
+    return scale, _ar1_edges(), _ar1_step(scale)
+
+
+@cache
+def _ar1_edges() -> np.ndarray:
+    low = np.arange(1 << 16, dtype=np.uint64) << np.uint64(_TIE_BITS)
+    edges = _latent_values(np.stack([low, low + np.uint64((1 << _TIE_BITS) - 1)], axis=1))
+    edges += np.array([-_EDGE_PAD, _EDGE_PAD]) * (1.0 + np.abs(edges))
+    edges.flags.writeable = False
+    return edges
+
+
+@lru_cache(maxsize=1)
+def _ar1_step(scale: float) -> np.ndarray:
+    step = scale * _ar1_edges()
+    step.flags.writeable = False
+    return step
 
 
 def _latent_counts(
