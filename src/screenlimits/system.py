@@ -83,8 +83,9 @@ class SystemRisk:
 
     Fields are named as the output columns: q is the per-person tail,
     expected is n * q, prob is 1 - (1 - q)^n within [lower, upper].
-    `log_complement` is n * ln(1 - q), always finite and informative even
-    when `prob` saturates to 1.0 in double precision.
+    `log_complement` is n * ln(1 - q), informative where `prob` saturates
+    to 1.0, but -inf wherever q rounds to 1.0 (lam = 50, m = 1, n = 1000
+    gives -inf, not -50,000).
     """
 
     lam: float
