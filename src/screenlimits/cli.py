@@ -30,9 +30,10 @@ __all__ = ["main", "build_parser"]
 _OVERRIDES = ("runs", "seed", "workers", "criterion_level")
 
 # The parser main reuses for every call in this process, built on the first
-# call: a build costs ~2 ms, a parse ~0.06 ms. argparse gives each parse a
-# fresh Namespace and resolves sys.stdout/sys.stderr when it prints, so reuse
-# changes no output, exit code or error line.
+# call: a build costs ~2 ms. argparse gives each parse a fresh Namespace and
+# resolves sys.stdout/sys.stderr when it prints, so reuse changes no output,
+# exit code or error line. The top level hands a subcommand every later
+# argument, so main parses them with its parser alone: ~0.03 ms, not ~0.07.
 _PARSER = None
 
 
@@ -123,7 +124,14 @@ def main(argv: list[str] | None = None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    commands = _PARSER._subparsers._group_actions[0].choices
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:  # reported by the top level, as its parse_args would
+            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -344,14 +344,23 @@ SCENARIO_KINDS = tuple(_KINDS)
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and structurally validate a scenario JSON file."""
+    """Parse and structurally validate a scenario JSON file; bytes that are not
+    UTF-8 and JSON no output could hold are SchemaErrors like invalid JSON."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     try:
+        raw = data.decode("utf-8")
+        if "\r" in raw:  # the newlines a text-mode read gives, for the same error offsets
+            raw = raw.replace("\r\n", "\n").replace("\r", "\n")
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        if "\\u" in raw:  # only an escape can put a lone surrogate in a string
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        lone = exc.object[exc.start]
+        raise SchemaError(f"invalid JSON in {path}: lone surrogate {lone!r} in a string") from exc
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8 and int digit-limit errors
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")

@@ -148,15 +148,15 @@ def poisson_tail(lam: float, m: int) -> float:
     double.
 
     Args:
-        lam: Mean of the Poisson distribution (> 0).
+        lam: Mean of the Poisson distribution (> 0); inf gives 1.0.
         m: Integer threshold (>= 0).
 
     Raises:
-        RangeOverflowError: If m exceeds the double range, or gammainc
+        RangeOverflowError: If lam or m exceeds the double range, or gammainc
             returns nan where Temme's expansion does not hold (met nowhere
             in a scan of lam up to 1.7e308).
     """
-    x, b = _route(lam, m)
+    lam, x, b = _route(lam, m)
     if b is None and x == m:
         q = float(gammainc(x, lam))
         if q >= 2.2250738585072014e-308:  # sys.float_info.min
@@ -189,19 +189,20 @@ def log_poisson_tail(lam: float, m: int) -> float:
     Raises:
         RangeOverflowError: As poisson_tail.
     """
-    x, b = _route(lam, m)
+    lam, x, b = _route(lam, m)
     return _log_tail(lam, m, x, b)
 
 
-def _route(lam: float, m: int) -> tuple[float, float | None]:
-    """Check (lam, m); return x = float(m) and b = bd0(x, lam) where gammainc
-    is not trusted with P(x, lam), above the mean where Temme's expansion
-    holds. Elsewhere b is None, as it is off the grid (x != m)."""
+def _route(lam: float, m: int) -> tuple[float, float, float | None]:
+    """Check (lam, m); return lam and x = float(m) as doubles, and b = bd0(x, lam)
+    where gammainc is not trusted with P(x, lam), above the mean where Temme's
+    expansion holds. Elsewhere b is None, as it is off the grid (x != m)."""
     check_positive("lam", lam)
     check_int("threshold m", m, 0)
+    lam = as_float("lam", lam)
     x = as_float("threshold m", m)
     # short of m = 1000 the gate fails, so the common small m skips its call
-    return x, _temme_bd0(lam, m, x) if x > lam and x >= _TEMME_MIN_M else None
+    return lam, x, _temme_bd0(lam, m, x) if x > lam and x >= _TEMME_MIN_M else None
 
 
 def _temme_bd0(lam: float, m: int, x: float) -> float | None:
@@ -245,6 +246,8 @@ def _log_tail(lam: float, m: int, x: float, b: float | None) -> float:
             raise RangeOverflowError(
                 f"gammainc cannot evaluate Pr(Pois({lam:g}) >= {x:g}) in double precision"
             )
+    if lam == inf:  # off the grid; Pr(Pois(inf) >= m) is 1 for every finite m
+        return 0.0
     d = _excess(lam, m, x)
     return _log_temme(x, d, _bd0(x, lam, d) if b is None else b)
 
@@ -261,7 +264,7 @@ def _bd0(x: float, mu: float, d: float) -> float:
         # the odd-power tail is summed apart from d v, so its roundings fall
         # at its own, smaller ulp; v^2 < 1/9, so it ends within ~20 steps
         tail = 0.0
-        term = 2.0 * x * v
+        term = x * (2.0 * v)  # 2 x v would overflow past x ~ 9e307
         v2 = v * v
         for j in range(3, 80, 2):
             term *= v2
@@ -411,9 +414,9 @@ def tail_estimate(lam: float, m: int) -> TailEstimate:
 
     Raises:
         DomainError: If m <= lam, where no large-deviation sandwich exists.
-        RangeOverflowError: If m exceeds the double range.
+        RangeOverflowError: If lam or m exceeds the double range.
     """
-    x, b = _route(lam, m)
+    lam, x, b = _route(lam, m)
     if not m > lam:
         raise DomainError(f"sandwich bounds exist only for m > lam, got m={m}, lam={lam}")
     lower, upper, exponent = _sandwich(lam, m)

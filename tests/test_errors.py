@@ -256,6 +256,8 @@ HUGE_BAYES = BayesContext(r=1.0, s=1.0, alpha=0.5, q=0.1, n=10**400)
 # integers that pass check_int but do not fit a double
 HUGE_INTEGERS = {
     "poisson_tail.m": lambda: poisson_tail(5.0, 10**400),
+    "poisson_tail.lam": lambda: poisson_tail(10**400, 5),
+    "log_poisson_tail.lam": lambda: log_poisson_tail(10**400, 2**53 + 1),
     "binomial_tail.k": lambda: binomial_tail(10**400, 0.1, 3),
     "system_risk.k": lambda: system_risk(ScreeningConfig(k=10**400, p=0.005, n=10, m=3)),
     "cohort_system_risk.size": lambda: cohort_system_risk(

@@ -175,6 +175,38 @@ class TestExitCodes:
         assert main(["tail", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error[schema]:")
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff\xfe{}",
+            b"[" * 100_000,
+            b'{"kind": "tail", "parameters": {"lambda": 1%s, "m": 15}}' % (b"0" * 5000),
+            b'{"kind": "tail", "name": "a\\ud800", "parameters": {"lambda": 5.0, "m": 15}}',
+        ],
+        ids=["not-utf8", "too-deep", "digit-limit", "lone-surrogate"],
+    )
+    @pytest.mark.parametrize("out", [None, "tail.csv"], ids=["stdout", "file"])
+    def test_undecodable_config_is_two(self, raw, out, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_bytes(raw)
+        argv = ["tail", "--config", str(cfg)]
+        if out:
+            argv += ["--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error[schema]: invalid JSON in {cfg}: ")
+        assert not (tmp_path / "tail.csv").exists()
+
+    def test_paired_surrogate_escape_loads(self, tmp_path, capsys):
+        doc = {"kind": "tail", "name": "\U0001f600", "parameters": {"lambda": 5.0, "m": 15}}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert "\\ud83d\\ude00" in cfg.read_text(encoding="utf-8")
+        assert main(["tail", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("# scenario: \U0001f600\n")
+
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
     @pytest.mark.parametrize("slot", sorted(NUMERIC_SLOTS))
     def test_non_finite_number_is_two(self, slot, literal, tmp_path, capsys):
@@ -660,6 +692,13 @@ def _csv_row(text):
     return row
 
 
+TOP_USAGE = [
+    "usage: screenlimits [-h]",
+    "                    {tail,system,phase-scan,lifetime,cohort,bayes,effdim,simulate,figures,golden}",
+    "                    ...",
+]
+
+
 class TestSharedParser:
     def test_main_builds_one_parser_per_process(self, tmp_path, monkeypatch, capsys):
         built = []
@@ -704,6 +743,58 @@ class TestSharedParser:
         assert shown.value.code == 0
         assert capsys.readouterr().out.startswith("usage: screenlimits")
         assert outputs() == before
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (
+                ["tail", "--config", "x", "--bogus"],
+                [*TOP_USAGE, "screenlimits: error: unrecognized arguments: --bogus"],
+            ),
+            (
+                ["tail", "--format", "xml"],
+                [
+                    "usage: screenlimits tail [-h] --config CONFIG [--out OUT]",
+                    "                         [--format {csv,json}]",
+                    "screenlimits tail: error: argument --format: invalid choice: 'xml'"
+                    " (choose from 'csv', 'json')",
+                ],
+            ),
+            (
+                ["simulate", "--runs", "abc"],
+                [
+                    "usage: screenlimits simulate [-h] --config CONFIG [--out OUT]",
+                    "                             [--format {csv,json}] [--runs RUNS] [--seed SEED]",
+                    "                             [--workers WORKERS]",
+                    "screenlimits simulate: error: argument --runs: invalid int value: 'abc'",
+                ],
+            ),
+            (
+                ["bogus"],
+                [
+                    *TOP_USAGE,
+                    "screenlimits: error: argument command: invalid choice: 'bogus' (choose from"
+                    " 'tail', 'system', 'phase-scan', 'lifetime', 'cohort', 'bayes', 'effdim',"
+                    " 'simulate', 'figures', 'golden')",
+                ],
+            ),
+        ],
+        ids=["unrecognized", "bad-format", "bad-runs", "unknown-command"],
+    )
+    def test_usage_errors_are_argparse_own(self, argv, lines, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "\n".join(lines) + "\n"
+
+    def test_main_without_argv_reads_sys_argv(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, VALID["tail"])
+        monkeypatch.setattr("sys.argv", ["screenlimits", "tail", "--config", cfg, "--format", "json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "tail"
 
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()

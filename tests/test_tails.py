@@ -591,6 +591,34 @@ class TestHugeThresholds:
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
         assert poisson_tail(lam, m) == 1.0
 
+    def test_deviance_at_the_top_of_the_double_range(self):
+        # _bd0's 2 x v once overflowed past x ~ 9e307: exact read nan, exponent inf
+        lam, m = 1e308, int(1.01e308)
+        with mp.workdps(40):
+            want = float(mpf(m) * mp_log(mpf(m) / mpf(lam)) + mpf(lam) - mpf(m))
+        est = tail_estimate(lam, m)
+        assert est.exponent == pytest.approx(want, rel=1e-14)
+        # the sandwich's width, ln sqrt(2 pi m) ~ 355, is far under an ulp of ln q
+        assert est.log_exact == pytest.approx(-want, rel=1e-14)
+        assert est.exact == 0.0
+
+    @pytest.mark.parametrize(
+        "lam, m, want",
+        [(1e308, 10**308 + 1, 0.0), (1.7e308, int(1.7e308) + 1, math.log(0.5))],
+        ids=["1e138-sd-below", "one-above-1.7e308"],
+    )
+    def test_off_the_grid_at_the_top_of_the_double_range(self, lam, m, want):
+        # a bare ValueError and OverflowError once, from _bd0's overflow
+        assert float(m) != m
+        assert log_poisson_tail(lam, m) == pytest.approx(want, abs=1e-15)
+        assert poisson_tail(lam, m) == pytest.approx(math.exp(want), abs=1e-15)
+
+    @pytest.mark.parametrize("m", [0, 5, 2**53 + 1, 10**300], ids=["0", "5", "2^53+1", "10^300"])
+    def test_an_infinite_mean_passes_every_threshold(self, m):
+        assert poisson_tail(math.inf, m) == 1.0
+        got = log_poisson_tail(math.inf, m)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
     @given(
         lam=st.floats(min_value=1e16, max_value=1e300),
         sds=st.floats(min_value=-1e3, max_value=1e3),
