@@ -186,7 +186,7 @@ class TestExitCodes:
         ids=["not-utf8", "too-deep", "digit-limit", "lone-surrogate"],
     )
     @pytest.mark.parametrize("out", [None, "tail.csv"], ids=["stdout", "file"])
-    def test_undecodable_config_is_two(self, raw, out, tmp_path, capsys):
+    def test_unloadable_config_is_two(self, raw, out, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
         cfg.write_bytes(raw)
         argv = ["tail", "--config", str(cfg)]
