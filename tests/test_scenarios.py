@@ -831,6 +831,26 @@ class TestGoldenCommand:
         out = capsys.readouterr().out
         assert "tail-q-lam5-m15" in [line.split()[0] for line in out.splitlines() if " FAIL" in line]
 
+    # sha256 of the stdout table, which perfbench/checks.py parses and no
+    # artifact digest covers
+    STDOUT_SHA256 = {
+        "0": "e28511b0cfbb0d9f1f526deb10156705d378b237f773c17b492d017572c1e278",
+        "1": "6709a58300df074219d046cd23396e66f607b4991101f039b860cd34c6ca0d91",
+        "10": "01223e8ff04e73993e154b6bcfd8bdeb8cf8631e1cc8d87302ba7e1c102078d6",
+    }
+
+    def test_stdout_table_bytes_are_pinned(self, capsys):
+        for scale, digest in self.STDOUT_SHA256.items():
+            main(["golden", "--tol-scale", scale])
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, scale
+            rows = [line.split() for line in out.splitlines()[:-1]]
+            names = [row[0] for row in rows]
+            assert len(names) == len(set(names))
+            if scale == "0":
+                exact = [row[0] for row in rows if row[1] == "pass"]
+                assert exact == ["evidential-nq", "evidential-regime"]
+
     def test_file_output_with_manifest(self, tmp_path, capsys):
         out = tmp_path / "golden.csv"
         assert main(["golden", "--out", str(out)]) == 1
