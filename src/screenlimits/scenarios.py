@@ -343,6 +343,22 @@ _KINDS = {
 SCENARIO_KINDS = tuple(_KINDS)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """Build a JSON object, refusing a key given twice at any depth."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"key {key!r} given twice")
+            seen.add(key)
+    return obj
+
+
+# One decoder for every load: json.loads builds a new one per call given a hook
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and structurally validate a scenario JSON file; bytes that are not
     UTF-8 and JSON no output could hold are SchemaErrors like invalid JSON."""
@@ -354,7 +370,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raw = data.decode("utf-8")
         if "\r" in raw:  # the newlines a text-mode read gives, for the same error offsets
             raw = raw.replace("\r\n", "\n").replace("\r", "\n")
-        doc = json.loads(raw)
+        if raw.startswith("\ufeff"):  # json.loads' message; the decoder's is "Expecting value"
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0)
+        doc = _DECODER.decode(raw)
         if "\\u" in raw:  # only an escape can put a lone surrogate in a string
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:

@@ -182,8 +182,23 @@ class TestExitCodes:
             b"[" * 100_000,
             b'{"kind": "tail", "parameters": {"lambda": 1%s, "m": 15}}' % (b"0" * 5000),
             b'{"kind": "tail", "name": "a\\ud800", "parameters": {"lambda": 5.0, "m": 15}}',
+            b'{"kind": "tail", "kind": "tail", "parameters": {"lambda": 5.0, "m": 15}}',
+            b'{"kind": "tail", "parameters": {"lambda": 5.0, "m": 15, "m": 16}}',
+            b'{"kind": "cohort", "parameters": {"groups": [{"label": "a", "n": 10, "p": 0.1,'
+            b' "p": 0.2}], "k": 100, "m": 3}}',
+            b'{"kind": "simulate", "parameters": {"target": "correlated", "k": 20, "p": 0.3,'
+            b' "m": 5, "correlation": {"kind": "ar1", "rho": 0.3, "rho": 0.5}}}',
         ],
-        ids=["not-utf8", "too-deep", "digit-limit", "lone-surrogate"],
+        ids=[
+            "not-utf8",
+            "too-deep",
+            "digit-limit",
+            "lone-surrogate",
+            "repeated-top-level-key",
+            "repeated-parameter",
+            "repeated-group-key",
+            "repeated-correlation-key",
+        ],
     )
     @pytest.mark.parametrize("out", [None, "tail.csv"], ids=["stdout", "file"])
     def test_unloadable_config_is_two(self, raw, out, tmp_path, capsys):
