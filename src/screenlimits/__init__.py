@@ -5,8 +5,13 @@ Robbins-Stirling sandwich bounds, system-level false-alert probabilities
 and critical population scales, lifetimes under geometric attribute growth,
 cohort disparity decompositions, Bayesian alert reliability, and
 correlation-corrected effective dimensionality. A seeded, chunk-keyed
-Monte Carlo engine validates every analytic quantity, and a CLI emits
-reproducible CSV/JSON datasets with checksummed manifests.
+Monte Carlo engine checks the binomial and Poisson alert probabilities, per
+person and per system, against the tails they sample. Its system
+poisson-approx rows draw from the analytic q they are compared with, and
+its copula rows carry the independent-case tail, not the correlated law;
+lifetimes, cohorts, Bayes regimes and effective dimension have no Monte
+Carlo check. A CLI emits reproducible CSV/JSON datasets with checksummed
+manifests.
 """
 
 from .bayes import (

@@ -73,7 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gold = sub.add_parser("golden", help="recompute the frozen reference-value registry")
     gold.add_argument("--out", default=None, help="output file (stdout table if omitted)")
-    gold.add_argument("--format", choices=("csv", "json"), default="csv")
+    gold.add_argument(
+        "--format",
+        choices=("csv", "json"),
+        default="csv",
+        help="format of the --out file (the stdout table ignores it)",
+    )
     gold.add_argument(
         "--tol-scale",
         type=float,
