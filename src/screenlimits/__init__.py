@@ -6,9 +6,9 @@ and critical population scales, lifetimes under geometric attribute growth,
 cohort disparity decompositions, Bayesian alert reliability, and
 correlation-corrected effective dimensionality. A seeded, chunk-keyed
 Monte Carlo engine checks the binomial and Poisson alert probabilities, per
-person and per system, against the tails they sample. Its system
-poisson-approx rows draw from the analytic q they are compared with, and
-its copula rows carry the independent-case tail, not the correlated law;
+person and per system, against the tails they sample; its system
+poisson-approx rows check the person-level q and compose it over n. Its
+copula rows carry the independent-case tail, not the correlated law;
 lifetimes, cohorts, Bayes regimes and effective dimension have no Monte
 Carlo check. A CLI emits reproducible CSV/JSON datasets with checksummed
 manifests.

@@ -17,7 +17,7 @@ taking chunks from one queue. A plan of one chunk never uses a thread.
 
 Modes:
     binomial-exact     draw the k-attribute match count per individual
-    poisson-approx     draw Poisson counts (or Binomial(n, q) at system level)
+    poisson-approx     draw Poisson counts (per person, composed over n at system level)
     copula-correlated  correlated attributes via a latent Gaussian copula
 
 The exchangeable copula draws one shared normal s per run and the count as
@@ -39,7 +39,7 @@ law is built once per plan as raw-word cuts plus a fallback draw
 (`_binomial_law`, `_poisson_law`), and one kernel, `_alerts`, decides every
 chunk from them. Where the law is sampled by sequential-search inversion
 from one Philox double per value (numpy's binomial for 0 < p <= 1/2,
-n p <= 30; the Poisson walk for 0 < k p <= 30, 1 <= m <= k p +
+k p <= 30; the Poisson walk for 0 < k p <= 30, 1 <= m <= k p +
 10 sqrt(k p + 1)), the count reaches m exactly when the 53-bit uniform U
 behind that double reaches a cut, the raw 64-bit word cut shifted right by
 11 bits. The kernel spends 16 bits per value: each raw word gives four
@@ -66,7 +66,7 @@ reference that builds each U from its quarter and tie bits.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from math import exp, floor, inf, log1p, prod, sqrt
 from queue import Empty, SimpleQueue
@@ -128,7 +128,7 @@ _MAX_WORKERS = 32
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = Lock()
 
-# numpy's sampler limits: binomial n is an int64, and Generator.poisson
+# numpy's sampler limits: binomial size k is an int64, and Generator.poisson
 # rejects a mean above int64 max - 10 sqrt(int64 max).
 _INT64_MAX = 2**63 - 1
 _POISSON_LAM_MAX = _INT64_MAX - sqrt(_INT64_MAX) * 10
@@ -286,10 +286,10 @@ def _word_cut(cut: float) -> int:
     return max(0, floor(cut * 2.0**53) + 1) << 11
 
 
-def _binomial_law(n: int, p: float, m: int):
-    """(word cuts or None, fallback draw) deciding Bin(n, p) >= m.
+def _binomial_law(k: int, p: float, m: int):
+    """(word cuts or None, fallback draw) deciding Bin(k, p) >= m.
 
-    numpy draws Bin(n, p) by inversion when 0 < p <= 1/2 and n p <= 30: one
+    numpy draws Bin(k, p) by inversion when 0 < p <= 1/2 and k p <= 30: one
     double U per value, the double rng.random would return, and the count
     reaches m exactly when U exceeds the first cut. Past the second cut the
     count would pass numpy's bound and the walk would restart on a fresh
@@ -297,27 +297,28 @@ def _binomial_law(n: int, p: float, m: int):
     beyond the bound.
 
     Raises:
-        RangeOverflowError: If n does not fit numpy's int64 binomial size.
+        RangeOverflowError: If the attribute count k does not fit numpy's
+            int64 binomial size.
     """
-    if n > _INT64_MAX:
-        raise RangeOverflowError(f"binomial size n = {n:.3g} exceeds numpy's int64 limit")
-    n = int(n)
+    if k > _INT64_MAX:
+        raise RangeOverflowError(f"binomial size k = {k:.3g} exceeds numpy's int64 limit")
+    k = int(k)
 
     def draw(rng: np.random.Generator, shape) -> np.ndarray:
-        return rng.binomial(n, p, shape) >= m
+        return rng.binomial(k, p, shape) >= m
 
-    if not (0.0 < p <= 0.5 and n >= 1 and p * n <= 30.0 and m >= 1):
+    if not (0.0 < p <= 0.5 and k >= 1 and p * k <= 30.0 and m >= 1):
         return None, draw
     q = 1.0 - p
-    mean = n * p
-    bound = int(min(float(n), mean + 10.0 * sqrt(mean * q + 1)))
+    mean = k * p
+    bound = int(min(float(k), mean + 10.0 * sqrt(mean * q + 1)))
     if m > bound:
         return None, draw
     # the px of numpy's random_binomial_inversion, in its float order
-    px = exp(n * log1p(-p))
+    px = exp(k * log1p(-p))
     terms = [px]
     for x in range(1, bound + 1):
-        px = (float(n - x + 1) * p * px) / (x * q)
+        px = (float(k - x + 1) * p * px) / (x * q)
         terms.append(px)
     return (_word_cut(_last_short_walk(terms[:m])), _word_cut(_last_short_walk(terms))), draw
 
@@ -570,29 +571,34 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
     """Estimate the probability that at least one of n individuals alerts.
 
     binomial-exact simulates every individual's match count directly and is
-    budget-capped at 1e9 individual draws; poisson-approx draws the alert
-    count as Binomial(n, q_poisson), one value per trial, and is the route
-    for n beyond the exact budget.
+    budget-capped at 1e9 individual draws. poisson-approx, the route for n
+    beyond that budget, estimates the person-level q by simulate_per_person
+    and composes 1 - (1 - q)^n analytically, by system_probability, for the
+    estimate and the reference alike. Its draws check q, not the
+    composition: z_score is the person-level z, and std_error is the delta
+    method's n (1 - q)^(n-1) se(q).
     """
     if plan.mode == MODE_COPULA:
         raise DomainError("use simulate_correlated for copula plans")
-    if plan.mode == MODE_BINOMIAL:
-        total_draws = as_float("n * runs", plan.n * plan.runs)
-        if total_draws > _DRAW_BUDGET:
-            raise BudgetError(
-                f"exact mode needs n*runs = {total_draws:.2e} individual "
-                f"draws (> {_DRAW_BUDGET:.0e}); reduce runs or use "
-                f"mode={MODE_POISSON!r}"
-            )
-        q = binomial_tail(plan.k, plan.p, plan.m)
-        # each run is a row of n individuals
-        args, row = (plan.k, plan.p, plan.m), (plan.n,)
-    else:
-        # each run draws its alert count as Bin(n, q) and alerts when it is >= 1
-        q = poisson_tail(as_float("k", plan.k) * plan.p, plan.m)
-        args, row = (plan.n, q, 1), ()
-    analytic, _ = system_probability(q, plan.n)
-    return _alert_report(plan, workers, _binomial_law(*args), analytic, row)
+    if plan.mode == MODE_POISSON:
+        size = as_float("n", plan.n)
+        person = simulate_per_person(plan, workers)
+        q = person.estimate
+        estimate, analytic = (system_probability(x, plan.n)[0] for x in (q, person.analytic))
+        # se(q) is 0 at q = 1, where log1p(-q) would fail
+        se = size * exp((size - 1.0) * log1p(-q)) * person.std_error if q < 1.0 else 0.0
+        diff = abs(estimate - analytic)
+        return replace(person, estimate=estimate, std_error=se, analytic=analytic, abs_error=diff)
+    total_draws = as_float("n * runs", plan.n * plan.runs)
+    if total_draws > _DRAW_BUDGET:
+        raise BudgetError(
+            f"exact mode needs n*runs = {total_draws:.2e} individual "
+            f"draws (> {_DRAW_BUDGET:.0e}); reduce runs or use "
+            f"mode={MODE_POISSON!r}"
+        )
+    analytic, _ = system_probability(binomial_tail(plan.k, plan.p, plan.m), plan.n)
+    # each run is a row of n individuals
+    return _alert_report(plan, workers, _binomial_law(plan.k, plan.p, plan.m), analytic, (plan.n,))
 
 
 def _latent_values(x: np.ndarray) -> np.ndarray:

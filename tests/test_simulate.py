@@ -98,12 +98,41 @@ class TestSystem:
         assert 0.3 < rep.estimate < 0.8
         assert within_3se(rep)
 
-    def test_single_person_system_matches_per_person(self):
-        plan = SimPlan(k=30, p=0.1, m=6, n=1, runs=10**4, seed=99, mode=MODE_BINOMIAL)
+    @pytest.mark.parametrize("mode", [MODE_BINOMIAL, MODE_POISSON])
+    def test_single_person_system_matches_per_person(self, mode):
+        plan = SimPlan(k=30, p=0.1, m=6, n=1, runs=10**4, seed=99, mode=mode)
         as_system = simulate_system(plan)
         as_person = simulate_per_person(plan)
         assert as_system.estimate == as_person.estimate
         assert as_system.analytic == pytest.approx(as_person.analytic, rel=1e-12)
+        if mode == MODE_POISSON:
+            # the person report composed over n = 1, field by field
+            assert as_system == as_person
+
+    def test_poisson_mode_checks_the_person_q(self):
+        plan = SimPlan(k=100, p=0.01, m=5, n=50, runs=3000, seed=3, mode=MODE_POISSON)
+        system, person = simulate_system(plan), simulate_per_person(plan)
+        assert system.z_score == person.z_score
+        assert system.estimate == system_probability(person.estimate, 50)[0]
+        assert system.analytic == system_probability(person.analytic, 50)[0]
+        assert system.abs_error == abs(system.estimate - system.analytic)
+        # the delta method: d/dq (1 - (1 - q)^n) = n (1 - q)^(n - 1)
+        slope = 50 * (1.0 - person.estimate) ** 49
+        assert system.std_error == pytest.approx(slope * person.std_error, rel=1e-12)
+
+    def test_poisson_mode_at_a_certain_alert(self):
+        # q = Pr(Pois(5) >= 0) = 1, so every run alerts and se(q) is 0
+        plan = SimPlan(k=100, p=0.05, m=0, n=50, runs=100, seed=0, mode=MODE_POISSON)
+        rep = simulate_system(plan)
+        assert (rep.estimate, rep.std_error, rep.analytic, rep.z_score) == (1.0, 0.0, 1.0, 0.0)
+
+    def test_poisson_mode_draws_no_binomial(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a system poisson-approx plan built a binomial law")
+
+        monkeypatch.setattr(simulate, "_binomial_law", refused)
+        plan = SimPlan(k=200, p=0.01, m=6, n=50, runs=20_000, seed=5, mode=MODE_POISSON)
+        assert within_3se(simulate_system(plan))
 
     @pytest.mark.parametrize("mode", [MODE_BINOMIAL, MODE_POISSON])
     def test_analytic_is_system_probability(self, mode):
@@ -664,9 +693,8 @@ class TestBinomialAlerts:
         plans = [
             SimPlan(k=200, p=0.01, m=6, runs=20_000, seed=41, mode=MODE_BINOMIAL),
             SimPlan(k=200, p=0.01, m=6, n=50, runs=400, seed=42, mode=MODE_BINOMIAL),
-            SimPlan(k=200, p=0.01, m=6, n=50, runs=20_000, seed=43, mode=MODE_POISSON),
         ]
-        runs = [simulate_per_person, simulate_system, simulate_system]
+        runs = [simulate_per_person, simulate_system]
         real_law = simulate._binomial_law
 
         def no_cuts(n, p, m):
@@ -1069,11 +1097,15 @@ class TestAr1Brackets:
 
 class TestSamplerLimits:
     def test_binomial_size_beyond_int64(self):
+        # system poisson-approx draws per person, so n has no sampler limit
         plan = SimPlan(k=20, p=0.3, m=5, n=2**63, runs=10, seed=0, mode=MODE_POISSON)
-        with pytest.raises(RangeOverflowError):
-            simulate_system(plan)
-        plan = SimPlan(k=20, p=0.3, m=5, n=2**63 - 1, runs=10, seed=0, mode=MODE_POISSON)
         assert simulate_system(plan).estimate == 1.0
+        # the int64 guard is on the attribute count k
+        plan = SimPlan(k=2**63, p=0.3, m=5, runs=10, seed=0, mode=MODE_BINOMIAL)
+        with pytest.raises(RangeOverflowError, match="binomial size k"):
+            simulate_per_person(plan)
+        plan = SimPlan(k=2**63 - 1, p=1e-30, m=5, runs=10, seed=0, mode=MODE_BINOMIAL)
+        assert simulate_per_person(plan).estimate == 0.0
 
     def test_poisson_mean_beyond_numpy_limit(self):
         limit = simulate._POISSON_LAM_MAX
