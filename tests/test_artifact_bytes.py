@@ -254,10 +254,10 @@ EXPECTED = {
         "simulate-person-poisson.json.manifest.json": "88d83616af9c83047d8ce732c37d229fa840c9bf76227c136d88693ece125701",
     },
     "simulate-system": {
-        "simulate-system.csv": "5fe86d850bac53686a468fd829f110a52d3592b6383c7c2b6a4d558496d3dc01",
-        "simulate-system.csv.manifest.json": "eb8a82c271a706c7668443834b5c2315fc32f060eb4454f556576b0919322cb7",
-        "simulate-system.json": "ff916b5530acccd79cf72f23e5b89167418782cf0f375d6e57a3c3248324e8e2",
-        "simulate-system.json.manifest.json": "302ad9a003f1123c3af42178a4e29835c421314e9cb4523834b0db740d062544",
+        "simulate-system.csv": "e5cd35ec0d808dfc15c2bc5e035421f6c8ca046da8d1d958d17fc919c07b59c3",
+        "simulate-system.csv.manifest.json": "23f93300e053d70cf75d53ddb06c80389ad446b3e2f605038b58d644561f5bda",
+        "simulate-system.json": "2052fc3673e717588b46473b105d75aa177e137158babaaf63b5d94519bfe39f",
+        "simulate-system.json.manifest.json": "c631cf7159b9a8a36515fa3745920e65bb5c211c5de1b6b74f372d4fb5d31ae6",
     },
     "simulate-system-exact": {
         "simulate-system-exact.csv": "0d8b8144c86b116d1c831ec89bbda2187dcfbb4e9f50039fb110ebd29cd7dcd4",
