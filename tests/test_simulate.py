@@ -91,7 +91,12 @@ class TestSystem:
         )
         assert rep.abs_error <= 3.0 * rep.std_error + 1e-12
 
-    def test_poisson_mode(self):
+    def test_poisson_mode(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a system poisson-approx plan built a binomial law")
+
+        # the person Poisson draw is the only draw: no Bin(n, q) law is built
+        monkeypatch.setattr(simulate, "_binomial_law", refused)
         # n = 50 keeps the probability mid-range so the z-score is meaningful
         plan = SimPlan(k=200, p=0.01, m=6, n=50, runs=20000, seed=5, mode=MODE_POISSON)
         rep = simulate_system(plan)
@@ -125,14 +130,6 @@ class TestSystem:
         plan = SimPlan(k=100, p=0.05, m=0, n=50, runs=100, seed=0, mode=MODE_POISSON)
         rep = simulate_system(plan)
         assert (rep.estimate, rep.std_error, rep.analytic, rep.z_score) == (1.0, 0.0, 1.0, 0.0)
-
-    def test_poisson_mode_draws_no_binomial(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("a system poisson-approx plan built a binomial law")
-
-        monkeypatch.setattr(simulate, "_binomial_law", refused)
-        plan = SimPlan(k=200, p=0.01, m=6, n=50, runs=20_000, seed=5, mode=MODE_POISSON)
-        assert within_3se(simulate_system(plan))
 
     @pytest.mark.parametrize("mode", [MODE_BINOMIAL, MODE_POISSON])
     def test_analytic_is_system_probability(self, mode):
