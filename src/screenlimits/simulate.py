@@ -1,6 +1,7 @@
 """Seeded Monte Carlo validation of the analytic false-alert formulas.
 
-Determinism contract: a report is a pure function of its plan. Trials are
+Determinism contract: a report is a pure function of its plan, or for a
+sweep of exact-system plans (figure panel A) of the sweep's plans. Trials are
 partitioned into chunks whose size depends only on the plan, and chunk j
 draws from an independent Philox stream keyed by (seed, j), so results are
 bit-identical across runs and across any degree of parallelism: chunk
@@ -8,7 +9,7 @@ outputs are integer counts and integer sums, which combine identically in
 any order. The `workers` argument changes wall-clock time only, never the
 report. A binomial or Poisson alert chunk holds max(1, 2**18 // width) runs
 of `width` values each (n for exact system rows, else 1), and at most 8192
-runs when its law has no word cuts; a copula chunk holds
+runs when no law of the call has word cuts; a copula chunk holds
 max(1, min(4096, 2**20 // k)) runs.
 
 Workers: a call runs its chunks in the calling thread plus up to
@@ -34,33 +35,35 @@ run against the draw budget, and both report the mean and variance of the
 count, whose excess over k p (1 - p) is the design effect of the binary
 correlation the latent rho induces.
 
-Binomial and Poisson draws only ever feed an alert test count >= m. Each
-law is built once per plan as raw-word cuts plus a fallback draw
-(`_binomial_law`, `_poisson_law`), and one kernel, `_alerts`, decides every
-chunk from them. Where the law is sampled by sequential-search inversion
-from one Philox double per value (numpy's binomial for 0 < p <= 1/2,
-k p <= 30; the Poisson walk for 0 < k p <= 30, 1 <= m <= k p +
-10 sqrt(k p + 1)), the count reaches m exactly when the 53-bit uniform U
-behind that double reaches a cut, the raw 64-bit word cut shifted right by
-11 bits. The kernel spends 16 bits per value: each raw word gives four
-16-bit quarters, lowest first, and a quarter is the top of its value's U. A
-quarter above the cut's top 16 bits alerts and one below does not; a
-quarter equal to it (probability 2**-16) takes the low 37 bits of U from
-the top of one more word, drawn after the chunk's quarters, so each value
-alerts with probability exactly Pr(U >= cut). The same test against the
-restart cut, whose top 16 bits are all ones (so a chunk of 2**18 values
-meets ~4 of its ties), sends a binomial chunk whose walk would have
-restarted to the fallback, which draws it again from a fresh generator of
-the same (seed, j) stream, as it draws every chunk outside the regime.
-That redraw reads the stream the restart test read, so the sampled law is
-exact when no value reaches the restart cut and otherwise differs from it
-by at most the chance of a restart in the chunk, below 1e-12 per value. A
-row wider than 2**18 values is drawn in blocks of at most 2**18 from the
-same stream, so memory stays bounded. The grids in tests/test_simulate.py
-pin the word cuts to rng.binomial and to a replay of the Poisson walk
-element by element, so a numpy upgrade that changes its sampler fails them
-loudly instead of moving a result, and pin the kernel to a scalar
-reference that builds each U from its quarter and tie bits.
+Binomial and Poisson draws only ever feed an alert test count >= m. Each law
+is built once per plan as raw-word cuts plus a fallback draw
+(`_binomial_law`, `_poisson_law`), and `_alerts` decides a chunk for a list
+of laws from one read of its stream: the one law of a plan, or every point
+of a sweep on common random numbers, so that the points share their uniforms
+and a point's alert flags contain those of every point with a higher cut.
+Where the law is sampled by sequential-search inversion from one Philox
+double per value (numpy's binomial for 0 < p <= 1/2, k p <= 30; the Poisson
+walk for 0 < k p <= 30, 1 <= m <= k p + 10 sqrt(k p + 1)), the count reaches
+m exactly when the 53-bit uniform U behind that double reaches a cut, the
+raw 64-bit word cut shifted right by 11 bits. The kernel spends 16 bits per
+value: each raw word gives four 16-bit quarters, lowest first, and a quarter
+is the top of its value's U. A quarter above the cut's top 16 bits alerts
+and one below does not; a quarter equal to it (probability 2**-16) takes the
+low 37 bits of U from the top of one more word, drawn after the chunk's
+quarters, so each value alerts with probability exactly Pr(U >= cut). The
+same test against the restart cut, whose top 16 bits are all ones (so a
+chunk of 2**18 values meets ~4 of its ties), sends a binomial law whose walk
+would have restarted to the fallback, which draws that law's chunk again
+from a fresh generator of the same (seed, j) stream, as it draws every chunk
+outside the regime. That redraw reads the stream the restart test read, so
+the sampled law is exact when no value reaches the restart cut and otherwise
+differs from it by at most the chance of a restart in the chunk, below 1e-12
+per value. A row wider than 2**18 values is drawn in blocks of at most 2**18
+from the same stream, so memory stays bounded. The grids in
+tests/test_simulate.py pin the word cuts to rng.binomial and to a replay of
+the Poisson walk element by element, so a numpy upgrade that changes its
+sampler fails them loudly instead of moving a result, and pin the kernel to
+a scalar reference that builds each U from its quarter and tie bits.
 """
 
 from __future__ import annotations
@@ -406,44 +409,47 @@ def _fallback(rng: np.random.Generator, rows: int, width: int, draw) -> np.ndarr
     return alerts
 
 
-def _alerts(seed: int, j: int, shape: tuple[int, ...], law) -> np.ndarray:
-    """The law's count >= m for chunk j's stream, one flag per row of `shape`.
+def _alerts(seed: int, j: int, shape: tuple[int, ...], laws: list) -> list[np.ndarray]:
+    """Each law's count >= m for chunk j's stream: one array of flags per law,
+    one flag per row of `shape`.
 
     A value alerts when the 53-bit uniform U its inversion walk reads reaches
     the alert word's U, and a row when any of its values does. Each value
     gets one 16-bit quarter h of the chunk's raw words, the top 16 bits of
-    its U. With (hi, lo) the top 16 and low 37 bits of the cut's U, h > hi
-    alerts, and h == hi alerts if 37 tie bits reach lo (or at once when
-    lo == 0). Only a row's largest quarters can decide it, so tie bits are
-    drawn only for the quarters equal to the top of a row whose top is a
-    tie: after the chunk's quarters, one word per tie, rows in order, its
-    top 37 bits. If a U reaches a binomial law's restart word, numpy's walk
-    would have restarted, so the chunk is drawn again by the fallback from a
-    fresh generator.
+    its U, shared by every law. With (hi, lo) the top 16 and low 37 bits of
+    a cut's U, h > hi alerts, and h == hi alerts if 37 tie bits reach lo (or
+    at once when lo == 0). Only a row's largest quarters can decide it, so
+    tie bits are drawn only for the quarters equal to the top of a row whose
+    top ties any law's cut: after the chunk's quarters, one word per tie,
+    rows in order, its top 37 bits. So each law sees its own exact draw, and
+    where the alert cuts decrease along `laws` each row's flags can only
+    turn on. If a U reaches a binomial law's restart word, numpy's walk
+    would have restarted, so that law alone is drawn again by the fallback
+    from a fresh generator, as is a law without cuts.
     """
-    cuts, draw = law
     rows, width = shape[0], prod(shape[1:])
-    rng = _chunk_rng(seed, j)
-    if cuts is not None:
-        gen = rng.bit_generator
-        (hi, lo), (rhi, rlo) = (divmod(cut >> 11, 1 << _TIE_BITS) for cut in cuts)
-        tied = tuple(t for t, low in ((hi, lo), (rhi, rlo)) if low)
+    flags = [None] * len(laws)
+    cuts = {i: [divmod(c >> 11, 1 << _TIE_BITS) for c in law[0]]
+            for i, law in enumerate(laws) if law[0] is not None}
+    redraw = [i for i in range(len(laws)) if i not in cuts]
+    if cuts:
+        gen = _chunk_rng(seed, j).bit_generator
+        tied = tuple({t for pair in cuts.values() for t, low in pair if low})
         top, tie_rows, ties = _row_tops(gen, rows, width, tied)
-        peak = int(top.max())
-        restart = peak > rhi or (peak == rhi and not rlo)
-        if not restart:
-            alerts = top > hi if lo else top >= hi
-            if tie_rows.size:
-                bits = gen.random_raw(int(ties.sum())) >> np.uint64(64 - _TIE_BITS)
-                # only the largest tie bits of a row can decide it
-                best = np.maximum.reduceat(bits, np.cumsum(ties) - ties)
-                tops = top[tie_rows]
-                restart = bool(np.any((tops == rhi) & (best >= rlo)))
-                alerts[tie_rows[(tops == hi) & (best >= lo)]] = True
-            if not restart:
-                return alerts
-        rng = _chunk_rng(seed, j)
-    return _fallback(rng, rows, width, draw)
+        bits = gen.random_raw(int(ties.sum())) >> np.uint64(64 - _TIE_BITS)
+        # only the largest tie bits of a row can decide it
+        best = np.maximum.reduceat(bits, np.cumsum(ties) - ties)
+        tops, peak = top[tie_rows], int(top.max())
+        for i, ((hi, lo), (rhi, rlo)) in cuts.items():
+            # only the chunk's largest quarters can reach the restart word
+            if peak > rhi or peak == rhi and (not rlo or np.any((tops == rhi) & (best >= rlo))):
+                redraw.append(i)
+                continue
+            flags[i] = top > hi if lo else top >= hi
+            flags[i][tie_rows[(tops == hi) & (best >= lo)]] = True
+    for i in redraw:
+        flags[i] = _fallback(_chunk_rng(seed, j), rows, width, laws[i][1])
+    return flags
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -524,24 +530,28 @@ def _finish(alerts: int, plan: SimPlan, analytic: float) -> SimReport:
     )
 
 
-def _alert_report(
-    plan: SimPlan, workers: int, law, analytic: float, row: tuple[int, ...] = ()
-) -> SimReport:
-    """The report of the runs `_alerts` flags under `law`; each run draws a block of shape `row`.
+def _alert_reports(
+    plans: list[SimPlan], workers: int, laws: list, analytics: list[float], row: tuple[int, ...] = ()
+) -> list[SimReport]:
+    """One report per plan, of the runs `_alerts` flags under its law; every
+    plan shares the first plan's seed and runs, and each run draws a block of
+    shape `row`.
 
     A chunk holds max(1, _VALUES // width) runs of `width` values each, and
-    at most _CHUNK runs when the law has no word cuts.
+    at most _CHUNK runs when no law has word cuts.
     """
     chunk = max(1, _VALUES // prod(row))
-    if law[0] is None:
+    if all(law[0] is None for law in laws):
         # every value is a numpy draw, so a smaller chunk costs no more and
         # gives the workers more chunks to share
         chunk = min(chunk, _CHUNK)
+    seed = plans[0].seed
 
-    def tally(j: int, size: int) -> int:
-        return int(np.count_nonzero(_alerts(plan.seed, j, (size, *row), law)))
+    def tally(j: int, size: int) -> list[int]:
+        return [int(np.count_nonzero(flags)) for flags in _alerts(seed, j, (size, *row), laws)]
 
-    return _finish(sum(_count(plan, chunk, workers, tally)), plan, analytic)
+    counts = map(sum, zip(*_count(plans[0], chunk, workers, tally)))
+    return [_finish(c, plan, a) for c, plan, a in zip(counts, plans, analytics)]
 
 
 def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
@@ -564,7 +574,7 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
         lam = as_float("k", plan.k) * plan.p
         law = _poisson_law(lam, plan.m)
         analytic = poisson_tail(lam, plan.m)
-    return _alert_report(plan, workers, law, analytic)
+    return _alert_reports([plan], workers, [law], [analytic])[0]
 
 
 def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
@@ -589,16 +599,28 @@ def simulate_system(plan: SimPlan, workers: int = 1) -> SimReport:
         se = size * exp((size - 1.0) * log1p(-q)) * person.std_error if q < 1.0 else 0.0
         diff = abs(estimate - analytic)
         return replace(person, estimate=estimate, std_error=se, analytic=analytic, abs_error=diff)
-    total_draws = as_float("n * runs", plan.n * plan.runs)
+    return _exact_system([plan], workers)[0]
+
+
+def _exact_system(plans: list[SimPlan], workers: int) -> list[SimReport]:
+    """One binomial-exact system report per plan, for plans that share seed,
+    runs and n.
+
+    Every plan reads the same chunk streams (common random numbers): each
+    run is a row of n individuals, and one read of a chunk's quarters
+    decides every plan's law (see _alerts).
+    """
+    n = plans[0].n
+    total_draws = as_float("n * runs", n * plans[0].runs)
     if total_draws > _DRAW_BUDGET:
         raise BudgetError(
             f"exact mode needs n*runs = {total_draws:.2e} individual "
             f"draws (> {_DRAW_BUDGET:.0e}); reduce runs or use "
             f"mode={MODE_POISSON!r}"
         )
-    analytic, _ = system_probability(binomial_tail(plan.k, plan.p, plan.m), plan.n)
-    # each run is a row of n individuals
-    return _alert_report(plan, workers, _binomial_law(plan.k, plan.p, plan.m), analytic, (plan.n,))
+    laws = [_binomial_law(plan.k, plan.p, plan.m) for plan in plans]
+    analytics = [system_probability(binomial_tail(plan.k, plan.p, plan.m), n)[0] for plan in plans]
+    return _alert_reports(plans, workers, laws, analytics, (n,))
 
 
 def _latent_values(x: np.ndarray) -> np.ndarray:

@@ -588,34 +588,38 @@ def _any_by_row(flags: np.ndarray) -> np.ndarray:
     return flags.any(axis=1) if flags.ndim == 2 else flags
 
 
-def _reference_alerts(seed: int, j: int, shape: tuple, law, mask: int = 0xFFFF) -> np.ndarray:
-    """_alerts from scalar arithmetic: each value's 53-bit U is its 16-bit
-    quarter followed by 37 tie bits, and the row flag is max(U) >= the cut's U.
+def _reference_alerts(seed: int, j: int, shape: tuple, laws: list, mask: int = 0xFFFF) -> np.ndarray:
+    """_alerts from scalar arithmetic, one row of flags per law: each value's
+    53-bit U is its 16-bit quarter followed by 37 tie bits, and a law's row
+    flag is max(U) >= its cut's U.
 
     Quarters come lowest first from chunk j's raw words, each ANDed with
-    `mask`. A row whose top quarter equals the top 16 bits of a cut with
-    nonzero low bits draws one word per quarter equal to that top, rows in
-    order, after all the quarters; every other U gets zero tie bits, which
-    cannot change its row's flag. A U at or above the restart cut sends the
-    chunk to the law's fallback draw on a fresh stream.
+    `mask`. A row whose top quarter equals the top 16 bits of any law's cut
+    with nonzero low bits draws one word per quarter equal to that top, rows
+    in order, after all the quarters; every other U gets zero tie bits, which
+    cannot change its row's flag under any law. A law without cuts, or one
+    whose restart cut some U reaches, takes its fallback draw on a fresh
+    stream.
     """
-    (alert, restart), draw = law
     rows, width = shape[0], shape[1] if len(shape) == 2 else 1
     count = rows * width
     gen = simulate._chunk_rng(seed, j).bit_generator
     words = [int(w) for w in gen.random_raw((count + 3) // 4)]
     quarters = [(w >> shift) & 0xFFFF & mask for w in words for shift in (0, 16, 32, 48)][:count]
-    u_alert, u_restart = alert >> 11, restart >> 11
-    flags, restarted = [], False
+    u_cuts = [[cut >> 11 for cut in law[0]] for law in laws if law[0] is not None]
+    tie_tops = {u >> 37 for pair in u_cuts for u in pair if u % 2**37}
+    top_u = []
     for r in range(rows):
         row = quarters[r * width : (r + 1) * width]
         top = max(row)
-        tied = any(top == cut >> 37 and cut % 2**37 for cut in (u_alert, u_restart))
-        u = [h << 37 | (int(gen.random_raw()) >> 27 if tied and h == top else 0) for h in row]
-        restarted |= max(u) >= u_restart
-        flags.append(max(u) >= u_alert)
-    if restarted:
-        return _any_by_row(draw(simulate._chunk_rng(seed, j), shape))
+        tied = top in tie_tops
+        top_u.append(max(h << 37 | (int(gen.random_raw()) >> 27 if tied and h == top else 0) for h in row))
+    flags = []
+    for cuts, draw in laws:
+        if cuts is None or max(top_u) >= cuts[1] >> 11:
+            flags.append(_any_by_row(draw(simulate._chunk_rng(seed, j), shape)))
+        else:
+            flags.append(np.array([u >= cuts[0] >> 11 for u in top_u]))
     return np.array(flags)
 
 
@@ -635,7 +639,7 @@ class TestBinomialAlerts:
             for m in sorted({0, 1, bound, bound + 1, 40}):
                 seed, j = 1000 * i + m, i % 3
                 law = simulate._binomial_law(n, p, m)
-                got = simulate._alerts(seed, j, shape, law)
+                got = simulate._alerts(seed, j, shape, [law])[0]
                 want = _any_by_row(simulate._chunk_rng(seed, j).binomial(n, p, shape) >= m)
                 assert got.shape == want.shape
                 if law[0] is None:
@@ -646,7 +650,7 @@ class TestBinomialAlerts:
                 # no walk restarted, so numpy read exactly these words
                 assert not (words >= restart).any()
                 assert np.array_equal(_any_by_row(words >= alert), want), (n, p, m)
-                assert np.array_equal(got, _reference_alerts(seed, j, shape, law)), (n, p, m)
+                assert np.array_equal(got, _reference_alerts(seed, j, shape, [law])[0]), (n, p, m)
 
     def test_regime(self, monkeypatch):
         def cuts(n, p, m):
@@ -764,9 +768,9 @@ class TestQuarterWordTies:
                     if restart < alert:
                         continue
                     law = ((alert, restart), draw)
-                    got = simulate._alerts(seed, 1, shape, law)
+                    got = simulate._alerts(seed, 1, shape, [law])[0]
                     assert got.dtype == bool and got.shape == shape[:1]
-                    assert np.array_equal(got, _reference_alerts(seed, 1, shape, law)), (
+                    assert np.array_equal(got, _reference_alerts(seed, 1, shape, [law])[0]), (
                         seed, alert, restart,
                     )
 
@@ -786,8 +790,8 @@ class TestQuarterWordTies:
                 restarts = [2**64] + [_cut(t, low) for t in (hi, 7) for low in (*lows, 2**37 - 1)]
                 for seed, restart in enumerate(r for r in restarts if r >= alert):
                     law = ((alert, restart), draw)
-                    want = _reference_alerts(seed, 2, shape, law, mask=7)
-                    assert np.array_equal(simulate._alerts(seed, 2, shape, law), want), (
+                    want = _reference_alerts(seed, 2, shape, [law], mask=7)[0]
+                    assert np.array_equal(simulate._alerts(seed, 2, shape, [law])[0], want), (
                         hi, lo, restart,
                     )
 
@@ -798,9 +802,9 @@ class TestQuarterWordTies:
         draw = simulate._binomial_law(200, 0.01, 8)[1]
         for alert, want in ((0, True), (2**64, False)):
             law = ((alert, 2**64), draw)
-            got = simulate._alerts(5, 0, shape, law)
+            got = simulate._alerts(5, 0, shape, [law])[0]
             assert np.array_equal(got, np.full(shape[0], want)), alert
-            assert np.array_equal(got, _reference_alerts(5, 0, shape, law)), alert
+            assert np.array_equal(got, _reference_alerts(5, 0, shape, [law])[0]), alert
 
     def test_restart_cut_ties_the_top_quarter_unforced(self):
         # a real restart cut has top 16 bits 0xFFFF and nonzero low bits, so
@@ -813,14 +817,14 @@ class TestQuarterWordTies:
             if 0xFFFF not in _observed_tops(seed, 0, shape)[0]:
                 continue
             tied += 1
-            got = simulate._alerts(seed, 0, shape, law)
-            assert np.array_equal(got, _reference_alerts(seed, 0, shape, law)), seed
+            got = simulate._alerts(seed, 0, shape, [law])[0]
+            assert np.array_equal(got, _reference_alerts(seed, 0, shape, [law])[0]), seed
             # with low bits 1 the tie word of a 0xFFFF quarter reaches the
             # restart cut, so the fallback redraws the chunk
             low = ((alert, _cut(0xFFFF, 1)), draw)
             redrawn = _any_by_row(draw(simulate._chunk_rng(seed, 0), shape))
-            assert np.array_equal(simulate._alerts(seed, 0, shape, low), redrawn), seed
-            assert np.array_equal(_reference_alerts(seed, 0, shape, low), redrawn), seed
+            assert np.array_equal(simulate._alerts(seed, 0, shape, [low])[0], redrawn), seed
+            assert np.array_equal(_reference_alerts(seed, 0, shape, [low])[0], redrawn), seed
             assert not np.array_equal(got, redrawn), seed
         assert tied >= 3
 
@@ -835,8 +839,8 @@ class TestQuarterWordTies:
         law = ((_cut(5, 1), _cut(7, 7 * 2**34)), draw)
         restarts = 0
         for seed in range(60):
-            want = _reference_alerts(seed, 3, (1, 41), law, mask=7)
-            assert np.array_equal(simulate._alerts(seed, 3, (1, 41), law), want), seed
+            want = _reference_alerts(seed, 3, (1, 41), [law], mask=7)[0]
+            assert np.array_equal(simulate._alerts(seed, 3, (1, 41), [law])[0], want), seed
             restarts += not want[0]
         # both branches occur: a row decided by its quarters alerts (its top 7
         # is above 5), and a redrawn row seldom does
@@ -851,14 +855,123 @@ class TestQuarterWordTies:
         }
         assert laws["fallback"][0] is None
         shape = (1, 1001)
-        want = {name: [simulate._alerts(seed, 0, shape, law) for seed in range(40)]
+        want = {name: [simulate._alerts(seed, 0, shape, [law])[0] for seed in range(40)]
                 for name, law in laws.items()}
         monkeypatch.setattr(simulate, "_VALUES", 64)
         for name, law in laws.items():
-            got = [simulate._alerts(seed, 0, shape, law) for seed in range(40)]
+            got = [simulate._alerts(seed, 0, shape, [law])[0] for seed in range(40)]
             assert np.array_equal(got, want[name]), name
             # both outcomes occur, so the comparison can fail
             assert 0 < np.count_nonzero(got) < 40, name
+
+
+def _tie_law(alert: int, restart: int = 2**64):
+    """A law with these raw word cuts and a draw function of its own."""
+    return (alert, restart), simulate._binomial_law(200, 0.01, 8)[1]
+
+
+@pytest.fixture
+def fallen(monkeypatch):
+    """The draw functions _fallback is called with, in call order."""
+    seen = []
+    real = simulate._fallback
+
+    def counted(rng, rows, width, draw):
+        seen.append(draw)
+        return real(rng, rows, width, draw)
+
+    monkeypatch.setattr(simulate, "_fallback", counted)
+    return seen
+
+
+class TestSweepsOnOneStream:
+    """_alerts on a list of laws: one read of a chunk's quarters, and one tie
+    word per quarter at the top of a row that ties any law's cut, decide
+    every law against its own cuts."""
+
+    PANEL_A = [simulate._binomial_law(k, 0.01, 6) for k in range(50, 306, 15)]
+
+    @pytest.mark.parametrize("many_ties", [False, True], ids=["quarters", "quarters-and-7"])
+    @pytest.mark.parametrize("shape", TestQuarterWordTies.SHAPES.values(), ids=TestQuarterWordTies.SHAPES)
+    def test_sweeps_match_the_scalar_reference(self, shape, many_ties, fallen, monkeypatch):
+        mask = 0xFFFF
+        if many_ties:
+            # quarters cut down to 0..7 tie in almost every row; a one-row
+            # chunk spans 16 blocks
+            mask, real = 7, simulate._quarters
+            monkeypatch.setattr(simulate, "_quarters", lambda gen, count: real(gen, count) & 7)
+            monkeypatch.setattr(simulate, "_VALUES", 64)
+        for seed in range(6):
+            if many_ties:
+                gen = simulate._chunk_rng(seed, 1).bit_generator
+                peak = int(simulate._quarters(gen, math.prod(shape)).max())
+                hi, low = min(3, peak), 2**36
+            else:
+                tops, tie_bits = _observed_tops(seed, 1, shape)
+                tops.sort()
+                hi, peak, low = tops[len(tops) // 2], tops[-1], tie_bits[0]
+            live = [
+                # two laws that share a cut top, two with lo == 0
+                _tie_law(_cut(hi, 1)), _tie_law(_cut(hi, low)),
+                _tie_law(_cut(hi, 0)), _tie_law(_cut(peak, 0), _cut(peak, 2**37 - 1)),
+                simulate._binomial_law(200, 0.01, 8), self.PANEL_A[-1],
+            ]
+            # restarts at the row tops, restarts through a tie word, no cuts
+            restarting = [
+                _tie_law(_cut(hi, 2**36), 0), _tie_law(_cut(hi, 1), _cut(peak, 1)),
+                simulate._binomial_law(20, 0.6, 19),
+            ]
+            for redrawn in [], restarting[:1], restarting[1:2], restarting:
+                for sweep in live + redrawn, redrawn + live[::-1]:
+                    fallen.clear()
+                    got = simulate._alerts(seed, 1, shape, sweep)
+                    assert len(got) == len(sweep)
+                    assert all(f.dtype == bool and f.shape == shape[:1] for f in got)
+                    want = _reference_alerts(seed, 1, shape, sweep, mask=mask)
+                    assert np.array_equal(got, want), (seed, len(redrawn))
+                    # only the restarting laws were drawn again
+                    assert sorted(map(id, fallen)) == sorted(id(law[1]) for law in redrawn)
+
+    @pytest.mark.parametrize("many_ties", [False, True], ids=["panel-a", "quarters-and-7"])
+    def test_flags_nest_along_decreasing_cuts(self, many_ties, fallen, monkeypatch):
+        laws, shape = self.PANEL_A, (524, 500)
+        if many_ties:
+            real = simulate._quarters
+            monkeypatch.setattr(simulate, "_quarters", lambda gen, count: real(gen, count) & 7)
+            lows = (2**37 - 2**31, 2**36, 1, 0)
+            laws = [_tie_law(_cut(top, low)) for top in (7, 5, 3) for low in lows]
+            shape = (64, 9)
+        alerts = [law[0][0] for law in laws]
+        assert alerts == sorted(alerts, reverse=True)
+        changed = 0
+        for seed in range(4):
+            for j in range(3):
+                flags = np.array(simulate._alerts(seed, j, shape, laws))
+                assert not fallen
+                # each law's flags are contained in the next one's
+                assert not (flags[:-1] & ~flags[1:]).any(), (seed, j)
+                changed += int((flags[:-1] != flags[1:]).sum())
+        assert changed > 0
+
+    def test_exact_system_sums_the_reference_chunks(self, monkeypatch):
+        # chunks of 8 runs of 500 individuals, the last one short
+        monkeypatch.setattr(simulate, "_VALUES", 4096)
+        plans = [
+            SimPlan(k=k, p=0.01, m=6, n=500, runs=20, seed=3, mode=MODE_BINOMIAL)
+            for k in (80, 125, 185, 305)
+        ]
+        laws = [simulate._binomial_law(plan.k, plan.p, plan.m) for plan in plans]
+        counts = sum(
+            _reference_alerts(3, j, (size, 500), laws).sum(axis=1)
+            for j, size in enumerate(simulate._chunk_sizes(20, 8))
+        )
+        reports = simulate._exact_system(plans, workers=2)
+        assert [rep.estimate for rep in reports] == [c / 20 for c in counts]
+        assert counts[0] < counts[1] < counts[2]
+        for plan, rep in zip(plans, reports):
+            assert rep.analytic == system_probability(binomial_tail(plan.k, plan.p, plan.m), 500)[0]
+        # one plan reads the words simulate_system reads
+        assert simulate._exact_system(plans[1:2], workers=1) == [simulate_system(plans[1])]
 
 
 def _poisson_bound(lam: float) -> float:
@@ -899,7 +1012,7 @@ class TestPoissonAlerts:
             seed, j = 31 * i + 7, i % 3
             law, floats = _traced_law(monkeypatch, simulate._poisson_law, lam, m)
             assert (law[0] is not None) == (lam <= 30.0 and 1 <= m <= bound), (lam, m)
-            got = simulate._alerts(seed, j, (2000,), law)
+            got = simulate._alerts(seed, j, (2000,), [law])[0]
             rng = simulate._chunk_rng(seed, j)
             assert got.dtype == bool
             if law[0] is None:
@@ -916,14 +1029,14 @@ class TestPoissonAlerts:
             assert not _poisson_replay(cut, lam, m)
             above = math.nextafter(cut, 1.0)
             assert above == 1.0 or _poisson_replay(above, lam, m)
-            assert np.array_equal(got, _reference_alerts(seed, j, (2000,), law)), (lam, m)
+            assert np.array_equal(got, _reference_alerts(seed, j, (2000,), [law])[0]), (lam, m)
 
     def test_per_person_uses_the_quarters(self, monkeypatch):
         monkeypatch.setattr(simulate, "_VALUES", 4096)
         plan = SimPlan(k=1000, p=0.005, m=9, runs=20_000, seed=29, mode=MODE_POISSON)
         law = simulate._poisson_law(5.0, 9)
         sizes = simulate._chunk_sizes(plan.runs, 4096)
-        alerts = sum(int(_reference_alerts(29, j, (size,), law).sum()) for j, size in enumerate(sizes))
+        alerts = sum(int(_reference_alerts(29, j, (size,), [law])[0].sum()) for j, size in enumerate(sizes))
         assert simulate_per_person(plan, workers=2).estimate == alerts / plan.runs
 
     def test_bracketed_cuts_equal_the_full_bisection(self, monkeypatch):
