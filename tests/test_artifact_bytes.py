@@ -305,8 +305,8 @@ EXPECTED_GOLDEN = {
 }
 
 EXPECTED_FIGURES = {
-    "manifest.json": "a13d988dd2bd9dd1da297edda869779bee7eff20daf48f16f619d69e101dec28",
-    "panel_a.csv": "569f586795aed0fe76eb51e40b79fcc0217b48b514d1fd48a15d41a6f6ea8f50",
+    "manifest.json": "54c709efd842e0a422d382a29f83460b85238ee876e4671ace51734d295b5038",
+    "panel_a.csv": "23eae8677fc04f0ac3e28c9309368a8a5bb66d94fde5b4df7262b8a69d5d3b79",
     "panel_b.csv": "74ca18a17ab29ae9e73a6aa615214dadd3dbda52f6dde84346f82086c8500b6f",
     "panel_c.csv": "635b321843222d80efaa68fb79d400ac083996ec5f438a0ad6c8b78f7531b3b6",
     "panel_d.csv": "7d32d202b126d9f8bda620ed7094e14851c1cee9bc98dcdebc35cfe5d88ef57a",
