@@ -9,7 +9,7 @@ outputs are integer counts and integer sums, which combine identically in
 any order. The `workers` argument changes wall-clock time only, never the
 report. A binomial or Poisson alert chunk holds max(1, 2**18 // width) runs
 of `width` values each (n for exact system rows, else 1), and at most 8192
-runs when no law of the call has word cuts; a copula chunk holds
+runs when no law of the call has a word cut; a copula chunk holds
 max(1, min(4096, 2**20 // k)) runs.
 
 Workers: a call runs its chunks in the calling thread plus up to
@@ -36,29 +36,27 @@ count, whose excess over k p (1 - p) is the design effect of the binary
 correlation the latent rho induces.
 
 Binomial and Poisson draws only ever feed an alert test count >= m. Each law
-is built once per plan as raw-word cuts plus a fallback draw
+is built once per plan as one raw-word cut plus a fallback draw
 (`_binomial_law`, `_poisson_law`), and `_alerts` decides a chunk for a list
 of laws from one read of its stream: the one law of a plan, or every point
 of a sweep on common random numbers, so that the points share their uniforms
 and a point's alert flags contain those of every point with a higher cut.
 Where the law is sampled by sequential-search inversion from one Philox
-double per value (numpy's binomial for 0 < p <= 1/2, k p <= 30; the Poisson
-walk for 0 < k p <= 30, 1 <= m <= k p + 10 sqrt(k p + 1)), the count reaches
-m exactly when the 53-bit uniform U behind that double reaches a cut, the
-raw 64-bit word cut shifted right by 11 bits. The kernel spends 16 bits per
-value: each raw word gives four 16-bit quarters, lowest first, and a quarter
-is the top of its value's U. A quarter above the cut's top 16 bits alerts
-and one below does not; a quarter equal to it (probability 2**-16) takes the
-low 37 bits of U from the top of one more word, drawn after the chunk's
-quarters, so each value alerts with probability exactly Pr(U >= cut). The
-same test against the restart cut, whose top 16 bits are all ones (so a
-chunk of 2**18 values meets ~4 of its ties), sends a binomial law whose walk
-would have restarted to the fallback, which draws that law's chunk again
-from a fresh generator of the same (seed, j) stream, as it draws every chunk
-outside the regime. That redraw reads the stream the restart test read, so
-the sampled law is exact when no value reaches the restart cut and otherwise
-differs from it by at most the chance of a restart in the chunk, below 1e-12
-per value. A row wider than 2**18 values is drawn in blocks of at most 2**18
+double per value (numpy's binomial walk for 0 < p <= 1/2, k p <= 30 and m up
+to numpy's bound; the Poisson walk for 0 < k p <= 30,
+1 <= m <= k p + 10 sqrt(k p + 1)), the count reaches m exactly when the
+53-bit uniform U behind that double reaches a cut, the raw 64-bit word cut
+shifted right by 11 bits. The walk runs only over its first m terms, so the
+law drawn is the untruncated one the analytic tails compute: a U whose walk
+would pass numpy's bound counts past bound >= m and alerts. The kernel
+spends 16 bits per value: each raw word gives four 16-bit quarters, lowest
+first, and a quarter is the top of its value's U. A quarter above the cut's
+top 16 bits alerts and one below does not; a quarter equal to it
+(probability 2**-16) takes the low 37 bits of U from the top of one more
+word, drawn after the chunk's quarters, so each value alerts with
+probability exactly Pr(U >= cut). A law without a cut (outside the regime)
+is drawn by the fallback, from a fresh generator of the same (seed, j)
+stream. A row wider than 2**18 values is drawn in blocks of at most 2**18
 from the same stream, so memory stays bounded. The grids in
 tests/test_simulate.py pin the word cuts to rng.binomial and to a replay of
 the Poisson walk element by element, so a numpy upgrade that changes its
@@ -114,7 +112,7 @@ _MODES = (MODE_BINOMIAL, MODE_POISSON, MODE_COPULA)
 # multiple of 4, so that every block but the last ends on a word boundary.
 _VALUES = 1 << 18
 
-# Most runs of such a chunk when its law has no word cuts; part of the
+# Most runs of such a chunk when its law has no word cut; part of the
 # determinism contract.
 _CHUNK = 8192
 
@@ -290,14 +288,13 @@ def _word_cut(cut: float) -> int:
 
 
 def _binomial_law(k: int, p: float, m: int):
-    """(word cuts or None, fallback draw) deciding Bin(k, p) >= m.
+    """(word cut or None, fallback draw) deciding Bin(k, p) >= m.
 
     numpy draws Bin(k, p) by inversion when 0 < p <= 1/2 and k p <= 30: one
     double U per value, the double rng.random would return, and the count
-    reaches m exactly when U exceeds the first cut. Past the second cut the
-    count would pass numpy's bound and the walk would restart on a fresh
-    double. The cuts are None outside that regime, for m < 1 and for m
-    beyond the bound.
+    reaches m exactly when U exceeds the cut, the end of the walk's first m
+    terms. The cut is None outside that regime, for m < 1 and for m beyond
+    numpy's bound on the walk's length.
 
     Raises:
         RangeOverflowError: If the attribute count k does not fit numpy's
@@ -320,19 +317,18 @@ def _binomial_law(k: int, p: float, m: int):
     # the px of numpy's random_binomial_inversion, in its float order
     px = exp(k * log1p(-p))
     terms = [px]
-    for x in range(1, bound + 1):
+    for x in range(1, m):
         px = (float(k - x + 1) * p * px) / (x * q)
         terms.append(px)
-    return (_word_cut(_last_short_walk(terms[:m])), _word_cut(_last_short_walk(terms))), draw
+    return _word_cut(_last_short_walk(terms)), draw
 
 
 def _poisson_law(lam: float, m: int):
-    """(word cuts or None, fallback draw) deciding Pois(lam) >= m.
+    """(word cut or None, fallback draw) deciding Pois(lam) >= m.
 
     The sequential-search walk starts from px = e^-lam and steps
     px = px lam / x (Devroye 1986, Non-Uniform Random Variate Generation,
-    X.3); it never restarts, so its restart word is 2**64, which no word
-    reaches. The cuts are None outside 0 < lam <= 30 and
+    X.3). The cut is None outside 0 < lam <= 30 and
     1 <= m <= lam + 10 sqrt(lam + 1), where the walk could grow long.
 
     Raises:
@@ -353,7 +349,7 @@ def _poisson_law(lam: float, m: int):
     for x in range(1, m):
         px = px * lam / x
         terms.append(px)
-    return (_word_cut(_last_short_walk(terms)), 1 << 64), draw
+    return _word_cut(_last_short_walk(terms)), draw
 
 
 def _quarters(gen, count: int) -> np.ndarray:
@@ -414,7 +410,7 @@ def _alerts(seed: int, j: int, shape: tuple[int, ...], laws: list) -> list[np.nd
     one flag per row of `shape`.
 
     A value alerts when the 53-bit uniform U its inversion walk reads reaches
-    the alert word's U, and a row when any of its values does. Each value
+    the law's word cut, and a row when any of its values does. Each value
     gets one 16-bit quarter h of the chunk's raw words, the top 16 bits of
     its U, shared by every law. With (hi, lo) the top 16 and low 37 bits of
     a cut's U, h > hi alerts, and h == hi alerts if 37 tie bits reach lo (or
@@ -422,33 +418,27 @@ def _alerts(seed: int, j: int, shape: tuple[int, ...], laws: list) -> list[np.nd
     tie bits are drawn only for the quarters equal to the top of a row whose
     top ties any law's cut: after the chunk's quarters, one word per tie,
     rows in order, its top 37 bits. So each law sees its own exact draw, and
-    where the alert cuts decrease along `laws` each row's flags can only
-    turn on. If a U reaches a binomial law's restart word, numpy's walk
-    would have restarted, so that law alone is drawn again by the fallback
-    from a fresh generator, as is a law without cuts.
+    where the cuts decrease along `laws` each row's flags can only turn on.
+    A law without a cut is drawn by the fallback from a fresh generator.
     """
     rows, width = shape[0], prod(shape[1:])
     flags = [None] * len(laws)
-    cuts = {i: [divmod(c >> 11, 1 << _TIE_BITS) for c in law[0]]
-            for i, law in enumerate(laws) if law[0] is not None}
-    redraw = [i for i in range(len(laws)) if i not in cuts]
+    cuts = {i: divmod(cut >> 11, 1 << _TIE_BITS)
+            for i, (cut, _) in enumerate(laws) if cut is not None}
     if cuts:
         gen = _chunk_rng(seed, j).bit_generator
-        tied = tuple({t for pair in cuts.values() for t, low in pair if low})
+        tied = tuple({hi for hi, lo in cuts.values() if lo})
         top, tie_rows, ties = _row_tops(gen, rows, width, tied)
         bits = gen.random_raw(int(ties.sum())) >> np.uint64(64 - _TIE_BITS)
         # only the largest tie bits of a row can decide it
         best = np.maximum.reduceat(bits, np.cumsum(ties) - ties)
-        tops, peak = top[tie_rows], int(top.max())
-        for i, ((hi, lo), (rhi, rlo)) in cuts.items():
-            # only the chunk's largest quarters can reach the restart word
-            if peak > rhi or peak == rhi and (not rlo or np.any((tops == rhi) & (best >= rlo))):
-                redraw.append(i)
-                continue
+        tops = top[tie_rows]
+        for i, (hi, lo) in cuts.items():
             flags[i] = top > hi if lo else top >= hi
             flags[i][tie_rows[(tops == hi) & (best >= lo)]] = True
-    for i in redraw:
-        flags[i] = _fallback(_chunk_rng(seed, j), rows, width, laws[i][1])
+    for i, (cut, draw) in enumerate(laws):
+        if cut is None:
+            flags[i] = _fallback(_chunk_rng(seed, j), rows, width, draw)
     return flags
 
 
@@ -538,7 +528,7 @@ def _alert_reports(
     shape `row`.
 
     A chunk holds max(1, _VALUES // width) runs of `width` values each, and
-    at most _CHUNK runs when no law has word cuts.
+    at most _CHUNK runs when no law has a word cut.
     """
     chunk = max(1, _VALUES // prod(row))
     if all(law[0] is None for law in laws):
@@ -559,7 +549,7 @@ def simulate_per_person(plan: SimPlan, workers: int = 1) -> SimReport:
 
     binomial-exact draws Bin(k, p) per trial; poisson-approx draws
     Pois(k*p), from one 16-bit quarter word per trial where _poisson_law
-    gives cuts.
+    gives a cut.
     The analytic reference matches the sampled law.
     """
     if plan.mode not in (MODE_BINOMIAL, MODE_POISSON):

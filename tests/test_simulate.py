@@ -1,11 +1,13 @@
 """Monte Carlo engine: accuracy, determinism, budget, correlation."""
 
+import functools
 import math
 import statistics
 import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -551,6 +553,27 @@ def _numpy_bound(n: int, p: float) -> int:
     return int(min(float(n), mean + 10.0 * math.sqrt(mean * (1.0 - p) + 1)))
 
 
+def _binomial_walk(u: float, n: int, p: float, steps: int) -> bool:
+    """Whether numpy's random_binomial_inversion walk from u passes its first
+    `steps` terms, px computed in place."""
+    q = 1.0 - p
+    px = math.exp(n * math.log1p(-p))
+    for x in range(1, steps + 1):
+        if not u > px:
+            return False
+        u -= px
+        px = (float(n - x + 1) * p * px) / (x * q)
+    return True
+
+
+@functools.cache
+def _numpy_restart_word(n: int, p: float) -> int:
+    """The smallest raw word whose double's walk passes numpy's bound, where
+    numpy would restart on a fresh double."""
+    steps = _numpy_bound(n, p) + 1
+    return simulate._word_cut(_full_bisection(lambda u: _binomial_walk(u, n, p, steps)))
+
+
 def _inversion_edge(n: int) -> float:
     """The largest p with p * n <= 30 in floating point."""
     p = 30.0 / n
@@ -597,17 +620,16 @@ def _reference_alerts(seed: int, j: int, shape: tuple, laws: list, mask: int = 0
     `mask`. A row whose top quarter equals the top 16 bits of any law's cut
     with nonzero low bits draws one word per quarter equal to that top, rows
     in order, after all the quarters; every other U gets zero tie bits, which
-    cannot change its row's flag under any law. A law without cuts, or one
-    whose restart cut some U reaches, takes its fallback draw on a fresh
-    stream.
+    cannot change its row's flag under any law. A law without a cut takes its
+    fallback draw on a fresh stream.
     """
     rows, width = shape[0], shape[1] if len(shape) == 2 else 1
     count = rows * width
     gen = simulate._chunk_rng(seed, j).bit_generator
     words = [int(w) for w in gen.random_raw((count + 3) // 4)]
     quarters = [(w >> shift) & 0xFFFF & mask for w in words for shift in (0, 16, 32, 48)][:count]
-    u_cuts = [[cut >> 11 for cut in law[0]] for law in laws if law[0] is not None]
-    tie_tops = {u >> 37 for pair in u_cuts for u in pair if u % 2**37}
+    u_cuts = [cut >> 11 for cut, _ in laws if cut is not None]
+    tie_tops = {u >> 37 for u in u_cuts if u % 2**37}
     top_u = []
     for r in range(rows):
         row = quarters[r * width : (r + 1) * width]
@@ -615,16 +637,16 @@ def _reference_alerts(seed: int, j: int, shape: tuple, laws: list, mask: int = 0
         tied = top in tie_tops
         top_u.append(max(h << 37 | (int(gen.random_raw()) >> 27 if tied and h == top else 0) for h in row))
     flags = []
-    for cuts, draw in laws:
-        if cuts is None or max(top_u) >= cuts[1] >> 11:
+    for cut, draw in laws:
+        if cut is None:
             flags.append(_any_by_row(draw(simulate._chunk_rng(seed, j), shape)))
         else:
-            flags.append(np.array([u >= cuts[0] >> 11 for u in top_u]))
+            flags.append(np.array([u >= cut >> 11 for u in top_u]))
     return np.array(flags)
 
 
 class TestBinomialAlerts:
-    """_binomial_law's word cuts decide rng.binomial(n, p, shape) >= m bit for bit.
+    """_binomial_law's word cut decides rng.binomial(n, p, shape) >= m bit for bit.
 
     A raw 64-bit word at or above the alert cut is exactly a double whose
     inversion walk reaches m; _alerts, on the quarters of the same stream,
@@ -645,33 +667,29 @@ class TestBinomialAlerts:
                 if law[0] is None:
                     assert np.array_equal(got, want), (n, p, m)
                     continue
-                alert, restart = law[0]
                 words = simulate._chunk_rng(seed, j).bit_generator.random_raw(shape)
                 # no walk restarted, so numpy read exactly these words
-                assert not (words >= restart).any()
-                assert np.array_equal(_any_by_row(words >= alert), want), (n, p, m)
+                assert not (words >= _numpy_restart_word(n, p)).any()
+                assert np.array_equal(_any_by_row(words >= law[0]), want), (n, p, m)
                 assert np.array_equal(got, _reference_alerts(seed, j, shape, [law])[0]), (n, p, m)
 
     def test_regime(self, monkeypatch):
-        def cuts(n, p, m):
+        def cut(n, p, m):
             return simulate._binomial_law(n, p, m)[0]
 
         edge = _inversion_edge(500)
-        assert cuts(500, edge, 5) is not None
-        assert cuts(500, math.nextafter(edge, math.inf), 5) is None
-        assert cuts(60, 0.5, 30) is not None
-        assert cuts(20, 0.6, 5) is None
-        assert cuts(20, 0.0, 1) is None
-        assert cuts(20, 0.1, 0) is None
+        assert cut(500, edge, 5) is not None
+        assert cut(500, math.nextafter(edge, math.inf), 5) is None
+        assert cut(60, 0.5, 30) is not None
+        assert cut(20, 0.6, 5) is None
+        assert cut(20, 0.0, 1) is None
+        assert cut(20, 0.1, 0) is None
         bound = _numpy_bound(20, 0.1)
-        assert cuts(20, 0.1, bound) is not None
-        assert cuts(20, 0.1, bound + 1) is None
-        (words, _), (alert_cut, restart_cut) = _traced_law(
-            monkeypatch, simulate._binomial_law, 200, 0.01, 8
-        )
-        assert 0.0 < alert_cut < restart_cut < 1.0
-        assert words == (simulate._word_cut(alert_cut), simulate._word_cut(restart_cut))
-        assert 0 < words[0] < words[1] < 2**64
+        assert cut(20, 0.1, bound) is not None
+        assert cut(20, 0.1, bound + 1) is None
+        (word, _), (alert_cut,) = _traced_law(monkeypatch, simulate._binomial_law, 200, 0.01, 8)
+        assert 0.0 < alert_cut < 1.0
+        assert 0 < word == simulate._word_cut(alert_cut) < _numpy_restart_word(200, 0.01) < 2**64
 
     @pytest.mark.parametrize(
         "cut",
@@ -690,42 +708,24 @@ class TestBinomialAlerts:
         u = (words >> np.uint64(11)) * 2.0**-53
         assert np.array_equal(u > cut, words >= wc)
 
-    def test_restart_fallback_redraws_from_a_fresh_stream(self, monkeypatch):
-        plans = [
-            SimPlan(k=200, p=0.01, m=6, runs=20_000, seed=41, mode=MODE_BINOMIAL),
-            SimPlan(k=200, p=0.01, m=6, n=50, runs=400, seed=42, mode=MODE_BINOMIAL),
-        ]
-        runs = [simulate_per_person, simulate_system]
-        real_law = simulate._binomial_law
+    @pytest.mark.parametrize("shape", [(4,), (2, 3)], ids=["1d", "2d"])
+    def test_a_value_past_numpys_bound_alerts_without_fallback(self, shape, fallen, monkeypatch):
+        # every raw word all ones: each U is 2**53 - 1, whose walk passes
+        # numpy's bound, so its count exceeds bound >= m
+        class AllOnes:
+            def random_raw(self, size):
+                return np.full(size, 2**64 - 1, dtype=np.uint64)
 
-        def no_cuts(n, p, m):
-            return None, real_law(n, p, m)[1]
-
-        # laws with and without cuts cut the plans into the same chunks
-        monkeypatch.setattr(simulate, "_VALUES", 4096)
-        monkeypatch.setattr(simulate, "_CHUNK", 4096)
-        monkeypatch.setattr(simulate, "_binomial_law", no_cuts)
-        expected = [run(plan) for run, plan in zip(runs, plans)]
-
-        def restart_everywhere(n, p, m):
-            (alert, _), draw = real_law(n, p, m)
-            return (alert, 0), draw
-
-        rngs = []
-        real_rng = simulate._chunk_rng
-
-        def counted_rng(seed, j):
-            rngs.append((seed, j))
-            return real_rng(seed, j)
-
-        monkeypatch.setattr(simulate, "_binomial_law", restart_everywhere)
-        monkeypatch.setattr(simulate, "_chunk_rng", counted_rng)
-        for run, plan, want in zip(runs, plans, expected):
-            rngs.clear()
-            assert run(plan, workers=2) == want
-            # every chunk built its generator twice: once for the uniforms,
-            # once more for the fallback draw
-            assert len(rngs) == 2 * len(set(rngs))
+        monkeypatch.setattr(simulate, "_chunk_rng", lambda seed, j: SimpleNamespace(bit_generator=AllOnes()))
+        u = math.nextafter(1.0, 0.0)
+        assert _binomial_walk(u, 200, 0.01, _numpy_bound(200, 0.01) + 1)
+        assert 2**64 - 1 >= _numpy_restart_word(200, 0.01)
+        # m = 8 cuts below quarter 0xFFFF; m = 11 ties it, so tie words are drawn
+        laws = [simulate._binomial_law(200, 0.01, m) for m in (8, 11)]
+        assert laws[0][0] >> 48 < 0xFFFF == laws[1][0] >> 48 and (laws[1][0] >> 11) % 2**37
+        for flags in simulate._alerts(0, 0, shape, laws):
+            assert flags.all()
+        assert not fallen
 
 
 def _observed_tops(seed: int, j: int, shape: tuple) -> tuple[list[int], list[int]]:
@@ -762,17 +762,11 @@ class TestQuarterWordTies:
             hi, peak = tops[len(tops) // 2], tops[-1]
             # a cut's low bits equal to the drawn tie bits decide >= from >
             lows = (*self.LOWS, *tie_bits)
-            restarts = [2**64] + [_cut(peak, low) for low in lows]
             for alert in [_cut(t, low) for t in (hi, peak) for low in lows]:
-                for restart in restarts:
-                    if restart < alert:
-                        continue
-                    law = ((alert, restart), draw)
-                    got = simulate._alerts(seed, 1, shape, [law])[0]
-                    assert got.dtype == bool and got.shape == shape[:1]
-                    assert np.array_equal(got, _reference_alerts(seed, 1, shape, [law])[0]), (
-                        seed, alert, restart,
-                    )
+                law = (alert, draw)
+                got = simulate._alerts(seed, 1, shape, [law])[0]
+                assert got.dtype == bool and got.shape == shape[:1]
+                assert np.array_equal(got, _reference_alerts(seed, 1, shape, [law])[0]), (seed, alert)
 
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
     def test_many_ties_per_row(self, shape, monkeypatch):
@@ -786,13 +780,11 @@ class TestQuarterWordTies:
         lows = (0, 1, 2**36, 2**37 - 2**31)
         for hi in (0, 3, 7):
             for lo in lows:
-                alert = _cut(hi, lo)
-                restarts = [2**64] + [_cut(t, low) for t in (hi, 7) for low in (*lows, 2**37 - 1)]
-                for seed, restart in enumerate(r for r in restarts if r >= alert):
-                    law = ((alert, restart), draw)
+                law = (_cut(hi, lo), draw)
+                for seed in range(5):
                     want = _reference_alerts(seed, 2, shape, [law], mask=7)[0]
                     assert np.array_equal(simulate._alerts(seed, 2, shape, [law])[0], want), (
-                        hi, lo, restart,
+                        hi, lo, seed,
                     )
 
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
@@ -801,56 +793,31 @@ class TestQuarterWordTies:
         # uint16 quarter, so no U reaches it
         draw = simulate._binomial_law(200, 0.01, 8)[1]
         for alert, want in ((0, True), (2**64, False)):
-            law = ((alert, 2**64), draw)
+            law = (alert, draw)
             got = simulate._alerts(5, 0, shape, [law])[0]
             assert np.array_equal(got, np.full(shape[0], want)), alert
             assert np.array_equal(got, _reference_alerts(5, 0, shape, [law])[0]), alert
 
-    def test_restart_cut_ties_the_top_quarter_unforced(self):
-        # a real restart cut has top 16 bits 0xFFFF and nonzero low bits, so
-        # a drawn quarter 0xFFFF takes a tie word with no forcing
-        law = simulate._binomial_law(200, 0.01, 8)
-        (alert, restart), draw = law
-        assert restart >> 48 == 0xFFFF and (restart >> 11) % 2**37
-        shape, tied = (128, 500), 0
-        for seed in range(12):
-            if 0xFFFF not in _observed_tops(seed, 0, shape)[0]:
-                continue
-            tied += 1
-            got = simulate._alerts(seed, 0, shape, [law])[0]
-            assert np.array_equal(got, _reference_alerts(seed, 0, shape, [law])[0]), seed
-            # with low bits 1 the tie word of a 0xFFFF quarter reaches the
-            # restart cut, so the fallback redraws the chunk
-            low = ((alert, _cut(0xFFFF, 1)), draw)
-            redrawn = _any_by_row(draw(simulate._chunk_rng(seed, 0), shape))
-            assert np.array_equal(simulate._alerts(seed, 0, shape, [low])[0], redrawn), seed
-            assert np.array_equal(_reference_alerts(seed, 0, shape, [low])[0], redrawn), seed
-            assert not np.array_equal(got, redrawn), seed
-        assert tied >= 3
-
     def test_a_lower_block_peak_draws_no_tie_bits(self, monkeypatch):
         # in 4-value blocks of quarters 0..7 some block of a row often peaks
-        # at the alert cut's top 5 before another reaches the restart cut's 7;
-        # only the quarters equal to the row's top draw tie bits
+        # at one cut's top 5 before another reaches the other cut's 7; only
+        # the quarters equal to the row's top draw tie bits
         real = simulate._quarters
         monkeypatch.setattr(simulate, "_quarters", lambda gen, count: real(gen, count) & 7)
         monkeypatch.setattr(simulate, "_VALUES", 4)
-        draw = simulate._binomial_law(200, 0.01, 8)[1]
-        law = ((_cut(5, 1), _cut(7, 7 * 2**34)), draw)
-        restarts = 0
+        laws = [_tie_law(_cut(7, 7 * 2**34)), _tie_law(_cut(5, 1))]
+        alerts = 0
         for seed in range(60):
-            want = _reference_alerts(seed, 3, (1, 41), [law], mask=7)[0]
-            assert np.array_equal(simulate._alerts(seed, 3, (1, 41), [law])[0], want), seed
-            restarts += not want[0]
-        # both branches occur: a row decided by its quarters alerts (its top 7
-        # is above 5), and a redrawn row seldom does
-        assert 0 < restarts < 60
+            want = _reference_alerts(seed, 3, (1, 41), laws, mask=7)
+            assert np.array_equal(simulate._alerts(seed, 3, (1, 41), laws), want), seed
+            alerts += want[0, 0]
+        # both outcomes of the top-7 cut occur: a tie word reaches its low
+        # bits about one time in eight
+        assert 0 < alerts < 60
 
     def test_blocks_read_the_stream_of_one_draw(self, monkeypatch):
-        (alert, _), draw = simulate._binomial_law(200, 0.01, 8)
         laws = {
             "quarters": simulate._binomial_law(200, 0.01, 8),
-            "restart": ((alert, 0), draw),
             "fallback": simulate._binomial_law(20, 0.6, 19),
         }
         assert laws["fallback"][0] is None
@@ -865,9 +832,9 @@ class TestQuarterWordTies:
             assert 0 < np.count_nonzero(got) < 40, name
 
 
-def _tie_law(alert: int, restart: int = 2**64):
-    """A law with these raw word cuts and a draw function of its own."""
-    return (alert, restart), simulate._binomial_law(200, 0.01, 8)[1]
+def _tie_law(cut: int):
+    """A law with this raw word cut and a draw function of its own."""
+    return cut, simulate._binomial_law(200, 0.01, 8)[1]
 
 
 @pytest.fixture
@@ -913,15 +880,11 @@ class TestSweepsOnOneStream:
             live = [
                 # two laws that share a cut top, two with lo == 0
                 _tie_law(_cut(hi, 1)), _tie_law(_cut(hi, low)),
-                _tie_law(_cut(hi, 0)), _tie_law(_cut(peak, 0), _cut(peak, 2**37 - 1)),
+                _tie_law(_cut(hi, 0)), _tie_law(_cut(peak, 0)), _tie_law(_cut(peak, 2**37 - 1)),
                 simulate._binomial_law(200, 0.01, 8), self.PANEL_A[-1],
             ]
-            # restarts at the row tops, restarts through a tie word, no cuts
-            restarting = [
-                _tie_law(_cut(hi, 2**36), 0), _tie_law(_cut(hi, 1), _cut(peak, 1)),
-                simulate._binomial_law(20, 0.6, 19),
-            ]
-            for redrawn in [], restarting[:1], restarting[1:2], restarting:
+            uncut = simulate._binomial_law(20, 0.6, 19)
+            for redrawn in [], [uncut]:
                 for sweep in live + redrawn, redrawn + live[::-1]:
                     fallen.clear()
                     got = simulate._alerts(seed, 1, shape, sweep)
@@ -929,29 +892,34 @@ class TestSweepsOnOneStream:
                     assert all(f.dtype == bool and f.shape == shape[:1] for f in got)
                     want = _reference_alerts(seed, 1, shape, sweep, mask=mask)
                     assert np.array_equal(got, want), (seed, len(redrawn))
-                    # only the restarting laws were drawn again
-                    assert sorted(map(id, fallen)) == sorted(id(law[1]) for law in redrawn)
+                    # only the law without a cut was drawn by the fallback
+                    assert fallen == [law[1] for law in redrawn]
 
     @pytest.mark.parametrize("many_ties", [False, True], ids=["panel-a", "quarters-and-7"])
     def test_flags_nest_along_decreasing_cuts(self, many_ties, fallen, monkeypatch):
-        laws, shape = self.PANEL_A, (524, 500)
+        # every chunk of panel A at runs = 5000 for two seeds, most of which
+        # hold a row topped by quarter 0xFFFF
+        laws, chunks = self.PANEL_A, list(enumerate(simulate._chunk_sizes(5000, 524)))
+        width = 500
         if many_ties:
             real = simulate._quarters
             monkeypatch.setattr(simulate, "_quarters", lambda gen, count: real(gen, count) & 7)
             lows = (2**37 - 2**31, 2**36, 1, 0)
             laws = [_tie_law(_cut(top, low)) for top in (7, 5, 3) for low in lows]
-            shape = (64, 9)
-        alerts = [law[0][0] for law in laws]
-        assert alerts == sorted(alerts, reverse=True)
-        changed = 0
-        for seed in range(4):
-            for j in range(3):
-                flags = np.array(simulate._alerts(seed, j, shape, laws))
+            chunks, width = [(j, 64) for j in range(10)], 9
+        cuts = [law[0] for law in laws]
+        assert cuts == sorted(cuts, reverse=True)
+        changed = top_ffff = 0
+        for seed in range(2):
+            for j, size in chunks:
+                flags = np.array(simulate._alerts(seed, j, (size, width), laws))
                 assert not fallen
                 # each law's flags are contained in the next one's
                 assert not (flags[:-1] & ~flags[1:]).any(), (seed, j)
                 changed += int((flags[:-1] != flags[1:]).sum())
+                top_ffff += 0xFFFF in _observed_tops(seed, j, (size, width))[0]
         assert changed > 0
+        assert many_ties or top_ffff >= len(chunks)
 
     def test_exact_system_sums_the_reference_chunks(self, monkeypatch):
         # chunks of 8 runs of 500 individuals, the last one short
@@ -1018,12 +986,11 @@ class TestPoissonAlerts:
             if law[0] is None:
                 assert np.array_equal(got, rng.poisson(lam, 2000) >= m), (lam, m)
                 continue
-            # one alert word; the walk never restarts, and no word reaches 2**64
             (cut,) = floats
-            assert law[0] == (simulate._word_cut(cut), 2**64)
+            assert law[0] == simulate._word_cut(cut)
             want = np.array([_poisson_replay(u, lam, m) for u in rng.random(2000)])
             words = simulate._chunk_rng(seed, j).bit_generator.random_raw(2000)
-            assert np.array_equal(words >= law[0][0], want), (lam, m)
+            assert np.array_equal(words >= law[0], want), (lam, m)
             # the cut is the last double whose walk stops short; at the
             # largest double below 1 no draw alerts
             assert not _poisson_replay(cut, lam, m)
@@ -1046,23 +1013,9 @@ class TestPoissonAlerts:
             p = min(0.5, 10 ** rng.uniform(-4, math.log10(30)) / n)
             m = int(rng.integers(1, max(1, _numpy_bound(n, p)) + 1))
             law, got = _traced_law(monkeypatch, simulate._binomial_law, n, p, m)
-            q = 1.0 - p
-            qn = math.exp(n * math.log1p(-p))
-
-            def reaches(u, steps):
-                # numpy's random_binomial_inversion walk, px computed in place
-                px = qn
-                for x in range(1, steps + 1):
-                    if not u > px:
-                        return False
-                    u -= px
-                    px = (float(n - x + 1) * p * px) / (x * q)
-                return True
-
-            bound = _numpy_bound(n, p)
-            want = tuple(_full_bisection(lambda u, s=s: reaches(u, s)) for s in (m, bound + 1))
-            assert got == want, (n, p, m)
-            assert law[0] == tuple(simulate._word_cut(cut) for cut in want)
+            want = _full_bisection(lambda u: _binomial_walk(u, n, p, m))
+            assert got == (want,), (n, p, m)
+            assert law[0] == simulate._word_cut(want)
             lam = float(rng.uniform(1e-3, 30.0))
             m = int(rng.integers(1, math.floor(_poisson_bound(lam)) + 1))
             want = _full_bisection(lambda u: _poisson_replay(u, lam, m))
