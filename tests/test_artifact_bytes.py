@@ -260,10 +260,10 @@ EXPECTED = {
         "simulate-system.json.manifest.json": "c631cf7159b9a8a36515fa3745920e65bb5c211c5de1b6b74f372d4fb5d31ae6",
     },
     "simulate-system-exact": {
-        "simulate-system-exact.csv": "0d8b8144c86b116d1c831ec89bbda2187dcfbb4e9f50039fb110ebd29cd7dcd4",
-        "simulate-system-exact.csv.manifest.json": "bc4ff14840fc037ead847536c0606c1f7771db4476da78b37daf2d13753fbd50",
-        "simulate-system-exact.json": "5ef31f3a982d1831bb2ed9515f48eed3ee695047e0c55832c69b9e35d64adfb0",
-        "simulate-system-exact.json.manifest.json": "1a7efc8adaa06dedcfae06bb9e6264f6fa48fa362ee2d1e0e0f5d2832626ec65",
+        "simulate-system-exact.csv": "883d2132bbc2bd21e8f721c4de7074bb9311997ffdbc65c31630855b4a9e42ac",
+        "simulate-system-exact.csv.manifest.json": "c98ed8b0c885f1be9a965cc1aff5b136f3d335bdc1585fd950e3e9735b3d35dd",
+        "simulate-system-exact.json": "0daf3e7522ec8d6c95284c2275602ed1b614e45f28b8ef1df9d416fcd702204a",
+        "simulate-system-exact.json.manifest.json": "37d9a57961fe08886aabba76def2505874e85a4563bb135cf350228039da4260",
     },
     "system": {
         "system.csv": "76eda4dd833a7a47d9a438454f76da6e3f628b4d3d0f59e572145043f68b8dc1",
