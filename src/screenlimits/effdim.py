@@ -14,12 +14,13 @@ independent attributes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf, isfinite, pi, sqrt
+from math import exp, pi
 
 from .errors import (
     BudgetError, DomainError, RangeOverflowError, as_float, check_int,
     check_positive, check_unit
 )
+from .system import _critical_scale
 from .tails import _MAX_TERMS, rate_function
 
 __all__ = [
@@ -166,16 +167,7 @@ def adjusted_limits(k: int, p: float, c: float, k_eff: float) -> CorrelationAdju
             "(nonnegative-correlation reductions only)"
         )
     exponent = k_eff * p * rate_function(c)
-    # exp raises past ~709.8 but passes an infinite exponent through as inf
-    try:
-        n_crit = sqrt(k * p) * exp(exponent)
-    except OverflowError:
-        n_crit = inf
-    if not isfinite(n_crit):
-        raise RangeOverflowError(
-            f"critical population sqrt(k p) e^E overflows a double at exponent "
-            f"E = k_eff p D(c) = {exponent:g}"
-        )
+    n_crit = _critical_scale(as_float("k", k) * p, exponent)
     return CorrelationAdjusted(
         k_eff=k_eff,
         reduction_factor=k_eff / k,

@@ -148,6 +148,24 @@ def system_risk(config: ScreeningConfig) -> SystemRisk:
     return population_risk(config.lam, config.threshold, config.n)
 
 
+def _critical_scale(lam: float, exponent: float) -> float:
+    """The critical population scale sqrt(lam) e^exponent.
+
+    Raises:
+        RangeOverflowError: If the scale overflows a double.
+    """
+    # exp raises past ~709.8 but passes an infinite exponent through as inf
+    try:
+        scale = sqrt(lam) * exp(exponent)
+    except OverflowError:
+        scale = inf
+    if not isfinite(scale):
+        raise RangeOverflowError(
+            f"critical population sqrt(lam) e^E overflows a double at lam={lam:g}, E={exponent:g}"
+        )
+    return scale
+
+
 def critical_population(lam: float, c: float) -> float:
     """Critical population scale sqrt(lam) * exp(lam D(c)) at (lam, c > 1).
 
@@ -157,13 +175,7 @@ def critical_population(lam: float, c: float) -> float:
     check_positive("lam", lam)
     if not (c > 1.0):
         raise DomainError(f"critical population needs c > 1, got {c}")
-    try:
-        scale = sqrt(lam) * exp(lam * rate_function(c))
-    except OverflowError:
-        scale = inf
-    if not isfinite(scale):
-        raise RangeOverflowError(f"critical population overflows a double at lam={lam}, c={c}")
-    return scale
+    return _critical_scale(lam, lam * rate_function(c))
 
 
 def phase_scan(
@@ -188,13 +200,7 @@ def phase_scan(
     points: list[SystemRisk] = []
     for lam in lambda_values:
         check_positive("lam values", lam)
-        exponent = alpha * lam * rate_function(c)
-        if exponent > 706.0:
-            raise RangeOverflowError(
-                f"population exp({exponent:.1f}) overflows at lam={lam}, "
-                f"alpha={alpha}"
-            )
-        n_real = sqrt(lam) * exp(exponent)
+        n_real = _critical_scale(lam, alpha * lam * rate_function(c))
         if n_real > PHASE_SCAN_MAX_POPULATION:
             raise RangeOverflowError(
                 f"population {n_real:.3e} exceeds supported range "
