@@ -878,9 +878,10 @@ class TestSweepsOnOneStream:
                 tops.sort()
                 hi, peak, low = tops[len(tops) // 2], tops[-1], tie_bits[0]
             live = [
-                # two laws that share a cut top, two with lo == 0
-                _tie_law(_cut(hi, 1)), _tie_law(_cut(hi, low)),
-                _tie_law(_cut(hi, 0)), _tie_law(_cut(peak, 0)), _tie_law(_cut(peak, 2**37 - 1)),
+                # laws that share a cut top, and two with lo == 0, of which
+                # the one at the peak ties no other law's top
+                _tie_law(_cut(hi, 1)), _tie_law(_cut(hi, low)), _tie_law(_cut(hi, 2**37 - 1)),
+                _tie_law(_cut(hi, 0)), _tie_law(_cut(peak, 0)),
                 simulate._binomial_law(200, 0.01, 8), self.PANEL_A[-1],
             ]
             uncut = simulate._binomial_law(20, 0.6, 19)
