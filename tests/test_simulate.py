@@ -716,10 +716,11 @@ class TestBinomialAlerts:
             def random_raw(self, size):
                 return np.full(size, 2**64 - 1, dtype=np.uint64)
 
-        monkeypatch.setattr(simulate, "_chunk_rng", lambda seed, j: SimpleNamespace(bit_generator=AllOnes()))
+        monkeypatch.setattr(
+            simulate, "_chunk_rng", lambda seed, j: SimpleNamespace(bit_generator=AllOnes())
+        )
         u = math.nextafter(1.0, 0.0)
         assert _binomial_walk(u, 200, 0.01, _numpy_bound(200, 0.01) + 1)
-        assert 2**64 - 1 >= _numpy_restart_word(200, 0.01)
         # m = 8 cuts below quarter 0xFFFF; m = 11 ties it, so tie words are drawn
         laws = [simulate._binomial_law(200, 0.01, m) for m in (8, 11)]
         assert laws[0][0] >> 48 < 0xFFFF == laws[1][0] >> 48 and (laws[1][0] >> 11) % 2**37
