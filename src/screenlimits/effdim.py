@@ -14,14 +14,11 @@ independent attributes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, pi
+from math import exp, expm1, pi
 
-from .errors import (
-    BudgetError, DomainError, RangeOverflowError, as_float, check_int,
-    check_positive, check_unit
-)
+from .errors import DomainError, RangeOverflowError, as_float, check_int, check_positive, check_unit
 from .system import _critical_scale
-from .tails import _MAX_TERMS, rate_function
+from .tails import rate_function
 
 __all__ = [
     "SpatialCorrelation",
@@ -101,41 +98,49 @@ def k_eff_spatial(corr: SpatialCorrelation) -> float:
 def k_eff_temporal(corr: TemporalCorrelation) -> float:
     """Bartlett-Wilks effective sample size k / (1 + 2 sum rho(h)(1 - h/k)).
 
-    With tau given, rho(h) = exp(-h/tau). It only falls with h, so the sum
-    stops at the first lag where it underflows to 0.0, found by bisection:
-    every later term is exactly 0.0 as well. Returns k unreduced if the
-    denominator does not exceed 1 (net negative correlation).
+    With tau given, rho(h) = r^h with r = e^-a, a = 1/tau, and the lag sum is
+    r (k g(k a) - g(a)) / (expm1(-a)/a)^2, g(x) = (x + expm1(-x)) / x^2,
+    whose parts stay near 1/2 or 1/a at every k and tau. Returns k unreduced
+    if the denominator does not exceed 1 (net negative correlation) or r
+    underflows to 0.0.
 
     Raises:
         RangeOverflowError: If k exceeds the double range.
-        BudgetError: If the tau sum has more than tails._MAX_TERMS nonzero
-            terms.
     """
     k = corr.k
     size = as_float("k", k)
-    stop = k
-    if corr.tau is not None:
-        tau = corr.tau
-        rho = lambda h: exp(-h / tau)  # noqa: E731
-        # invariant: rho(lo) > 0, and rho(stop) == 0.0 or stop == k
-        lo = 0
-        while stop - lo > 1:
-            mid = (lo + stop) // 2
-            if rho(mid) == 0.0:
-                stop = mid
-            else:
-                lo = mid
-        if stop - 1 > _MAX_TERMS:
-            raise BudgetError(
-                f"temporal sum at k={k:g}, tau={tau:g} has more than {_MAX_TERMS:g} nonzero terms"
-            )
+    if corr.tau is None:
+        lags = sum(r * (1.0 - h / k) for h, r in enumerate(corr.rho, start=1))
     else:
-        seq = corr.rho
-        rho = lambda h: seq[h - 1]  # noqa: E731
-    denom = 1.0 + 2.0 * sum(rho(h) * (1.0 - h / k) for h in range(1, stop))
+        a = 1.0 / corr.tau
+        r = exp(-a)
+        if r == 0.0:
+            return size
+        lags = r * (_scaled_g(size, a) - _scaled_g(1.0, a)) / (expm1(-a) / a) ** 2
+    denom = 1.0 + 2.0 * lags
     if denom <= 1.0:
         return size
     return size / denom
+
+
+def _scaled_g(k: float, a: float) -> float:
+    """k g(k a), g(x) = (x + expm1(-x)) / x^2 = sum_n (-x)^n / (n + 2)!.
+
+    Below x = 1/2 the series, whose terms fall by x / (n + 2) <= 1/6, so it
+    ends within ~20 steps; past it (1 + expm1(-x)/x) / a, which neither a
+    subnormal 1/x nor k a = inf spoils, as k (1 + expm1(-x)/x) / x would.
+    """
+    x = k * a
+    if x >= 0.5:
+        return (1.0 + expm1(-x) / x) * (1.0 / a)
+    total = term = 0.5
+    for n in range(3, 40):
+        term *= -x / n
+        step = total + term
+        if step == total:
+            break
+        total = step
+    return k * total
 
 
 def k_eff_temporal_rough(k: int, tau: float) -> float:

@@ -13,7 +13,8 @@ statistic reaches a threshold m:
   lower bound that sandwich the exact tail at any integer m > lambda, both
   from one deviance lambda * D(m/lambda) taken by Loader's bd0,
 * the hypergeometric probability that a random s-subset hits a fixed t-subset
-  (list-overlap false match), in min(s, t) steps.
+  (list-overlap false match): a product of min(s, t) <= 64 factors, past
+  that Loader's saddle-point ratio of factorials.
 
 Everything here is scalar math on floats; no arrays, no state.
 """
@@ -26,7 +27,7 @@ from math import ceil, copysign, exp, expm1, inf, isfinite, lgamma, log, log1p, 
 from scipy.special import betainc, gammainc, log_ndtr
 
 from .errors import (
-    BudgetError, DomainError, RangeOverflowError, as_float, check_int, check_positive, check_unit,
+    DomainError, RangeOverflowError, as_float, check_int, check_positive, check_unit,
 )
 
 __all__ = [
@@ -43,11 +44,6 @@ __all__ = [
 
 # Relative truncation target for the log-space tail series.
 _SERIES_RTOL = 1e-18
-
-# Most terms a loop may run before it gives up with a BudgetError: ~1-2 s of
-# interpreter time. It bounds the overlap product's min(s, t) factors and
-# effdim's tau sum; the tail kernels have no loop that long.
-_MAX_TERMS = 10**7
 
 _LN_SQRT_2PI = 0.5 * log(2.0 * pi)
 
@@ -74,7 +70,8 @@ _TEMME_ETA = (-1.0, 1.0, -3.0, 15.0, -105.0)
 # 15 u^3), u = 1 / w^2, to within 105 u^4 ~ 1e-22.
 _MILLS_W = 1000.0
 
-# Longest lower sum binomial_tail adds up in place of betainc.
+# Most terms taken one by one: binomial_tail's lower sum, in place of
+# betainc, and overlap_probability's product, in place of its closed form.
 _SHORT_SUM = 64
 
 
@@ -290,9 +287,16 @@ def _log_pmf(x: float, lam: float, b: float | None = None) -> float:
         return -lam + x * log(lam) - lgamma(x + 1.0)
     if b is None:
         b = _bd0(x, lam, x - lam)
+    return -_stirlerr(x) - b - 0.5 * log(2.0 * pi * x)
+
+
+def _stirlerr(x: float) -> float:
+    """Stirling's error ln x! - (x + 1/2) ln x + x - ln sqrt(2 pi) for x >= 1:
+    from lgamma at x <= 15, else its series to x^-9."""
+    if x <= 15.0:
+        return lgamma(x + 1.0) - (x + 0.5) * log(x) + x - _LN_SQRT_2PI
     xx = x * x
-    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * xx)) / xx) / xx) / xx) / x
-    return -stirlerr - b - 0.5 * log(2.0 * pi * x)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * xx)) / xx) / xx) / xx) / x
 
 
 def _ratio_series(lam: float, x: float) -> float:
@@ -435,27 +439,41 @@ def overlap_probability(inp: OverlapInput) -> float:
     """Probability a uniformly random s-subset intersects a fixed t-subset.
 
     Complement of the hypergeometric zero-intersection term
-    C(V-t, s) / C(V, s) = C(V-s, t) / C(V, t), so the product
-    1 - prod_{l=0}^{min(s,t)-1} (1 - max(s, t) / (V - l)) runs over the
-    shorter list, accumulated in log space. Returns exactly 1.0 when
-    s > V - t (pigeonhole) and 0.0 when either list is empty.
+    C(V-t, s) / C(V, s) = C(V-s, t) / C(V, t), symmetric in s and t; let t
+    be the shorter list. Up to _SHORT_SUM terms it is
+    1 - prod_{l=0}^{t-1} (1 - s / (V - l)), accumulated in log space. Past
+    that it is 1.0 when 2 s >= V, since every factor is then at most 1/2 and
+    the product rounds to 0, and otherwise Loader's saddle-point form
+    (Loader 2000) of ln[(V-s)! (V-t)! / (V! r!)], r = V - s - t:
+    stirlerr(V-s) + stirlerr(V-t) - stirlerr(V) - stirlerr(r)
+    + 1/2 log1p(s t / (V r)) + t log1p(-s/V) - bd0(r, V-s) + bd0(V-t, V),
+    with V-s, V-t and r each rounded once from the integers. Returns exactly
+    1.0 when s > V - t (pigeonhole) and 0.0 when either list is empty.
 
     Raises:
-        BudgetError: If min(s, t) exceeds _MAX_TERMS, before any term.
+        RangeOverflowError: If V exceeds the double range past _SHORT_SUM terms.
     """
     v, t, s = inp.domain_size, inp.person_items, inp.suspicious_items
-    if t == 0 or s == 0:
+    t, s = min(s, t), max(s, t)
+    if t == 0:
         return 0.0
     if s > v - t:
         return 1.0
-    short, long = min(s, t), max(s, t)
-    if short > _MAX_TERMS:
-        raise BudgetError(
-            f"overlap product at s={s}, t={t} has {short} terms, more than {_MAX_TERMS:g}"
-        )
-    log_miss = 0.0
-    for el in range(short):
-        log_miss += log1p(-long / (v - el))
+    if t <= _SHORT_SUM:
+        log_miss = 0.0
+        for el in range(t):
+            log_miss += log1p(-s / (v - el))
+        # + 0.0 writes an exact 0 as 0.0, not -0.0
+        return -expm1(log_miss) + 0.0
+    if 2 * s >= v:
+        return 1.0
+    size = as_float("domain_size", v)
+    vs, vt, r, d = float(v - s), float(v - t), float(v - s - t), -float(t)
+    log_miss = (
+        _stirlerr(vs) + _stirlerr(vt) - _stirlerr(size) - _stirlerr(r)
+        + 0.5 * log1p(s / size * (t / r)) + t * log1p(-s / size)
+        - _bd0(r, vs, d) + _bd0(vt, size, d)
+    )
     return -expm1(log_miss)
 
 

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from mpmath import mp, mpf
 
 from screenlimits.effdim import (
     CorrelationAdjusted,
@@ -13,11 +14,22 @@ from screenlimits.effdim import (
     k_eff_temporal,
     k_eff_temporal_rough,
 )
-from screenlimits import effdim
-from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
+from screenlimits.errors import DomainError, RangeOverflowError
 from screenlimits.simulate import MODE_COPULA, LatentCorrelation, SimPlan, simulate_correlated
 from screenlimits.tails import rate_function
 from test_simulate import binary_correlation
+
+
+def mp_k_eff(k: int, tau: float):
+    """k / (1 + 2 r (k u - v) / (k u^2)), u = 1 - r, v = 1 - r^k, r = e^(-1/tau).
+
+    k u - v cancels to (k - 1) / tau of k u, so 1300 digits keep ~1000 of
+    them at tau = 1e300 (60 digits were 50% wrong at k = 2, tau = 1e100).
+    """
+    with mp.workdps(1300):
+        a = 1 / mpf(tau)
+        r, u, v = mp.exp(-a), -mp.expm1(-a), -mp.expm1(-k * a)
+        return k / (1 + 2 * r * (k * u - v) / (k * u * u))
 
 
 class TestDesignEffect:
@@ -96,26 +108,31 @@ class TestTemporal:
 
     @pytest.mark.parametrize("tau", [0.05, 0.7, 5.0, 60.0, 5000.0])
     @pytest.mark.parametrize("k", [2, 365, 4000, 20000])
-    def test_tau_sum_stops_at_underflow_bit_identically(self, k, tau):
-        # reference: the full k - 1 lag sum, zero terms included
-        full = 1.0 + 2.0 * sum(math.exp(-h / tau) * (1.0 - h / k) for h in range(1, k))
-        want = float(k) if full <= 1.0 else k / full
-        assert k_eff_temporal(TemporalCorrelation(k=k, tau=tau)) == want
+    def test_tau_sum_matches_mpmath(self, k, tau):
+        got = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
+        assert got == pytest.approx(mp_k_eff(k, tau), rel=1e-14, abs=0)
 
     def test_tau_sum_is_short_for_huge_k(self):
         corr = TemporalCorrelation(k=int(1e300), tau=5.0)
         assert k_eff_temporal(corr) == pytest.approx(1e300 * math.tanh(0.1), rel=1e-12)
 
-    def test_tau_sum_term_limit(self, monkeypatch):
-        monkeypatch.setattr(effdim, "_MAX_TERMS", 1000)
-        # 1000 nonzero lags pass, 1001 do not
-        assert k_eff_temporal(TemporalCorrelation(k=1001, tau=1e6)) > 0.0
-        with pytest.raises(BudgetError):
-            k_eff_temporal(TemporalCorrelation(k=1002, tau=1e6))
-        # a huge k is fine while exp(-h/tau) underflows within the limit
-        assert k_eff_temporal(TemporalCorrelation(k=10**6, tau=1.0)) > 0.0
-        with pytest.raises(BudgetError):
-            k_eff_temporal(TemporalCorrelation(k=10**6, tau=2.0))
+    @pytest.mark.parametrize("k, tau", [(1001, 1e6), (1002, 1e6), (10**6, 1.0), (10**6, 2.0)])
+    def test_long_lag_sums_match_mpmath(self, k, tau):
+        got = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
+        assert got == pytest.approx(mp_k_eff(k, tau), rel=1e-14, abs=0)
+
+    # tau = 1e6 and 1e12 put k a on both sides of g's series switch at 1/2
+    @pytest.mark.parametrize("tau", [1e-300, 1e-3, 0.7, 5.0, 1e6, 1e12, 1e100, 1e300])
+    @pytest.mark.parametrize("k", [1, 2, 365, 10**6, 10**15, 10**300])
+    def test_closed_form_over_grid(self, k, tau):
+        got = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
+        assert got == pytest.approx(mp_k_eff(k, tau), rel=1e-14, abs=0)
+
+    def test_near_the_double_limit(self):
+        # k a = inf at tau = 0.5, where k (1 + expm1(-x)/x) / x would read 0
+        k, tau = int(1.7e308), 0.5
+        got = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
+        assert got == pytest.approx(mp_k_eff(k, tau), rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(DomainError):

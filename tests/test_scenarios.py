@@ -382,14 +382,15 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "params, code",
         [
-            # the critical population of the independent case overflows
+            # exit 3: the critical population of the independent case overflows
             ({"k": 1e300, "p": 0.01, "c": 2.0, "tau": 5}, 3),
             ({"k": 1e8, "p": 0.01, "c": 2.0, "tau": 5}, 3),
             ({"k": 1e300, "p": 1e-300, "c": 2.0, "tau": 5}, 0),
             ({"k": 1e8, "p": 1e-9, "c": 2.0, "tau": 5}, 0),
-            ({"k": 1e300, "p": 0.01, "c": 2.0, "tau": 1e300}, 4),
+            ({"k": 1e300, "p": 0.01, "c": 2.0, "tau": 1e300}, 3),
+            ({"k": 1e9, "p": 1e-9, "c": 2.0, "tau": 1e8}, 0),
         ],
-        ids=["huge-k", "k-1e8", "huge-k-small-p", "k-1e8-small-p", "huge-tau"],
+        ids=["huge-k", "k-1e8", "huge-k-small-p", "k-1e8-small-p", "huge-tau", "k-1e9-tau-1e8"],
     )
     def test_temporal_sum_ends_quickly(self, params, code, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "effdim", "parameters": params})
@@ -399,7 +400,7 @@ class TestExitCodes:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error[")]
         assert len(errors) == (code != 0)
         if code:
-            assert errors[0].startswith({3: "error[domain]:", 4: "error[budget]:"}[code])
+            assert errors[0].startswith("error[domain]:")
 
     @pytest.mark.parametrize(
         "command, out, reason",

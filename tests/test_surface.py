@@ -1,6 +1,10 @@
-"""Every function, class and public method the package exports is reached from its own code."""
+"""Every function, class and public method the package exports is reached
+from its own code, and importing the CLI loads no heavy module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import screenlimits
@@ -88,3 +92,21 @@ def test_every_public_method_of_an_exported_class_is_named_in_src():
         if not any(name in _attributes(tree, skip=name) for tree in modules)
     )
     assert unreached == []
+
+
+# Each costs the CLI's cold start: scipy.integrate adds ~0.35 s, scipy.signal
+# ~1 s, and scipy.stats pulls in scipy.integrate. mpmath and hypothesis are
+# for tests only.
+HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.signal", "mpmath", "hypothesis")
+
+
+def test_cli_import_loads_no_heavy_module():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, screenlimits.cli; print(*sys.modules, sep='\\n')"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(out.split())
+    assert "screenlimits.cli" in loaded and "scipy.special" in loaded
+    heavy = sorted(m for m in loaded for h in HEAVY_MODULES if m == h or m.startswith(h + "."))
+    assert heavy == []

@@ -19,7 +19,7 @@ from mpmath import quad as mp_quad
 from mpmath import sqrt as mp_sqrt
 
 from screenlimits import tails
-from screenlimits.errors import BudgetError, DomainError, RangeOverflowError
+from screenlimits.errors import DomainError, RangeOverflowError
 from screenlimits.tails import (
     OverlapInput,
     binomial_tail,
@@ -44,13 +44,31 @@ def enum_binomial_tail(k: int, p: float, m: int) -> float:
 
 
 def mp_overlap(v: int, t: int, s: int):
-    """40-digit 1 - C(V-t, s) / C(V, s) through mpmath's loggamma."""
-    with mp.workdps(40):
+    """1 - C(V-t, s) / C(V, s) through mpmath's loggamma, to 40 digits past the
+    ~2 log10 V that cancel between the loggammas where q ~ s t / V is small."""
+    with mp.workdps(40 + 2 * len(str(v))):
         log_miss = (
             mp_loggamma(v - t + 1) + mp_loggamma(v - s + 1)
             - mp_loggamma(v + 1) - mp_loggamma(v - s - t + 1)
         )
         return -mp_expm1(log_miss)
+
+
+def _overlap_grid():
+    """(V, t, s), t <= s: t at 64 and 65 either side of the product's end, 2 s
+    at V - 1, V and V + 1, r = V - s - t down to 1, and V past 2**53. There
+    V - s, V - t and r must each be rounded once from the integers: from
+    float(V), r reads 0 at V = 1e18 + 1, r <= 21, and the bd0 steps d taken
+    from the rounded floats put q off by 1.9 relative at V = 1e18 + 7, t = s = 65."""
+    cases = []
+    for v in (10**3, 10**6, 10**12, 10**18 + 7, 2**53 + 1):
+        cases += [(v, t, s) for t in (64, 65) for s in (t, 1000, v // 3)]
+        cases += [(v, 65, (v + d) // 2) for d in (-1, 0, 1)]
+        cases += [(v, 65, 10**17 + 3), (v, 65, 99_999), (v, 10**5, 10**5 + 1)]
+    for r in (1, 2, 5, 20, 21):
+        cases += [(v, (v - r) // 2, v - r - (v - r) // 2) for v in (301, 10**6 + 1, 10**18 + 1)]
+    cases += [(10**300, 65, 65), (int(1.7e308), 65, 10**200)]
+    return sorted({(v, t, s) for v, t, s in cases if t <= s <= v - t})
 
 
 def best_time(call, repeats: int = 5) -> float:
@@ -442,21 +460,30 @@ class TestOverlap:
         assert got == pytest.approx(float(mp_overlap(v, t, s)), rel=1e-12)
         assert best_time(lambda: overlap_probability(inp)) < 1e-3
 
-    def test_term_limit_before_the_loop(self):
+    def test_long_lists_in_closed_form(self):
         inp = OverlapInput(10**18, 10**8, 10**8)
+        got = overlap_probability(inp)
+        assert got == pytest.approx(float(mp_overlap(10**18, 10**8, 10**8)), rel=1e-13, abs=0)
+        assert best_time(lambda: overlap_probability(inp)) < 1e-3
 
-        def budget_error():
-            with pytest.raises(BudgetError):
-                overlap_probability(inp)
+    @pytest.mark.parametrize("v, t, s", [(100, 10, 5), (100, 6, 10)])
+    def test_short_lists_match_mpmath(self, v, t, s):
+        got = overlap_probability(OverlapInput(v, t, s))
+        assert got == pytest.approx(float(mp_overlap(v, t, s)), rel=1e-13, abs=0)
 
-        assert best_time(budget_error) < 1e-3
+    @pytest.mark.parametrize("v, t, s", _overlap_grid())
+    def test_closed_form_matches_mpmath(self, v, t, s):
+        # t <= 64 runs the product, t >= 65 the closed form or the 2 s >= V shortcut
+        for inp in (OverlapInput(v, t, s), OverlapInput(v, s, t)):
+            got = overlap_probability(inp)
+            assert got == pytest.approx(float(mp_overlap(v, t, s)), rel=1e-13, abs=0)
 
-    def test_term_limit_boundary(self, monkeypatch):
-        want = overlap_probability(OverlapInput(100, 10, 5))
-        monkeypatch.setattr(tails, "_MAX_TERMS", 5)
-        assert overlap_probability(OverlapInput(100, 10, 5)) == want
-        with pytest.raises(BudgetError):
-            overlap_probability(OverlapInput(100, 6, 10))
+    def test_domain_past_the_double_range(self):
+        # every s / (V - l) underflows, so the product's log is an exact 0
+        got = overlap_probability(OverlapInput(10**400, 10, 10**10))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        with pytest.raises(RangeOverflowError, match="domain_size"):
+            overlap_probability(OverlapInput(10**400, 100, 10**10))
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
