@@ -194,10 +194,10 @@ EXPECTED = {
         "effdim-spatial.json.manifest.json": "776db195ed2d7d6af50c2fc6cd1cc9fb065141c639d6cfd550bc606fcdde8d98",
     },
     "effdim-tau": {
-        "effdim-tau.csv": "4fbae91a791f8b709a046696be53ec7882a681cfef287dfb3390174be3a44531",
-        "effdim-tau.csv.manifest.json": "696fb2b645291ae05b02bcd3b1957a210c20d26bf59de703bf1573f9b657a543",
-        "effdim-tau.json": "40685075a1f2ea156f95c7a72c35c6c08a92d9716820a6a9337c59674ab91e9f",
-        "effdim-tau.json.manifest.json": "3e0bc164d42bf82d86a96db7bf34937e2d296b79e2e8ffd9c31f3ce940f12f99",
+        "effdim-tau.csv": "2d6855e953bcb1ef00ef063664e8d69dcd638f56d4449ad2f8f558e3a39d816a",
+        "effdim-tau.csv.manifest.json": "6d62fae67f7e818536d265f3944c43d986a561d3628608309d3cccd700a03456",
+        "effdim-tau.json": "c5f5403ca4c287ac3b0f8d3f0ed6e3cb702c9f3a5e287da319cf4183f5f5bbbf",
+        "effdim-tau.json.manifest.json": "05ef69ce5e928f7e362a0ea8c59b48ca2f529d626713f2e95486f5fe9704c388",
     },
     "lifetime": {
         "lifetime.csv": "de563191f40dd4fba4fdb567e21d7e634ab5423e57146cc3d4214eef65bfd3d2",
