@@ -13,8 +13,7 @@ statistic reaches a threshold m:
   lower bound that sandwich the exact tail at any integer m > lambda, both
   from one deviance lambda * D(m/lambda) taken by Loader's bd0,
 * the hypergeometric probability that a random s-subset hits a fixed t-subset
-  (list-overlap false match): a product of min(s, t) <= 64 factors, past
-  that Loader's saddle-point ratio of factorials.
+  (list-overlap false match), in at most 64 steps or Loader's closed form.
 
 Everything here is scalar math on floats; no arrays, no state.
 """
@@ -70,8 +69,7 @@ _TEMME_ETA = (-1.0, 1.0, -3.0, 15.0, -105.0)
 # 15 u^3), u = 1 / w^2, to within 105 u^4 ~ 1e-22.
 _MILLS_W = 1000.0
 
-# Most terms taken one by one: binomial_tail's lower sum, in place of
-# betainc, and overlap_probability's product, in place of its closed form.
+# Most terms binomial_tail's lower sum and the overlap product take one by one.
 _SHORT_SUM = 64
 
 
@@ -439,16 +437,13 @@ def overlap_probability(inp: OverlapInput) -> float:
     """Probability a uniformly random s-subset intersects a fixed t-subset.
 
     Complement of the hypergeometric zero-intersection term
-    C(V-t, s) / C(V, s) = C(V-s, t) / C(V, t), symmetric in s and t; let t
-    be the shorter list. Up to _SHORT_SUM terms it is
-    1 - prod_{l=0}^{t-1} (1 - s / (V - l)), accumulated in log space. Past
-    that it is 1.0 when 2 s >= V, since every factor is then at most 1/2 and
-    the product rounds to 0, and otherwise Loader's saddle-point form
-    (Loader 2000) of ln[(V-s)! (V-t)! / (V! r!)], r = V - s - t:
-    stirlerr(V-s) + stirlerr(V-t) - stirlerr(V) - stirlerr(r)
-    + 1/2 log1p(s t / (V r)) + t log1p(-s/V) - bd0(r, V-s) + bd0(V-t, V),
-    with V-s, V-t and r each rounded once from the integers. Returns exactly
-    1.0 when s > V - t (pigeonhole) and 0.0 when either list is empty.
+    C(V-t, s) / C(V, s) = C(V-s, t) / C(V, t), t the shorter list: up to
+    _SHORT_SUM terms 1 - prod_{l<t} (1 - s / (V - l)), in log space; past
+    that 1.0 when 2 s >= V (as the product rounds it: each factor is at most
+    1/2), else Loader's saddle-point form (Loader 2000) of
+    ln[(V-s)! (V-t)! / (V! r!)], r = V - s - t, with V-s, V-t and r each
+    rounded once from the integers. Returns exactly 1.0 when s > V - t
+    (pigeonhole) and 0.0 when either list is empty.
 
     Raises:
         RangeOverflowError: If V exceeds the double range past _SHORT_SUM terms.

@@ -32,6 +32,18 @@ def mp_k_eff(k: int, tau: float):
         return k / (1 + 2 * r * (k * u - v) / (k * u * u))
 
 
+def _tau_grid():
+    """(k, tau): k from 1 to 1e300 against tau from 1e-300 to 1e300, where
+    tau = 1e6 and 1e12 put k / tau on both sides of the series switch at 1/2;
+    lag sums of 10**3 to 10**6 nonzero terms; a grid at moderate k; and
+    k / tau = inf at k = 1.7e308, tau = 0.5."""
+    cases = {(k, tau) for k in (1, 2, 365, 10**6, 10**15, 10**300)
+             for tau in (1e-300, 1e-3, 0.7, 5.0, 1e6, 1e12, 1e100, 1e300)}
+    cases |= {(1001, 1e6), (1002, 1e6), (10**6, 1.0), (10**6, 2.0), (int(1.7e308), 0.5)}
+    cases |= {(k, tau) for k in (2, 365, 4000, 20000) for tau in (0.05, 0.7, 5.0, 60.0, 5000.0)}
+    return [pytest.param(k, tau, id=f"{k:g}-{tau:g}") for k, tau in sorted(cases)]
+
+
 class TestDesignEffect:
     def test_simulated_variance_matches_design_effect(self):
         # draw correlated binary vectors and check the inflated variance
@@ -106,8 +118,7 @@ class TestTemporal:
         corr = TemporalCorrelation(k=3, rho=(-0.4, -0.1))
         assert k_eff_temporal(corr) == 3.0
 
-    @pytest.mark.parametrize("tau", [0.05, 0.7, 5.0, 60.0, 5000.0])
-    @pytest.mark.parametrize("k", [2, 365, 4000, 20000])
+    @pytest.mark.parametrize("k, tau", _tau_grid())
     def test_tau_sum_matches_mpmath(self, k, tau):
         got = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
         assert got == pytest.approx(mp_k_eff(k, tau), rel=1e-14, abs=0)
@@ -115,24 +126,6 @@ class TestTemporal:
     def test_tau_sum_is_short_for_huge_k(self):
         corr = TemporalCorrelation(k=int(1e300), tau=5.0)
         assert k_eff_temporal(corr) == pytest.approx(1e300 * math.tanh(0.1), rel=1e-12)
-
-    @pytest.mark.parametrize("k, tau", [(1001, 1e6), (1002, 1e6), (10**6, 1.0), (10**6, 2.0)])
-    def test_long_lag_sums_match_mpmath(self, k, tau):
-        got = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
-        assert got == pytest.approx(mp_k_eff(k, tau), rel=1e-14, abs=0)
-
-    # tau = 1e6 and 1e12 put k a on both sides of g's series switch at 1/2
-    @pytest.mark.parametrize("tau", [1e-300, 1e-3, 0.7, 5.0, 1e6, 1e12, 1e100, 1e300])
-    @pytest.mark.parametrize("k", [1, 2, 365, 10**6, 10**15, 10**300])
-    def test_closed_form_over_grid(self, k, tau):
-        got = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
-        assert got == pytest.approx(mp_k_eff(k, tau), rel=1e-14, abs=0)
-
-    def test_near_the_double_limit(self):
-        # k a = inf at tau = 0.5, where k (1 + expm1(-x)/x) / x would read 0
-        k, tau = int(1.7e308), 0.5
-        got = k_eff_temporal(TemporalCorrelation(k=k, tau=tau))
-        assert got == pytest.approx(mp_k_eff(k, tau), rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(DomainError):

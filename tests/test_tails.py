@@ -55,12 +55,13 @@ def mp_overlap(v: int, t: int, s: int):
 
 
 def _overlap_grid():
-    """(V, t, s), t <= s: t at 64 and 65 either side of the product's end, 2 s
-    at V - 1, V and V + 1, r = V - s - t down to 1, and V past 2**53. There
-    V - s, V - t and r must each be rounded once from the integers: from
-    float(V), r reads 0 at V = 1e18 + 1, r <= 21, and the bd0 steps d taken
-    from the rounded floats put q off by 1.9 relative at V = 1e18 + 7, t = s = 65."""
-    cases = []
+    """(V, t, s), t <= s: short products at V = 100, t at 64 and 65 either
+    side of the product's end, 2 s at V - 1, V and V + 1, r = V - s - t down
+    to 1, and V past 2**53. There V - s, V - t and r must each be rounded
+    once from the integers: from float(V), r reads 0 at V = 1e18 + 1,
+    r <= 21, and bd0 steps d taken from the rounded floats put q off by 1.9
+    relative at V = 1e18 + 7, t = s = 65."""
+    cases = [(100, 5, 10), (100, 6, 10)]
     for v in (10**3, 10**6, 10**12, 10**18 + 7, 2**53 + 1):
         cases += [(v, t, s) for t in (64, 65) for s in (t, 1000, v // 3)]
         cases += [(v, 65, (v + d) // 2) for d in (-1, 0, 1)]
@@ -466,13 +467,8 @@ class TestOverlap:
         assert got == pytest.approx(float(mp_overlap(10**18, 10**8, 10**8)), rel=1e-13, abs=0)
         assert best_time(lambda: overlap_probability(inp)) < 1e-3
 
-    @pytest.mark.parametrize("v, t, s", [(100, 10, 5), (100, 6, 10)])
-    def test_short_lists_match_mpmath(self, v, t, s):
-        got = overlap_probability(OverlapInput(v, t, s))
-        assert got == pytest.approx(float(mp_overlap(v, t, s)), rel=1e-13, abs=0)
-
     @pytest.mark.parametrize("v, t, s", _overlap_grid())
-    def test_closed_form_matches_mpmath(self, v, t, s):
+    def test_matches_mpmath(self, v, t, s):
         # t <= 64 runs the product, t >= 65 the closed form or the 2 s >= V shortcut
         for inp in (OverlapInput(v, t, s), OverlapInput(v, s, t)):
             got = overlap_probability(inp)
