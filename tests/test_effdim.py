@@ -23,8 +23,9 @@ from test_simulate import binary_correlation
 def mp_k_eff(k: int, tau: float):
     """k / (1 + 2 r (k u - v) / (k u^2)), u = 1 - r, v = 1 - r^k, r = e^(-1/tau).
 
-    k u - v cancels to (k - 1) / tau of k u, so 1300 digits keep ~1000 of
-    them at tau = 1e300 (60 digits were 50% wrong at k = 2, tau = 1e100).
+    k u - v is only ~(k - 1) / (2 tau) of k u, so 1300 digits keep ~1000 of
+    them at tau = 1e300; at 60 digits k_eff came out twice too large at
+    k = 2, tau = 1e100.
     """
     with mp.workdps(1300):
         a = 1 / mpf(tau)
@@ -35,7 +36,7 @@ def mp_k_eff(k: int, tau: float):
 def _tau_grid():
     """(k, tau): k from 1 to 1e300 against tau from 1e-300 to 1e300, where
     tau = 1e6 and 1e12 put k / tau on both sides of the series switch at 1/2;
-    lag sums of 10**3 to 10**6 nonzero terms; a grid at moderate k; and
+    sums over 10**3 to 10**6 lags; a grid at moderate k; and
     k / tau = inf at k = 1.7e308, tau = 0.5."""
     cases = {(k, tau) for k in (1, 2, 365, 10**6, 10**15, 10**300)
              for tau in (1e-300, 1e-3, 0.7, 5.0, 1e6, 1e12, 1e100, 1e300)}
