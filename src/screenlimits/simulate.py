@@ -9,7 +9,7 @@ outputs are integer counts and integer sums, which combine identically in
 any order. The `workers` argument changes wall-clock time only, never the
 report. A binomial or Poisson alert chunk holds max(1, 2**18 // width) runs
 of `width` values each (n for exact system rows, else 1), and at most 8192
-runs when no law of the call has a word cut; a copula chunk holds
+runs when no law of the call has a cut; a copula chunk holds
 max(1, min(4096, 2**20 // k)) runs.
 
 Workers: a call runs its chunks in the calling thread plus up to
@@ -36,32 +36,32 @@ count, whose excess over k p (1 - p) is the design effect of the binary
 correlation the latent rho induces.
 
 Binomial and Poisson draws only ever feed an alert test count >= m. Each law
-is built once per plan as one raw-word cut plus a fallback draw
-(`_binomial_law`, `_poisson_law`), and `_alerts` decides a chunk for a list
-of laws from one read of its stream: the one law of a plan, or every point
-of a sweep on common random numbers, so that the points share their uniforms
-and a point's alert flags contain those of every point with a higher cut.
-Where the law is sampled by sequential-search inversion from one Philox
-double per value (numpy's binomial walk for 0 < p <= 1/2, k p <= 30 and m up
-to numpy's bound; the Poisson walk for 0 < k p <= 30,
-1 <= m <= k p + 10 sqrt(k p + 1)), the count reaches m exactly when the
-53-bit uniform U behind that double reaches a cut, the raw 64-bit word cut
-shifted right by 11 bits. The walk runs only over its first m terms, so the
-law drawn is the untruncated one the analytic tails compute: a U whose walk
-would pass numpy's bound counts past bound >= m and alerts. The kernel
-spends 16 bits per value: each raw word gives four 16-bit quarters, lowest
-first, and a quarter is the top of its value's U. A quarter above the cut's
-top 16 bits alerts and one below does not; a quarter equal to it
-(probability 2**-16) takes the low 37 bits of U from the top of one more
-word, drawn after the chunk's quarters, so each value alerts with
-probability exactly Pr(U >= cut). A law without a cut (outside the regime)
-is drawn by the fallback, from a fresh generator of the same (seed, j)
-stream. A row wider than 2**18 values is drawn in blocks of at most 2**18
-from the same stream, so memory stays bounded. The grids in
-tests/test_simulate.py pin the word cuts to rng.binomial and to a replay of
-the Poisson walk element by element, so a numpy upgrade that changes its
-sampler fails them loudly instead of moving a result, and pin the kernel to
-a scalar reference that builds each U from its quarter and tie bits.
+is built once per plan as one cut plus a fallback draw (`_binomial_law`,
+`_poisson_law`), and `_alerts` decides a chunk for a list of laws from one
+read of its stream: the one law of a plan, or every point of a sweep on
+common random numbers, so that the points share their uniforms and a
+point's alert flags contain those of every point with a higher cut. Where
+the law is sampled by sequential-search inversion from one Philox double per
+value (numpy's binomial walk for 0 < p <= 1/2, k p <= 30 and m up to numpy's
+bound; the Poisson walk for 0 < k p <= 30, 1 <= m <= k p + 10 sqrt(k p + 1)),
+that double is U 2**-53 of a 53-bit integer U, and the count reaches m
+exactly when U reaches the law's cut, the smallest U whose walk passes the
+first m terms. The walk runs only over those terms, so the law drawn is the
+untruncated one the analytic tails compute: a U whose walk would pass
+numpy's bound counts past bound >= m and alerts. The kernel spends 16 bits
+per value: each raw word gives four 16-bit quarters, lowest first, and a
+quarter is the top of its value's U. A quarter above the cut's top 16 bits
+alerts and one below does not; a quarter equal to it (probability 2**-16)
+takes the low 37 bits of U from the top of one more word, drawn after the
+chunk's quarters, so each value alerts with probability exactly
+Pr(U >= cut). A law without a cut (outside the regime) is drawn by the
+fallback, from a fresh generator of the same (seed, j) stream. A row wider
+than 2**18 values is drawn in blocks of at most 2**18 from the same stream,
+so memory stays bounded. The grids in tests/test_simulate.py pin the cuts to
+rng.binomial and to a replay of the Poisson walk element by element, so a
+numpy upgrade that changes its sampler fails them loudly instead of moving a
+result, and pin the kernel to a scalar reference that builds each U from its
+quarter and tie bits.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from math import exp, floor, inf, log1p, prod, sqrt
 from queue import Empty, SimpleQueue
-from struct import pack, unpack
 from threading import Event, Lock
 
 import numpy as np
@@ -112,11 +111,13 @@ _MODES = (MODE_BINOMIAL, MODE_POISSON, MODE_COPULA)
 # multiple of 4, so that every block but the last ends on a word boundary.
 _VALUES = 1 << 18
 
-# Most runs of such a chunk when its law has no word cut; part of the
+# Most runs of such a chunk when no law of it has a cut; part of the
 # determinism contract.
 _CHUNK = 8192
 
-# A 53-bit uniform is a 16-bit quarter followed by this many tie bits.
+# A value's 53-bit uniform is U = quarter << _TIE_BITS | tie bits, its double
+# U 2**-53. An alert law's cut is the smallest U that alerts, in [1, 2**53];
+# 2**53 means no U does.
 _TIE_BITS = 37
 
 # No plan may make more than this many draws: every mode draws at least one
@@ -133,9 +134,6 @@ _POOL_LOCK = Lock()
 # rejects a mean above int64 max - 10 sqrt(int64 max).
 _INT64_MAX = 2**63 - 1
 _POISSON_LAM_MAX = _INT64_MAX - sqrt(_INT64_MAX) * 10
-
-# Bit pattern of the double 1.0: every double in [0, 1) has a smaller one.
-_ONE_BITS = unpack("<q", pack("<d", 1.0))[0]
 
 # Relative outward pad of the AR(1) bucket edges: far above ndtri's error,
 # far below a bucket's width (2**-16 of probability).
@@ -229,14 +227,6 @@ def _chunk_sizes(runs: int, chunk: int) -> list[int]:
     return sizes
 
 
-def _bits(u: float) -> int:
-    return unpack("<q", pack("<d", u))[0]
-
-
-def _double(bits: int) -> float:
-    return unpack("<d", pack("<q", bits))[0]
-
-
 def _walk_reaches(u: float, terms: list[float]) -> bool:
     """Whether a sequential-search walk from uniform u passes every term.
 
@@ -251,50 +241,41 @@ def _walk_reaches(u: float, terms: list[float]) -> bool:
     return True
 
 
-def _last_short_walk(terms: list[float]) -> float:
-    """Largest double in [0, 1) whose walk over `terms` stops short.
+def _alert_cut(terms: list[float]) -> int:
+    """Smallest U in [1, 2**53] whose walk from U 2**-53 passes every term.
 
-    A bisection over the bit patterns of [0, 1). The walk's float sum lies
-    within a few ulps per step of the answer, so the search first brackets
-    4 len(terms) + 8 patterns either side of it; if the walk does not confirm
-    both ends, it falls back to the whole range. Either way the result is
-    the one bit pattern where the walk changes, so both searches agree.
+    A bisection over the 53-bit grid, where 2**53 stands for no U. The walk's
+    float sum lies within a few ulps per step of the cut, so the search first
+    brackets 4 len(terms) + 8 grid points either side of it; if the walk does
+    not confirm both ends, it falls back to the whole range. The walk is
+    monotone in U, so both searches find the one U where it changes.
     """
     # invariant: the walk from lo stops short, the walk from hi does not
-    # (hi = 1.0 stands in: rng.random never returns it)
+    # (hi = 2**53 stands in: no U reaches it)
     width = 4 * len(terms) + 8
-    centre = _bits(min(sum(terms), 1.0))
-    lo, hi = max(0, centre - width), min(_ONE_BITS, centre + width)
-    if _walk_reaches(_double(lo), terms) or (
-        hi < _ONE_BITS and not _walk_reaches(_double(hi), terms)
+    centre = floor(min(sum(terms), 1.0) * 2.0**53)
+    lo, hi = max(0, centre - width), min(1 << 53, centre + width)
+    if _walk_reaches(lo * 2.0**-53, terms) or (
+        hi < 1 << 53 and not _walk_reaches(hi * 2.0**-53, terms)
     ):
-        lo, hi = 0, _ONE_BITS
+        lo, hi = 0, 1 << 53
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _walk_reaches(_double(mid), terms):
+        if _walk_reaches(mid * 2.0**-53, terms):
             hi = mid
         else:
             lo = mid
-    return _double(lo)
-
-
-def _word_cut(cut: float) -> int:
-    """Smallest raw Philox word w whose double (w >> 11) * 2**-53 exceeds cut.
-
-    A negative cut gives 0, which every word reaches; a cut at or above the
-    largest double below 1 gives 2**64, which none does.
-    """
-    return max(0, floor(cut * 2.0**53) + 1) << 11
+    return hi
 
 
 def _binomial_law(k: int, p: float, m: int):
-    """(word cut or None, fallback draw) deciding Bin(k, p) >= m.
+    """(cut or None, fallback draw) deciding Bin(k, p) >= m.
 
     numpy draws Bin(k, p) by inversion when 0 < p <= 1/2 and k p <= 30: one
-    double U per value, the double rng.random would return, and the count
-    reaches m exactly when U exceeds the cut, the end of the walk's first m
-    terms. The cut is None outside that regime, for m < 1 and for m beyond
-    numpy's bound on the walk's length.
+    double per value, U 2**-53 as rng.random returns it, and the count
+    reaches m exactly when U reaches the cut, where the walk passes its first
+    m terms. The cut is None outside that regime, for m < 1 and for m
+    beyond numpy's bound on the walk's length.
 
     Raises:
         RangeOverflowError: If the attribute count k does not fit numpy's
@@ -320,11 +301,11 @@ def _binomial_law(k: int, p: float, m: int):
     for x in range(1, m):
         px = (float(k - x + 1) * p * px) / (x * q)
         terms.append(px)
-    return _word_cut(_last_short_walk(terms)), draw
+    return _alert_cut(terms), draw
 
 
 def _poisson_law(lam: float, m: int):
-    """(word cut or None, fallback draw) deciding Pois(lam) >= m.
+    """(cut or None, fallback draw) deciding Pois(lam) >= m.
 
     The sequential-search walk starts from px = e^-lam and steps
     px = px lam / x (Devroye 1986, Non-Uniform Random Variate Generation,
@@ -349,7 +330,7 @@ def _poisson_law(lam: float, m: int):
     for x in range(1, m):
         px = px * lam / x
         terms.append(px)
-    return _word_cut(_last_short_walk(terms)), draw
+    return _alert_cut(terms), draw
 
 
 def _quarters(gen, count: int) -> np.ndarray:
@@ -410,10 +391,10 @@ def _alerts(seed: int, j: int, shape: tuple[int, ...], laws: list) -> list[np.nd
     one flag per row of `shape`.
 
     A value alerts when the 53-bit uniform U its inversion walk reads reaches
-    the law's word cut, and a row when any of its values does. Each value
+    the law's cut, and a row when any of its values does. Each value
     gets one 16-bit quarter h of the chunk's raw words, the top 16 bits of
     its U, shared by every law. With (hi, lo) the top 16 and low 37 bits of
-    a cut's U, h > hi alerts, and h == hi alerts if 37 tie bits reach lo (or
+    a cut, h > hi alerts, and h == hi alerts if 37 tie bits reach lo (or
     at once when lo == 0). Only a row's largest quarters can decide it, so
     tie bits are drawn only for the quarters equal to the top of a row whose
     top ties any law's cut: after the chunk's quarters, one word per tie,
@@ -423,8 +404,7 @@ def _alerts(seed: int, j: int, shape: tuple[int, ...], laws: list) -> list[np.nd
     """
     rows, width = shape[0], prod(shape[1:])
     flags = [None] * len(laws)
-    cuts = {i: divmod(cut >> 11, 1 << _TIE_BITS)
-            for i, (cut, _) in enumerate(laws) if cut is not None}
+    cuts = {i: divmod(cut, 1 << _TIE_BITS) for i, (cut, _) in enumerate(laws) if cut is not None}
     if cuts:
         gen = _chunk_rng(seed, j).bit_generator
         tied = tuple({hi for hi, lo in cuts.values() if lo})
@@ -528,7 +508,7 @@ def _alert_reports(
     shape `row`.
 
     A chunk holds max(1, _VALUES // width) runs of `width` values each, and
-    at most _CHUNK runs when no law has a word cut.
+    at most _CHUNK runs when no law has a cut.
     """
     chunk = max(1, _VALUES // prod(row))
     if all(law[0] is None for law in laws):

@@ -202,7 +202,7 @@ class TestCalibration:
         assert hits >= 95
 
     def test_poisson_z_scores_calibrated_over_seeds(self):
-        # person poisson-approx decides each run from one raw word
+        # person poisson-approx decides each run from one 16-bit quarter
         plan_proto = dict(k=100, p=0.05, m=10, runs=20_000, mode=MODE_POISSON)
         assert simulate._poisson_law(100 * 0.05, 10)[0] is not None
         hits = 0
@@ -445,12 +445,12 @@ class TestWorkers:
     @pytest.mark.parametrize(
         "plan, run, sizes",
         [
-            # BTPE and p > 1/2 have no word cuts: numpy draws every value
+            # BTPE and p > 1/2 have no cuts: numpy draws every value
             (SimPlan(k=1000, p=0.04, m=48, runs=20_000, seed=3, mode=MODE_BINOMIAL),
              simulate_per_person, [8192, 8192, 3616]),
             (SimPlan(k=40, p=0.8, m=35, n=100, runs=20_000, seed=3, mode=MODE_BINOMIAL),
              simulate_system, [2621] * 7 + [1653]),
-            # word cuts: one chunk of 2**18 values
+            # cuts: one chunk of 2**18 values
             (SimPlan(k=1000, p=0.005, m=9, runs=20_000, seed=3, mode=MODE_BINOMIAL),
              simulate_per_person, [20_000]),
         ],
@@ -567,11 +567,11 @@ def _binomial_walk(u: float, n: int, p: float, steps: int) -> bool:
 
 
 @functools.cache
-def _numpy_restart_word(n: int, p: float) -> int:
-    """The smallest raw word whose double's walk passes numpy's bound, where
+def _numpy_restart_cut(n: int, p: float) -> int:
+    """The smallest 53-bit U whose double's walk passes numpy's bound, where
     numpy would restart on a fresh double."""
     steps = _numpy_bound(n, p) + 1
-    return simulate._word_cut(_full_bisection(lambda u: _binomial_walk(u, n, p, steps)))
+    return _full_bisection(lambda u: _binomial_walk(u, n, p, steps))
 
 
 def _inversion_edge(n: int) -> float:
@@ -593,17 +593,17 @@ def _grid_ps(n: int) -> list[float]:
 
 
 def _traced_law(monkeypatch, build, *args):
-    """(build(*args), the float cuts its bisections returned, in order)."""
+    """(build(*args), the cuts its bisections returned, in order)."""
     seen = []
-    real = simulate._last_short_walk
+    real = simulate._alert_cut
 
     def record(terms):
         seen.append(real(terms))
         return seen[-1]
 
-    monkeypatch.setattr(simulate, "_last_short_walk", record)
+    monkeypatch.setattr(simulate, "_alert_cut", record)
     law = build(*args)
-    monkeypatch.setattr(simulate, "_last_short_walk", real)
+    monkeypatch.setattr(simulate, "_alert_cut", real)
     return law, tuple(seen)
 
 
@@ -614,7 +614,7 @@ def _any_by_row(flags: np.ndarray) -> np.ndarray:
 def _reference_alerts(seed: int, j: int, shape: tuple, laws: list, mask: int = 0xFFFF) -> np.ndarray:
     """_alerts from scalar arithmetic, one row of flags per law: each value's
     53-bit U is its 16-bit quarter followed by 37 tie bits, and a law's row
-    flag is max(U) >= its cut's U.
+    flag is max(U) >= its cut.
 
     Quarters come lowest first from chunk j's raw words, each ANDed with
     `mask`. A row whose top quarter equals the top 16 bits of any law's cut
@@ -628,8 +628,7 @@ def _reference_alerts(seed: int, j: int, shape: tuple, laws: list, mask: int = 0
     gen = simulate._chunk_rng(seed, j).bit_generator
     words = [int(w) for w in gen.random_raw((count + 3) // 4)]
     quarters = [(w >> shift) & 0xFFFF & mask for w in words for shift in (0, 16, 32, 48)][:count]
-    u_cuts = [cut >> 11 for cut, _ in laws if cut is not None]
-    tie_tops = {u >> 37 for u in u_cuts if u % 2**37}
+    tie_tops = {cut >> 37 for cut, _ in laws if cut is not None and cut % 2**37}
     top_u = []
     for r in range(rows):
         row = quarters[r * width : (r + 1) * width]
@@ -641,15 +640,15 @@ def _reference_alerts(seed: int, j: int, shape: tuple, laws: list, mask: int = 0
         if cut is None:
             flags.append(_any_by_row(draw(simulate._chunk_rng(seed, j), shape)))
         else:
-            flags.append(np.array([u >= cut >> 11 for u in top_u]))
+            flags.append(np.array([u >= cut for u in top_u]))
     return np.array(flags)
 
 
 class TestBinomialAlerts:
-    """_binomial_law's word cut decides rng.binomial(n, p, shape) >= m bit for bit.
+    """_binomial_law's cut decides rng.binomial(n, p, shape) >= m bit for bit.
 
-    A raw 64-bit word at or above the alert cut is exactly a double whose
-    inversion walk reaches m; _alerts, on the quarters of the same stream,
+    A raw 64-bit word w whose U = w >> 11 reaches the cut is exactly a double
+    whose inversion walk reaches m; _alerts, on the quarters of the same stream,
     must equal the scalar reference, and outside the regime numpy's draw.
     """
 
@@ -668,9 +667,10 @@ class TestBinomialAlerts:
                     assert np.array_equal(got, want), (n, p, m)
                     continue
                 words = simulate._chunk_rng(seed, j).bit_generator.random_raw(shape)
+                u = words >> np.uint64(11)
                 # no walk restarted, so numpy read exactly these words
-                assert not (words >= _numpy_restart_word(n, p)).any()
-                assert np.array_equal(_any_by_row(words >= law[0]), want), (n, p, m)
+                assert not (u >= _numpy_restart_cut(n, p)).any()
+                assert np.array_equal(_any_by_row(u >= law[0]), want), (n, p, m)
                 assert np.array_equal(got, _reference_alerts(seed, j, shape, [law])[0]), (n, p, m)
 
     def test_regime(self, monkeypatch):
@@ -687,26 +687,29 @@ class TestBinomialAlerts:
         bound = _numpy_bound(20, 0.1)
         assert cut(20, 0.1, bound) is not None
         assert cut(20, 0.1, bound + 1) is None
-        (word, _), (alert_cut,) = _traced_law(monkeypatch, simulate._binomial_law, 200, 0.01, 8)
-        assert 0.0 < alert_cut < 1.0
-        assert 0 < word == simulate._word_cut(alert_cut) < _numpy_restart_word(200, 0.01) < 2**64
+        (cut, _), traced = _traced_law(monkeypatch, simulate._binomial_law, 200, 0.01, 8)
+        assert traced == (cut,)
+        assert 1 < cut < _numpy_restart_cut(200, 0.01) < 2**53
 
     @pytest.mark.parametrize(
-        "cut",
-        [0.5, 1e-300, 0.0, 2.0**-53, 3 * 2.0**-53, 0.5 - 2.0**-53, math.nextafter(1.0, 0.0), -1.0]
+        "term",
+        [0.5, 1e-300, 0.0, 2.0**-53, 3 * 2.0**-53, 0.5 - 2.0**-53, math.nextafter(1.0, 0.0)]
         + [math.nextafter(2.0**-53 * k, d) for k in (1, 2**40 + 7) for d in (0.0, 1.0)],
     )
-    def test_word_cut_matches_the_double(self, cut):
+    def test_word_cut_matches_the_double(self, term):
         # numpy's Philox double is (w >> 11) * 2**-53 of the same raw word
         key = np.array([7, 11], dtype=np.uint64)
         words = np.random.Philox(key=key).random_raw(10**6)
         u = np.random.Generator(np.random.Philox(key=key)).random(10**6)
         assert np.array_equal(u, (words >> np.uint64(11)) * 2.0**-53)
-        wc = simulate._word_cut(cut)
-        edges = [w for w in (0, wc - 1, wc, wc + 1, 2**64 - 1) if 0 <= w < 2**64]
+        # a walk of one term passes it exactly when the double exceeds it
+        cut = simulate._alert_cut([term])
+        # each U near the cut and at both ends, with its low 11 word bits clear and set
+        edges = [w for x in (0, cut - 1, cut, cut + 1, 2**53 - 1) if 0 <= x < 2**53
+                 for w in (x << 11, x << 11 | 2**11 - 1)]
         words = np.concatenate([words, np.array(edges, dtype=np.uint64)])
         u = (words >> np.uint64(11)) * 2.0**-53
-        assert np.array_equal(u > cut, words >= wc)
+        assert np.array_equal(u > term, (words >> np.uint64(11)) >= cut)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3)], ids=["1d", "2d"])
     def test_a_value_past_numpys_bound_alerts_without_fallback(self, shape, fallen, monkeypatch):
@@ -723,7 +726,7 @@ class TestBinomialAlerts:
         assert _binomial_walk(u, 200, 0.01, _numpy_bound(200, 0.01) + 1)
         # m = 8 cuts below quarter 0xFFFF; m = 11 ties it, so tie words are drawn
         laws = [simulate._binomial_law(200, 0.01, m) for m in (8, 11)]
-        assert laws[0][0] >> 48 < 0xFFFF == laws[1][0] >> 48 and (laws[1][0] >> 11) % 2**37
+        assert laws[0][0] >> 37 < 0xFFFF == laws[1][0] >> 37 and laws[1][0] % 2**37
         for flags in simulate._alerts(0, 0, shape, laws):
             assert flags.all()
         assert not fallen
@@ -739,8 +742,8 @@ def _observed_tops(seed: int, j: int, shape: tuple) -> tuple[list[int], list[int
 
 
 def _cut(top: int, low: int) -> int:
-    """The raw word cut whose 53-bit uniform has these top 16 and low 37 bits."""
-    return (top << 37 | low) << 11
+    """The cut whose 53-bit U has these top 16 and low 37 bits."""
+    return top << 37 | low
 
 
 class TestQuarterWordTies:
@@ -790,14 +793,27 @@ class TestQuarterWordTies:
 
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
     def test_alert_word_edges(self, shape):
-        # every U reaches word 0; word 2**64 has hi = 65536, above every
+        # every U reaches cut 0; cut 2**53 has hi = 65536, above every
         # uint16 quarter, so no U reaches it
         draw = simulate._binomial_law(200, 0.01, 8)[1]
-        for alert, want in ((0, True), (2**64, False)):
+        for alert, want in ((0, True), (2**53, False)):
             law = (alert, draw)
             got = simulate._alerts(5, 0, shape, [law])[0]
             assert np.array_equal(got, np.full(shape[0], want)), alert
             assert np.array_equal(got, _reference_alerts(5, 0, shape, [law])[0]), alert
+
+    def test_real_laws_reach_both_grid_edges(self, fallen):
+        # e^-lam rounds to 1.0, so no U below 2**53 passes the first term
+        none = simulate._poisson_law(1e-17, 1)
+        # px_0 is about 2**-60, below the grid, so only U = 0 stops short
+        every = simulate._binomial_law(60, 0.5, 1)
+        assert (none[0], every[0]) == (2**53, 1)
+        for law, want in ((none, False), (every, True)):
+            for seed in range(3):
+                got = simulate._alerts(seed, 0, (5000,), [law])[0]
+                assert np.array_equal(got, np.full(5000, want)), (law[0], seed)
+                assert np.array_equal(got, _reference_alerts(seed, 0, (5000,), [law])[0])
+        assert not fallen
 
     def test_a_lower_block_peak_draws_no_tie_bits(self, monkeypatch):
         # in 4-value blocks of quarters 0..7 some block of a row often peaks
@@ -834,7 +850,7 @@ class TestQuarterWordTies:
 
 
 def _tie_law(cut: int):
-    """A law with this raw word cut and a draw function of its own."""
+    """A law with this cut and a draw function of its own."""
     return cut, simulate._binomial_law(200, 0.01, 8)[1]
 
 
@@ -958,20 +974,21 @@ def _poisson_replay(u: float, lam: float, m: int) -> bool:
     return x >= m
 
 
-def _full_bisection(reaches) -> float:
-    """Largest double in [0, 1) from which reaches() is False, over all 62 bits."""
-    lo, hi = 0, simulate._ONE_BITS
+def _full_bisection(reaches) -> int:
+    """Smallest U in [1, 2**53] with reaches(U 2**-53), 2**53 for none, over
+    all 53 bits."""
+    lo, hi = 0, 2**53
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if reaches(simulate._double(mid)):
+        if reaches(mid * 2.0**-53):
             hi = mid
         else:
             lo = mid
-    return simulate._double(lo)
+    return hi
 
 
 class TestPoissonAlerts:
-    """_alerts on _poisson_law: one raw word per run, or rng.poisson."""
+    """_alerts on _poisson_law: one 16-bit quarter per run, or rng.poisson."""
 
     LAMS = [1e-4, 0.3, 1.0, 5.0, 12.5, 29.9, 30.0, math.nextafter(30.0, math.inf), 45.0]
 
@@ -980,7 +997,7 @@ class TestPoissonAlerts:
         bound = math.floor(_poisson_bound(lam))
         for i, m in enumerate(sorted({0, 1, 2, 6, bound, bound + 1})):
             seed, j = 31 * i + 7, i % 3
-            law, floats = _traced_law(monkeypatch, simulate._poisson_law, lam, m)
+            law, traced = _traced_law(monkeypatch, simulate._poisson_law, lam, m)
             assert (law[0] is not None) == (lam <= 30.0 and 1 <= m <= bound), (lam, m)
             got = simulate._alerts(seed, j, (2000,), [law])[0]
             rng = simulate._chunk_rng(seed, j)
@@ -988,16 +1005,15 @@ class TestPoissonAlerts:
             if law[0] is None:
                 assert np.array_equal(got, rng.poisson(lam, 2000) >= m), (lam, m)
                 continue
-            (cut,) = floats
-            assert law[0] == simulate._word_cut(cut)
+            cut = law[0]
+            assert traced == (cut,)
             want = np.array([_poisson_replay(u, lam, m) for u in rng.random(2000)])
             words = simulate._chunk_rng(seed, j).bit_generator.random_raw(2000)
-            assert np.array_equal(words >= law[0], want), (lam, m)
-            # the cut is the last double whose walk stops short; at the
-            # largest double below 1 no draw alerts
-            assert not _poisson_replay(cut, lam, m)
-            above = math.nextafter(cut, 1.0)
-            assert above == 1.0 or _poisson_replay(above, lam, m)
+            assert np.array_equal((words >> np.uint64(11)) >= cut, want), (lam, m)
+            # the cut is the first U whose walk reaches m; at 2**53 no draw
+            # alerts
+            assert not _poisson_replay((cut - 1) * 2.0**-53, lam, m)
+            assert cut == 2**53 or _poisson_replay(cut * 2.0**-53, lam, m)
             assert np.array_equal(got, _reference_alerts(seed, j, (2000,), [law])[0]), (lam, m)
 
     def test_per_person_uses_the_quarters(self, monkeypatch):
@@ -1017,7 +1033,7 @@ class TestPoissonAlerts:
             law, got = _traced_law(monkeypatch, simulate._binomial_law, n, p, m)
             want = _full_bisection(lambda u: _binomial_walk(u, n, p, m))
             assert got == (want,), (n, p, m)
-            assert law[0] == simulate._word_cut(want)
+            assert law[0] == want
             lam = float(rng.uniform(1e-3, 30.0))
             m = int(rng.integers(1, math.floor(_poisson_bound(lam)) + 1))
             want = _full_bisection(lambda u: _poisson_replay(u, lam, m))
